@@ -36,7 +36,7 @@ def regenerate_nvm_ablation():
     # reuses the tile for ~60k photonic cycles, so both variants are
     # evaluated at that realistic refresh window.
     stats = get_dataset_stats("cora")
-    graph, _ = synthesize_dataset(stats, rng=np.random.default_rng(0))
+    graph = synthesize_dataset(stats, rng=np.random.default_rng(0))
     model = make_gnn(
         GNNKind.GCN,
         in_dim=stats.feature_dim,

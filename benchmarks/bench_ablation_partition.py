@@ -18,7 +18,7 @@ def regenerate_partition_ablation():
     rows = []
     for name in ("cora", "citeseer", "pubmed"):
         stats = get_dataset_stats(name)
-        graph, _ = synthesize_dataset(stats, rng=np.random.default_rng(0))
+        graph = synthesize_dataset(stats, rng=np.random.default_rng(0))
         model = make_gnn(
             GNNKind.GCN,
             in_dim=stats.feature_dim,

@@ -26,7 +26,7 @@ def dataset_sweep():
     ghost = GHOST()
     for dataset in ("cora", "citeseer", "pubmed"):
         stats = get_dataset_stats(dataset)
-        graph, _ = synthesize_dataset(stats, rng=np.random.default_rng(0))
+        graph = synthesize_dataset(stats, rng=np.random.default_rng(0))
         for kind in (GNNKind.GCN, GNNKind.SAGE, GNNKind.GIN, GNNKind.GAT):
             model = make_gnn(
                 kind,

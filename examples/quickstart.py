@@ -34,7 +34,7 @@ def main():
     ghost = GHOST()
     print(ghost.describe())
     stats = get_dataset_stats("cora")
-    graph, _ = synthesize_dataset(stats, rng=np.random.default_rng(0))
+    graph = synthesize_dataset(stats, rng=np.random.default_rng(0))
     model = make_gnn(
         GNNKind.GCN,
         in_dim=stats.feature_dim,

@@ -40,6 +40,7 @@ from repro.graphs.datasets import (
     DATASET_ZOO,
     get_dataset_stats,
     synthesize_dataset,
+    synthesize_features,
 )
 from repro.analysis import (
     check_headline_claims,
@@ -75,6 +76,7 @@ __all__ = [
     "DATASET_ZOO",
     "get_dataset_stats",
     "synthesize_dataset",
+    "synthesize_features",
     "check_headline_claims",
     "fig8_llm_epb",
     "fig9_llm_gops",

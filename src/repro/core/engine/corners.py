@@ -27,6 +27,7 @@ see exactly the same dies).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
@@ -119,6 +120,20 @@ _PHYSICS_CACHE: LRUMemo = LRUMemo(max_entries=256)
 _COUPLING_INVERSE_CACHE: LRUMemo = LRUMemo(max_entries=64)
 #: design -> FSR at 1550 nm.
 _FSR_CACHE: LRUMemo = LRUMemo(max_entries=64)
+#: Per-thread scratch of the batched passes.  Their temporaries run to
+#: megabytes, past the allocator's mmap threshold, so fresh ones would
+#: be mapped and page-faulted in again on every call.
+_SCRATCH = threading.local()
+
+
+def _scratch(name: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
+    """This thread's reusable ``name`` buffer, viewed as ``shape``."""
+    size = int(np.prod(shape))
+    buffer = getattr(_SCRATCH, name, None)
+    if buffer is None or buffer.size < size:
+        buffer = np.empty(size, dtype=dtype)
+        setattr(_SCRATCH, name, buffer)
+    return buffer[:size].reshape(shape)
 
 
 def clear_context_physics_cache() -> None:
@@ -174,7 +189,7 @@ def _fold_errors_nm_inplace(
     """
     half = 0.5 * fsr_nm
     errors_nm += offset_nm
-    orders = errors_nm + half
+    orders = np.add(errors_nm, half, out=_scratch("orders", errors_nm.shape))
     orders *= 1.0 / fsr_nm
     np.floor(orders, out=orders)
     orders *= fsr_nm
@@ -192,13 +207,14 @@ def _draw_die_errors_nm(
     die-level component (thickness varies slowly across a wafer), as in
     :meth:`ProcessVariationModel.sample_resonance_errors`.  Each die
     draws from its own seeded generator; the correlation scaling is
-    applied in one batched pass.
+    applied in one batched pass.  The result is this thread's scratch
+    buffer, valid until the next call.
     """
     banks = rows + 1
     # float32 throughout: resonance errors are physical nanometre-scale
     # quantities modelled to a few per-mille at best, and single
     # precision halves the memory traffic of the batched passes.
-    errors = np.empty((len(contexts), banks, cols), dtype=np.float32)
+    errors = _scratch("errors", (len(contexts), banks, cols))
     variation = contexts[0].variation
     if variation is None:
         errors.fill(0.0)
@@ -234,7 +250,9 @@ def _physics_from_folded(
     samples, banks, cols = folded_nm.shape
     # The folded errors are consumed here, so all passes run in place.
     magnitude = np.abs(folded_nm, out=folded_nm)
-    correctable = magnitude <= range_nm
+    correctable = np.less_equal(
+        magnitude, range_nm, out=_scratch("correctable", magnitude.shape, bool)
+    )
     usable_cols = correctable[:, 0, :].sum(axis=1)
     usable_rows = correctable[:, 1:, :].all(axis=2).sum(axis=1)
     correctable_counts = correctable.sum(axis=(1, 2))
@@ -261,7 +279,9 @@ def _physics_from_folded(
         # systems): it biases total power slightly high (~10% on typical
         # draws), i.e. the Monte-Carlo tuning-power numbers are
         # conservative relative to the canonical scalar TED model.
-        powers = targets_k.reshape(-1, cols) @ _coupling_inverse(cols).T
+        powers = _scratch("powers", (samples * banks, cols))
+        targets = targets_k.reshape(-1, cols)
+        np.matmul(targets, _coupling_inverse(cols).T, out=powers)
         np.clip(powers, 0.0, None, out=powers)
         correction_power = powers.reshape(samples, -1).sum(
             axis=1, dtype=np.float64

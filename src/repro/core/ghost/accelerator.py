@@ -34,7 +34,6 @@ from repro.core.ghost.update import UpdateBlock
 from repro.core.reports import EnergyReport, LatencyReport, RunReport
 from repro.errors import ConfigurationError, MappingError
 from repro.graphs.graph import CSRGraph
-from repro.graphs.partition import GraphPartitioner
 from repro.nn.counting import gnn_layer_op_count, gnn_op_count
 from repro.nn.gnn import (
     GATLayer,
@@ -60,7 +59,7 @@ class GHOST(Accelerator):
     Example::
 
         ghost = GHOST()
-        graph, _ = synthesize_dataset(get_dataset_stats("cora"))
+        graph = synthesize_dataset(get_dataset_stats("cora"))
         report = ghost.run_gnn(model_config, graph)
     """
 

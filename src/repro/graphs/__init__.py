@@ -19,6 +19,7 @@ from repro.graphs.datasets import (
     DatasetStats,
     get_dataset_stats,
     synthesize_dataset,
+    synthesize_features,
 )
 from repro.graphs.partition import GraphPartitioner, PartitionBlock, PartitionSchedule
 
@@ -32,6 +33,7 @@ __all__ = [
     "DatasetStats",
     "get_dataset_stats",
     "synthesize_dataset",
+    "synthesize_features",
     "GraphPartitioner",
     "PartitionBlock",
     "PartitionSchedule",

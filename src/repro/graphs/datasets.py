@@ -4,13 +4,14 @@ We cannot ship Cora/Citeseer/Pubmed, but the accelerator's cost depends
 only on node/edge counts, degree shape and feature widths (DESIGN.md
 section 1).  Each :class:`DatasetStats` records the published statistics;
 :func:`synthesize_dataset` generates a graph matching them using a
-degree-preserving configuration-model-style construction.
+degree-preserving configuration-model-style construction, and
+:func:`synthesize_features` a feature matrix for callers that want one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -111,16 +112,14 @@ def get_dataset_stats(name: str) -> DatasetStats:
 
 def synthesize_dataset(
     stats: DatasetStats, rng: Optional[np.random.Generator] = None
-) -> Tuple[CSRGraph, np.ndarray]:
-    """Generate a (graph, features) pair matching a dataset's statistics.
+) -> CSRGraph:
+    """Generate a CSR graph matching a dataset's statistics.
 
     Degree sequence: uniform-random pairing for citation-style graphs,
     Zipf-weighted pairing for power-law graphs.  The edge count matches
     the published figure up to collision losses (< a few percent).
-
-    Returns:
-        A CSR graph and a (num_nodes, feature_dim) feature matrix with
-        sparse, non-negative entries (bag-of-words-like).
+    Only the structure is generated — the costing path reads nothing
+    else; :func:`synthesize_features` makes the feature matrix on demand.
     """
     rng = rng or np.random.default_rng(0)
     n = stats.num_nodes
@@ -131,18 +130,27 @@ def synthesize_dataset(
         weights = np.full(n, 1.0 / n)
     sources = rng.choice(n, size=stats.num_edges, p=weights)
     targets = rng.choice(n, size=stats.num_edges, p=weights)
-    mask = sources != targets
-    graph = CSRGraph.from_edges(
+    return CSRGraph.from_edges(
         n,
-        zip(sources[mask].tolist(), targets[mask].tolist()),
+        np.column_stack([sources, targets]),
         undirected=True,
         num_node_features=stats.feature_dim,
     )
-    # Sparse non-negative features: ~1% density, like bag-of-words vectors.
+
+
+def synthesize_features(
+    stats: DatasetStats, rng: np.random.Generator
+) -> np.ndarray:
+    """A (num_nodes, feature_dim) matrix of sparse, non-negative features.
+
+    About 1% of the entries are set, like bag-of-words vectors.  Drawing
+    from the generator :func:`synthesize_dataset` just used gives the
+    features that belong with that graph.
+    """
     density = min(0.05, max(0.01, 50.0 / stats.feature_dim))
-    features = np.zeros((n, stats.feature_dim))
+    features = np.zeros((stats.num_nodes, stats.feature_dim))
     nnz_per_row = max(1, int(density * stats.feature_dim))
-    for row in range(n):
+    for row in range(stats.num_nodes):
         cols = rng.choice(stats.feature_dim, size=nnz_per_row, replace=False)
         features[row, cols] = rng.random(nnz_per_row)
-    return graph, features
+    return features

@@ -50,10 +50,9 @@ def erdos_renyi(
     rng = _resolve_rng(rng, seed)
     upper = rng.random((num_nodes, num_nodes)) < edge_probability
     upper = np.triu(upper, k=1)
-    sources, targets = np.nonzero(upper)
     return CSRGraph.from_edges(
         num_nodes,
-        zip(sources.tolist(), targets.tolist()),
+        np.argwhere(upper),
         undirected=True,
         num_node_features=num_node_features,
     )
@@ -129,10 +128,9 @@ def rmat(
         down = r >= a + b
         sources |= down.astype(np.int64) << level
         targets |= right.astype(np.int64) << level
-    mask = sources != targets
     return CSRGraph.from_edges(
         num_nodes,
-        zip(sources[mask].tolist(), targets[mask].tolist()),
+        np.column_stack([sources, targets]),
         undirected=True,
         num_node_features=num_node_features,
     )
@@ -160,10 +158,9 @@ def stochastic_block_model(
     probs = np.where(same_block, p_within, p_between)
     upper = rng.random((num_nodes, num_nodes)) < probs
     upper = np.triu(upper, k=1)
-    sources, targets = np.nonzero(upper)
     return CSRGraph.from_edges(
         num_nodes,
-        zip(sources.tolist(), targets.tolist()),
+        np.argwhere(upper),
         undirected=True,
         num_node_features=num_node_features,
     )

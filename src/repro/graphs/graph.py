@@ -7,8 +7,8 @@ statistics, and the partitioner slices it into blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple
+from dataclasses import dataclass
+from typing import Iterable, Tuple, Union
 
 import numpy as np
 
@@ -108,51 +108,56 @@ class CSRGraph:
     def from_edges(
         cls,
         num_nodes: int,
-        edges: Iterable[Tuple[int, int]],
+        edges: Union[np.ndarray, Iterable[Tuple[int, int]]],
         undirected: bool = True,
         num_node_features: int = 0,
     ) -> "CSRGraph":
-        """Build from an edge list; deduplicates and drops self-loops."""
+        """Build from an ``(E, 2)`` integer array or any iterable of pairs.
+
+        Drops self-loops, adds reverse arcs when ``undirected`` and
+        deduplicates; arcs are stored sorted by ``(source, target)``.
+        """
         if num_nodes < 1:
             raise ConfigurationError(f"need >= 1 node, got {num_nodes}")
-        pairs = set()
-        for u, v in edges:
-            if not (0 <= u < num_nodes and 0 <= v < num_nodes):
-                raise ConfigurationError(
-                    f"edge ({u}, {v}) out of range for {num_nodes} nodes"
-                )
-            if u == v:
-                continue
-            pairs.add((u, v))
-            if undirected:
-                pairs.add((v, u))
-        if pairs:
-            arr = np.array(sorted(pairs), dtype=np.int64)
-            sources, targets = arr[:, 0], arr[:, 1]
-        else:
-            sources = np.empty(0, dtype=np.int64)
-            targets = np.empty(0, dtype=np.int64)
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        arcs = np.asarray(edges, dtype=np.int64)
+        arcs = arcs.reshape(0, 2) if arcs.size == 0 else arcs
+        if arcs.ndim != 2 or arcs.shape[1] != 2:
+            raise ConfigurationError(f"edges must be (E, 2) pairs, got {arcs.shape}")
+        bad = ((arcs < 0) | (arcs >= num_nodes)).any(axis=1)
+        if bad.any():
+            u, v = arcs[bad.argmax()].tolist()
+            raise ConfigurationError(
+                f"edge ({u}, {v}) out of range for {num_nodes} nodes"
+            )
+        arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+        if undirected:
+            arcs = np.concatenate([arcs, arcs[:, ::-1]])
+        # One int64 key per arc sorts by (source, target) and dedups.
+        keys = np.unique(arcs[:, 0] * num_nodes + arcs[:, 1])
+        sources, targets = np.divmod(keys, num_nodes)
         counts = np.bincount(sources, minlength=num_nodes)
         indptr = np.concatenate([[0], np.cumsum(counts)])
         return cls(
             indptr=indptr, indices=targets, num_node_features=num_node_features
         )
 
+    def arc_sources(self) -> np.ndarray:
+        """Source vertex of every stored arc (parallel to ``indices``)."""
+        return np.repeat(np.arange(self.num_nodes), np.diff(self.indptr))
+
     def to_dense_adjacency(self) -> np.ndarray:
         """Dense (num_nodes x num_nodes) 0/1 adjacency matrix."""
         adj = np.zeros((self.num_nodes, self.num_nodes))
-        for v in range(self.num_nodes):
-            adj[v, self.neighbors(v)] = 1.0
+        adj[self.arc_sources(), self.indices] = 1.0
         return adj
 
     def is_symmetric(self) -> bool:
         """Whether every arc has its reverse (undirected storage)."""
-        forward = set(
-            (int(u), int(v))
-            for u in range(self.num_nodes)
-            for v in self.neighbors(u)
-        )
-        return all((v, u) in forward for (u, v) in forward)
+        sources, n = self.arc_sources(), self.num_nodes
+        reverse = self.indices * n + sources
+        return bool(np.isin(reverse, sources * n + self.indices).all())
 
     def subgraph(self, nodes: np.ndarray) -> "CSRGraph":
         """Induced subgraph on a node subset (ids are remapped to 0..k-1)."""
@@ -161,15 +166,12 @@ class CSRGraph:
             raise ConfigurationError("subgraph needs at least one node")
         if nodes.min() < 0 or nodes.max() >= self.num_nodes:
             raise ConfigurationError("subgraph node id out of range")
-        remap = {int(old): new for new, old in enumerate(nodes)}
-        edges = []
-        for old in nodes:
-            for nb in self.neighbors(int(old)):
-                if int(nb) in remap:
-                    edges.append((remap[int(old)], remap[int(nb)]))
+        remap = np.full(self.num_nodes, -1, dtype=np.int64)
+        remap[nodes] = np.arange(nodes.size)
+        arcs = remap[np.column_stack([self.arc_sources(), self.indices])]
         return CSRGraph.from_edges(
             num_nodes=nodes.size,
-            edges=edges,
+            edges=arcs[(arcs >= 0).all(axis=1)],
             undirected=False,
             num_node_features=self.num_node_features,
         )

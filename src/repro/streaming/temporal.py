@@ -78,13 +78,9 @@ def _canonical(u: int, v: int) -> Edge:
 
 def _edge_set(graph: CSRGraph) -> Set[Edge]:
     """The canonical undirected edge set of a CSR graph."""
-    edges: Set[Edge] = set()
-    for u in range(graph.num_nodes):
-        start, end = graph.indptr[u], graph.indptr[u + 1]
-        for v in graph.indices[start:end]:
-            if u < v:
-                edges.add((u, int(v)))
-    return edges
+    sources = graph.arc_sources()
+    upper = sources < graph.indices
+    return set(zip(sources[upper].tolist(), graph.indices[upper].tolist()))
 
 
 def apply_delta(
@@ -117,7 +113,7 @@ def snapshots_from(
         snapshots.append(
             CSRGraph.from_edges(
                 num_nodes,
-                sorted(edges),
+                edges,
                 undirected=True,
                 num_node_features=base.num_node_features,
             )
@@ -138,9 +134,7 @@ def _ba_growth(
     # Degree-proportional sampling via the repeated-node list, seeded
     # from the base graph's arcs (each undirected edge contributes both
     # endpoints) — the same O(E) device barabasi_albert uses.
-    repeated: List[int] = []
-    for u, v in sorted(_edge_set(base)):
-        repeated.extend([u, v])
+    repeated = [u for edge in sorted(_edge_set(base)) for u in edge]
     next_node = base.num_nodes
     deltas = []
     for _ in range(num_deltas):

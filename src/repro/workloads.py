@@ -8,11 +8,11 @@ generators all resolve the same objects.
 
 Materialization is lazy and cached: a GNN workload synthesizes its graph
 on first use and shares it afterwards — on the workload object *and* in
-a process-level memo keyed by ``(dataset, rng_seed)`` (synthesis is
-deterministic in those), which is what makes repeated design-space
-sweeps and fresh workload instances over one dataset cheap.  The naive
-benchmarking baselines call :func:`clear_graph_memo` per point to stay
-genuinely cold.
+a bounded, process-level LRU memo keyed by ``(dataset, rng_seed)``
+(synthesis is deterministic in those), which is what makes repeated
+design-space sweeps and fresh workload instances over one dataset
+cheap.  The naive benchmarking baselines call :func:`clear_graph_memo`
+per point to stay genuinely cold.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.base import Workload, WorkloadKind, register_workload
+from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
 from repro.graphs.datasets import get_dataset_stats, synthesize_dataset
 from repro.graphs.graph import CSRGraph
@@ -31,10 +32,14 @@ from repro.nn.gnn import GNNConfig, GNNKind
 from repro.nn.models import MODEL_ZOO
 from repro.nn.transformer import TransformerConfig
 
+#: Graphs the synthesis memo keeps: ``rng_seed`` is user input, so the
+#: memo is bounded; the dataset zoo at a few seeds fits.
+GRAPH_MEMO_ENTRIES = 16
+
 #: Process-level graph-synthesis memo: (dataset, rng_seed) -> CSRGraph.
 #: Synthesis is deterministic in the key, so sharing is bit-safe; the
 #: graph is read-only to every evaluator.
-_GRAPH_MEMO: dict = {}
+_GRAPH_MEMO = LRUMemo(max_entries=GRAPH_MEMO_ENTRIES)
 
 
 def clear_graph_memo() -> None:
@@ -117,10 +122,10 @@ class GNNWorkload(Workload):
             cached = _GRAPH_MEMO.get(key)
             if cached is None:
                 stats = get_dataset_stats(self.dataset)
-                cached, _ = synthesize_dataset(
+                cached = synthesize_dataset(
                     stats, rng=np.random.default_rng(self.rng_seed)
                 )
-                _GRAPH_MEMO[key] = cached
+                _GRAPH_MEMO.put(key, cached)
             self._graph = cached
         return self._graph
 

@@ -66,7 +66,7 @@ class TestFunctionalFidelity:
 class TestCostConsistency:
     @pytest.fixture(scope="class")
     def cora(self):
-        graph, _ = synthesize_dataset(
+        graph = synthesize_dataset(
             get_dataset_stats("cora"), rng=np.random.default_rng(0)
         )
         return graph
@@ -75,7 +75,7 @@ class TestCostConsistency:
         ghost = GHOST()
         for name in ("cora", "citeseer", "pubmed"):
             stats = get_dataset_stats(name)
-            graph, _ = synthesize_dataset(stats, rng=np.random.default_rng(0))
+            graph = synthesize_dataset(stats, rng=np.random.default_rng(0))
             model = make_gnn(
                 GNNKind.GCN,
                 in_dim=stats.feature_dim,
@@ -107,7 +107,7 @@ class TestCostConsistency:
     def test_partitioning_wins_on_every_paper_dataset(self):
         for name in ("cora", "citeseer", "pubmed"):
             stats = get_dataset_stats(name)
-            graph, _ = synthesize_dataset(stats, rng=np.random.default_rng(0))
+            graph = synthesize_dataset(stats, rng=np.random.default_rng(0))
             model = make_gnn(
                 GNNKind.GCN,
                 in_dim=stats.feature_dim,

@@ -1,7 +1,10 @@
 """Tests for the ExecutionContext threading through the run path."""
 
 import dataclasses
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
 from repro.core import (
@@ -236,3 +239,31 @@ class TestYieldGating:
         extra = boosted["tuning_pj"] - base["tuning_pj"]
         assert extra == pytest.approx(100.0 * (1.0 / spec.clock_ghz))
         assert boosted["laser_pj"] == base["laser_pj"]
+
+class TestBatchedPhysicsScratch:
+    @staticmethod
+    def power(spec, seed, samples):
+        from repro.core.engine.corners import batch_context_physics
+
+        ctx = dataclasses.replace(VARIED, seed=seed)
+        return batch_context_physics(spec, ctx, samples).correction_power_mw
+
+    def test_reuse_across_shapes_and_threads(self):
+        """Scratch buffers are per thread and resized per call: mixed
+        shapes on concurrent threads match the same calls run alone."""
+        jobs = [
+            (ArraySpec(rows=rows, cols=cols), seed, samples)
+            for seed in range(4)
+            for rows, cols, samples in ((32, 32, 64), (16, 48, 8), (48, 16, 32))
+        ]
+        expected = [self.power(*job).copy() for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                futures = [pool.submit(self.power, *job) for job in jobs * 3]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for got, want in zip(results, expected * 3):
+            np.testing.assert_array_equal(got, want)

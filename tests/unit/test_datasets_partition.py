@@ -1,5 +1,7 @@
 """Tests for dataset replicas and buffer-and-partition blocking."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.graphs.datasets import (
     DatasetStats,
     get_dataset_stats,
     synthesize_dataset,
+    synthesize_features,
 )
 from repro.graphs.generators import erdos_renyi
 from repro.graphs.partition import GraphPartitioner
@@ -44,9 +47,9 @@ class TestDatasetStats:
 class TestSynthesize:
     @pytest.fixture(scope="class")
     def cora_like(self):
-        return synthesize_dataset(
-            get_dataset_stats("cora"), rng=np.random.default_rng(3)
-        )
+        stats = get_dataset_stats("cora")
+        rng = np.random.default_rng(3)
+        return synthesize_dataset(stats, rng), synthesize_features(stats, rng)
 
     def test_node_count_exact(self, cora_like):
         graph, _ = cora_like
@@ -68,11 +71,61 @@ class TestSynthesize:
         assert density < 0.1
 
     def test_power_law_dataset_has_hubs(self):
-        graph, _ = synthesize_dataset(
+        graph = synthesize_dataset(
             get_dataset_stats("reddit-sample"), rng=np.random.default_rng(4)
         )
         degrees = graph.degrees()
         assert degrees.max() > 10 * degrees.mean()
+
+
+def _sha256(*arrays):
+    digest = hashlib.sha256()
+    for array in arrays:
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+#: sha256 of (indptr, indices) as little-endian int64, pinned from the
+#: set-based builder before synthesis became array-native.
+GRAPH_DIGESTS = {
+    ("cora", 0): "c0cc45be31aba38df8bb4e9d8b56cea6a1cb6be4cc8eb82b0d97e708bea436ab",
+    ("cora", 7): "095cc901e91cff3b9daa93c1d10bb3767130cae5612ea43bbad81bbd83bf22af",
+    ("citeseer", 0): "9ce47d0cc9b48dec77bc2043c031e34b7b4235a6d587ceeab050b3cdd0835bca",
+    ("citeseer", 7): "654ef1a403ed4c6ba04648dd9eb6ab1331a57fc6beaed52cd913dac4719a1a22",
+    ("pubmed", 0): "3c1477e38dfe8ebbaa63d424af0189ab2eac3ee7401c3e3fe512106aede24989",
+    ("pubmed", 7): "9da33df73de0c41f1793c68eec7cc7673e7ae4e7fa1e9c8f6e3bc4fd19966486",
+    ("reddit-sample", 0): "d163f0a561c761fec69e47b8c9a10c1948b5cd3055dc9ce0094a64be16259991",
+    ("reddit-sample", 7): "79f15f69c92b4842dff152cca8b389b720049d73fa5063ae9065a24048464c0c",
+    ("amazon-sample", 0): "9834e8e4262bd8744e5f8fcf1363852440a159ef3bb96d131ff31ac0b436fe32",
+    ("amazon-sample", 7): "712a2cb6df144d9e5f5b841831f39cdd63b0e1fd1b7cb9ef5eefa1d012497423",
+}
+
+
+class TestSynthesisPinned:
+    def test_every_zoo_entry_pinned(self):
+        assert {name for name, _ in GRAPH_DIGESTS} == set(DATASET_ZOO)
+
+    @pytest.mark.parametrize("name,seed", sorted(GRAPH_DIGESTS))
+    def test_graph_digest(self, name, seed):
+        graph = synthesize_dataset(
+            DATASET_ZOO[name], rng=np.random.default_rng(seed)
+        )
+        assert graph.indptr.dtype == graph.indices.dtype == np.int64
+        digest = _sha256(graph.indptr.astype("<i8"), graph.indices.astype("<i8"))
+        assert digest == GRAPH_DIGESTS[(name, seed)]
+
+    def test_graph_then_features_reproduce_the_old_pair(self):
+        stats = get_dataset_stats("cora")
+        rng = np.random.default_rng(3)
+        graph = synthesize_dataset(stats, rng)
+        features = synthesize_features(stats, rng)
+        assert _sha256(graph.indptr.astype("<i8"), graph.indices.astype("<i8")) == (
+            "e408136a99cd1a556b0b4930832b6a37364a5937f82b6fda21d3052b370e4feb"
+        )
+        assert features.dtype == np.float64
+        assert _sha256(features.astype("<f8")) == (
+            "0c6e54a13f896ee8391fda89ec99f847e2d8eb14915afccbbb4e97435e5f0aa7"
+        )
 
 
 class TestPartitioner:

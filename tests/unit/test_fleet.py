@@ -22,6 +22,7 @@ from repro.serving import (
     request_to_wire,
     wire_to_request,
 )
+from repro.serving import fleet as fleet_module
 from repro.serving.fleet import merge_counters
 
 
@@ -290,6 +291,30 @@ class TestServingFleet:
         assert not responses[0].shed
         assert responses[1].shed and responses[1].error == SHED_QUOTA
         assert responses[2].shed
+
+    def test_report_payload_memo_bounded(self, monkeypatch):
+        # Forked workers inherit the patched coalesce bound.
+        monkeypatch.setattr(fleet_module, "WORKER_COALESCE", 4)
+        cache_entries = 2
+        bound = cache_entries + 4
+        requests = [
+            ServeRequest(workload="MLP-mnist", batch=batch)
+            for batch in range(1, 5 * bound)
+        ]
+        with ServingEngine(max_pending=8) as engine:
+            reference = [r.to_dict()["report"] for r in engine.serve(requests)]
+        fleet = ServingFleet(
+            workers=1, window=8, cache_entries=cache_entries,
+            start_method="fork",
+        )
+        try:
+            first = fleet.serve(requests)
+            second = fleet.serve(requests[::-1])
+        finally:
+            fleet.close()
+        assert [r.report for r in first] == reference
+        assert [r.report for r in second] == reference[::-1]
+        assert fleet.worker_stats[0]["report_payloads"] == bound
 
     def test_stats_blocks_have_envelope_shape(self):
         requests = small_trace()

@@ -1,5 +1,6 @@
 """Tests for the workload abstraction and uniform Accelerator.run()."""
 
+import numpy as np
 import pytest
 
 from repro.baselines.llm import llm_baseline_platforms
@@ -12,10 +13,14 @@ from repro.core.base import (
 from repro.core.ghost import GHOST
 from repro.core.tron import TRON
 from repro.errors import ConfigurationError, MappingError
+from repro.nn.gnn import GNNKind
 from repro.workloads import (
+    GRAPH_MEMO_ENTRIES,
     MLPWorkload,
     TransformerWorkload,
     WorkloadSuite,
+    _GRAPH_MEMO,
+    clear_graph_memo,
     make_gnn_workload,
 )
 
@@ -167,3 +172,41 @@ class TestUniformRun:
         )
         workload.materialize()
         assert workload._graph is not None
+
+
+class TestGraphMemo:
+    @pytest.fixture(autouse=True)
+    def cold_memo(self):
+        clear_graph_memo()
+        yield
+        clear_graph_memo()
+
+    @staticmethod
+    def graph(seed):
+        return make_gnn_workload(GNNKind.GCN, "cora", rng_seed=seed).graph
+
+    def test_bounded_under_distinct_seeds(self):
+        for seed in range(GRAPH_MEMO_ENTRIES + 1):
+            self.graph(seed)
+        assert len(_GRAPH_MEMO) == GRAPH_MEMO_ENTRIES
+        assert ("cora", 0) not in _GRAPH_MEMO
+        assert ("cora", GRAPH_MEMO_ENTRIES) in _GRAPH_MEMO
+
+    def test_evicted_key_resynthesizes_identically(self):
+        first = self.graph(0)
+        for seed in range(1, GRAPH_MEMO_ENTRIES + 1):
+            self.graph(seed)
+        assert ("cora", 0) not in _GRAPH_MEMO
+        again = self.graph(0)
+        assert again is not first
+        np.testing.assert_array_equal(again.indptr, first.indptr)
+        np.testing.assert_array_equal(again.indices, first.indices)
+
+    def test_hits_share_one_graph(self):
+        assert self.graph(3) is self.graph(3)
+
+    def test_clear_empties(self):
+        self.graph(0)
+        self.graph(1)
+        clear_graph_memo()
+        assert len(_GRAPH_MEMO) == 0
