@@ -94,21 +94,20 @@ def pareto_frontier(points: Sequence[SweepPoint]) -> List[SweepPoint]:
     """
     if not points:
         raise ConfigurationError("need at least one sweep point")
-    frontier = []
-    for candidate in points:
-        dominated = any(
-            other.latency_ns <= candidate.latency_ns
-            and other.energy_pj <= candidate.energy_pj
-            and (
-                other.latency_ns < candidate.latency_ns
-                or other.energy_pj < candidate.energy_pj
-            )
-            for other in points
+    # Each total sums a report's fields, so read it once per point.
+    totals = [(point.latency_ns, point.energy_pj) for point in points]
+    frontier = [
+        (latency, energy, point.label, point)
+        for point, (latency, energy) in zip(points, totals)
+        if not any(
+            other_latency <= latency
+            and other_energy <= energy
+            and (other_latency < latency or other_energy < energy)
+            for other_latency, other_energy in totals
         )
-        if not dominated:
-            frontier.append(candidate)
-    frontier.sort(key=lambda p: (p.latency_ns, p.energy_pj, p.label))
-    return frontier
+    ]
+    frontier.sort(key=lambda entry: entry[:3])
+    return [entry[3] for entry in frontier]
 
 
 @dataclass(frozen=True)

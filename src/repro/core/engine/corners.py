@@ -17,18 +17,19 @@ this module answers the three questions the cost model needs:
 3. **Is the die functional at all?**  Zero usable rows or columns means
    the sample cannot execute anything.
 
-Everything is memoized per ``(geometry, context)`` so design-space
-sweeps and Monte-Carlo samples that revisit a corner never recompute it,
-and :func:`batch_context_physics` evaluates all the folding / masking /
-TED math for N samples in one batched numpy pass (the per-sample draws
-use each sample's own seeded generator so scalar and batched evaluation
-see exactly the same dies).
+Scalar physics is memoized per ``(geometry, context)`` and batched
+physics per ``(geometry, die list)``, so sweeps and Monte-Carlo runs
+that revisit a corner or a die population never recompute it.
+:func:`batch_context_physics` evaluates all the folding / masking / TED
+math for N samples in one batched numpy pass (each sample draws from
+its own seeded generator, so scalar and batched evaluation see exactly
+the same dies).
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -116,6 +117,10 @@ class BatchContextPhysics:
 #: (with eviction counters) so per-die loops (a fresh context per seed)
 #: churn through it instead of growing it.
 _PHYSICS_CACHE: LRUMemo = LRUMemo(max_entries=256)
+#: (rows, cols, design, contexts) -> read-only batched physics, shared by
+#: Monte-Carlo runs and serving groups over one die population.
+BATCH_PHYSICS_ENTRIES = 16
+_BATCH_CACHE: LRUMemo = LRUMemo(max_entries=BATCH_PHYSICS_ENTRIES)
 #: cols -> inverse thermal coupling matrix of a bank of heaters.
 _COUPLING_INVERSE_CACHE: LRUMemo = LRUMemo(max_entries=64)
 #: design -> FSR at 1550 nm.
@@ -140,6 +145,7 @@ def clear_context_physics_cache() -> None:
     """Drop all memoized per-context physics (benchmarks use this to
     time the unmemoized path, mirroring the engine's physics cache)."""
     _PHYSICS_CACHE.clear()
+    _BATCH_CACHE.clear()
     _COUPLING_INVERSE_CACHE.clear()
     _FSR_CACHE.clear()
 
@@ -148,6 +154,7 @@ def context_physics_cache_stats() -> Dict[str, Dict[str, float]]:
     """Hit/miss/eviction counters of the per-context physics memos."""
     return {
         "context_physics": _PHYSICS_CACHE.stats.to_dict(),
+        "batch_physics": _BATCH_CACHE.stats.to_dict(),
         "coupling_inverse": _COUPLING_INVERSE_CACHE.stats.to_dict(),
         "design_fsr": _FSR_CACHE.stats.to_dict(),
     }
@@ -341,7 +348,7 @@ def context_physics(
             )
             _PHYSICS_CACHE.put(key, physics)
             return physics
-    physics = batch_context_physics(spec, ctx, samples=None).sample(0)
+    physics = _evaluate_batch(spec, [ctx]).sample(0)
     _PHYSICS_CACHE.put(key, physics)
     if disk is not None:
         disk.put(
@@ -400,7 +407,8 @@ def batch_context_physics_for(
     a request group at once instead of running N scalar physics solves.
     Entry ``i`` of the result is the physics of ``contexts[i]``,
     identical to what :func:`context_physics` computes for that context
-    alone.
+    alone.  Results are memoized per ``(geometry, contexts)`` and shared,
+    so their arrays are read-only.
 
     Args:
         spec: the array geometry (``rows``, ``cols``, ``design``).
@@ -412,6 +420,19 @@ def batch_context_physics_for(
         ConfigurationError: on an empty batch, a pinned context, or
             contexts drawn from different die populations.
     """
+    contexts = tuple(contexts)
+    key = (spec.rows, spec.cols, spec.design, contexts)
+    physics = _BATCH_CACHE.get(key)
+    if physics is None:
+        physics = _evaluate_batch(spec, contexts)
+        for field in fields(physics):
+            getattr(physics, field.name).flags.writeable = False
+        _BATCH_CACHE.put(key, physics)
+    return physics
+
+
+def _evaluate_batch(spec, contexts) -> BatchContextPhysics:
+    """The unmemoized body of :func:`batch_context_physics_for`."""
     contexts = list(contexts)
     if not contexts:
         raise ConfigurationError("need >= 1 context to batch")

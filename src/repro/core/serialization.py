@@ -38,6 +38,7 @@ Example:
 
 from __future__ import annotations
 
+import math
 import typing
 from dataclasses import fields, is_dataclass
 from enum import Enum
@@ -194,6 +195,10 @@ def _coerce(annotation: Any, value: Any, path: str) -> Any:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigurationError(
                     f"{path}: expected a number, got {value!r}"
+                )
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{path}: expected a finite number, got {value!r}"
                 )
             return float(value)
         if annotation is int:

@@ -7,9 +7,15 @@ envelopes, same cache fingerprints.
 """
 
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import __version__
 from repro.api import (
     AnalysisSpec,
@@ -134,6 +140,54 @@ class TestConfigSerialization:
     def test_context_unknown_field(self):
         with pytest.raises(ConfigurationError, match="seeed"):
             ExecutionContext.from_dict({"seeed": 3})
+
+
+class TestNonFiniteConfigRejected:
+    """NaN and +-inf config values fail at the boundary, naming the path."""
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_session_override(self, value):
+        with pytest.raises(
+            ConfigurationError,
+            match=r"tron\.overrides\.clock_ghz: expected a finite number",
+        ):
+            Session().run("MLP-mnist", overrides={"clock_ghz": value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_session_spec_context(self, value):
+        doc = {
+            "schema": "repro.spec/1",
+            "workload": "MLP-mnist",
+            "context": {"corner": "typical", "tuner_range_nm": value},
+        }
+        with pytest.raises(
+            ConfigurationError,
+            match=r"context\.tuner_range_nm: expected a finite number",
+        ):
+            Session().execute(ExperimentSpec.from_dict(doc))
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_cli_run_spec_exits_nonzero(self, tmp_path, literal):
+        path = tmp_path / "run.json"
+        path.write_text(
+            '{"schema": "repro.spec/1", "workload": "MLP-mnist", '
+            '"platform": {"name": "tron", "overrides": {"clock_ghz": %s}}}'
+            % literal
+        )
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "--spec", str(path),
+             "--json"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "tron.overrides.clock_ghz: expected a finite number" in (
+            proc.stderr
+        )
 
 
 # ----------------------------------------------------------------------

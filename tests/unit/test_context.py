@@ -16,8 +16,20 @@ from repro.core import (
     get_workload,
     standard_corners,
 )
-from repro.core.engine import ArrayExecutor, ArraySpec, context_physics
+from repro.core.engine import (
+    ArrayExecutor,
+    ArraySpec,
+    batch_context_physics_for,
+    clear_physics_cache,
+    context_physics,
+)
+from repro.core.engine.corners import (
+    _BATCH_CACHE,
+    BATCH_PHYSICS_ENTRIES,
+    _evaluate_batch,
+)
 from repro.errors import ConfigurationError, YieldError
+from repro.photonics.microring import MicroringDesign
 from repro.photonics.variation import ProcessVariationModel
 
 VARIED = ExecutionContext(variation=ProcessVariationModel(), seed=3)
@@ -243,10 +255,10 @@ class TestYieldGating:
 class TestBatchedPhysicsScratch:
     @staticmethod
     def power(spec, seed, samples):
-        from repro.core.engine.corners import batch_context_physics
-
+        # The unmemoized evaluator: memo hits would never touch scratch.
         ctx = dataclasses.replace(VARIED, seed=seed)
-        return batch_context_physics(spec, ctx, samples).correction_power_mw
+        dies = [ctx.for_sample(i) for i in range(samples)]
+        return _evaluate_batch(spec, dies).correction_power_mw
 
     def test_reuse_across_shapes_and_threads(self):
         """Scratch buffers are per thread and resized per call: mixed
@@ -267,3 +279,112 @@ class TestBatchedPhysicsScratch:
             sys.setswitchinterval(interval)
         for got, want in zip(results, expected * 3):
             np.testing.assert_array_equal(got, want)
+
+
+class TestBatchPhysicsMemo:
+    """``batch_context_physics_for`` memoizes per (geometry, die list)."""
+
+    SPEC = ArraySpec(rows=32, cols=32)
+
+    @staticmethod
+    def dies(seeds=range(8), base=VARIED):
+        return [dataclasses.replace(base, seed=seed) for seed in seeds]
+
+    @staticmethod
+    def arrays(physics):
+        return {
+            field.name: getattr(physics, field.name)
+            for field in dataclasses.fields(physics)
+        }
+
+    def test_repeat_returns_same_object_and_counts_hit(self):
+        first = batch_context_physics_for(self.SPEC, self.dies())
+        hits = _BATCH_CACHE.stats.hits
+        again = batch_context_physics_for(self.SPEC, tuple(self.dies()))
+        assert again is first
+        assert _BATCH_CACHE.stats.hits == hits + 1
+
+    def test_arrays_are_read_only(self):
+        physics = batch_context_physics_for(self.SPEC, self.dies())
+        for name, array in self.arrays(physics).items():
+            assert not array.flags.writeable, name
+        with pytest.raises(ValueError):
+            physics.correction_power_mw[0] = 0.0
+
+    def test_clear_physics_cache_empties_memo(self):
+        first = batch_context_physics_for(self.SPEC, self.dies())
+        assert len(_BATCH_CACHE) >= 1
+        clear_physics_cache()
+        assert len(_BATCH_CACHE) == 0
+        misses = _BATCH_CACHE.stats.misses
+        again = batch_context_physics_for(self.SPEC, self.dies())
+        assert again is not first
+        assert _BATCH_CACHE.stats.misses == misses + 1
+
+    def test_bound_evicts_least_recent(self):
+        _BATCH_CACHE.clear()
+        evictions = _BATCH_CACHE.stats.evictions
+        for i in range(BATCH_PHYSICS_ENTRIES + 1):
+            batch_context_physics_for(self.SPEC, self.dies([100 + i]))
+        assert len(_BATCH_CACHE) == BATCH_PHYSICS_ENTRIES
+        assert _BATCH_CACHE.stats.evictions == evictions + 1
+        hits, misses = _BATCH_CACHE.stats.hits, _BATCH_CACHE.stats.misses
+        batch_context_physics_for(self.SPEC, self.dies([101]))
+        assert _BATCH_CACHE.stats.hits == hits + 1
+        batch_context_physics_for(self.SPEC, self.dies([100]))
+        assert _BATCH_CACHE.stats.misses == misses + 1
+
+    @pytest.mark.parametrize(
+        "spec, seeds, base",
+        [
+            (
+                ArraySpec(rows=32, cols=32, design=MicroringDesign(radius_um=7.0)),
+                range(8),
+                VARIED,
+            ),
+            (ArraySpec(rows=32, cols=16), range(8), VARIED),
+            (SPEC, range(1, 9), VARIED),
+            (SPEC, range(7, -1, -1), VARIED),
+            (SPEC, range(7), VARIED),
+            (
+                SPEC,
+                range(8),
+                dataclasses.replace(VARIED, thermal=ThermalCorner("hot", 30.0)),
+            ),
+            (SPEC, range(8), dataclasses.replace(VARIED, use_ted=False)),
+        ],
+        ids=["design", "geometry", "seeds", "order", "subset", "corner", "ted"],
+    )
+    def test_different_key_misses(self, spec, seeds, base):
+        first = batch_context_physics_for(self.SPEC, self.dies())
+        misses = _BATCH_CACHE.stats.misses
+        other = batch_context_physics_for(spec, self.dies(seeds, base))
+        assert other is not first
+        assert _BATCH_CACHE.stats.misses == misses + 1
+
+    def test_memoized_batch_survives_scratch_reuse(self):
+        physics = batch_context_physics_for(self.SPEC, self.dies())
+        snapshot = {k: v.copy() for k, v in self.arrays(physics).items()}
+        # Same shape (reuses the scratch views) and larger (regrows them).
+        batch_context_physics_for(self.SPEC, self.dies(range(50, 58)))
+        _evaluate_batch(ArraySpec(rows=64, cols=64), self.dies(range(64)))
+        fresh = _evaluate_batch(self.SPEC, self.dies())
+        for name, array in self.arrays(physics).items():
+            np.testing.assert_array_equal(array, snapshot[name])
+            np.testing.assert_array_equal(array, getattr(fresh, name))
+
+    @pytest.mark.parametrize("scalar_first", [False, True])
+    def test_entries_equal_scalar_bit_for_bit(self, scalar_first):
+        clear_physics_cache()
+        spec = ArraySpec(rows=64, cols=64)
+        dies = self.dies(range(20, 52), base=dataclasses.replace(
+            VARIED, tuner_range_nm=6.0
+        ))
+        if scalar_first:
+            scalar = [context_physics(spec, ctx) for ctx in dies]
+        batch = batch_context_physics_for(spec, dies)
+        if not scalar_first:
+            scalar = [context_physics(spec, ctx) for ctx in dies]
+        assert [batch.sample(i) for i in range(len(dies))] == scalar
+        # The tight tuner gates some dies, so the check covers yield too.
+        assert len({p.usable_rows for p in scalar}) > 1

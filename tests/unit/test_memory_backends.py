@@ -504,6 +504,7 @@ class TestMovementMemo:
 
         stats = physics_cache_stats()
         assert {"hits", "misses", "evictions"} <= set(stats["movement"])
+        assert {"hits", "misses", "evictions"} <= set(stats["batch_physics"])
 
     def test_invalid_penalty_rejected_before_the_memo(self):
         """Validation must not depend on cache state: a bad penalty
