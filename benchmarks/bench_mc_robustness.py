@@ -1,4 +1,4 @@
-"""soa vs. grouped vs. naive Monte-Carlo robustness, and yield-aware Pareto.
+"""Vectorized vs. naive Monte-Carlo robustness, and yield-aware Pareto.
 
 Two scenarios mirror how the MC engine is used:
 
@@ -9,13 +9,12 @@ Two scenarios mirror how the MC engine is used:
   re-materializes the workload (graph synthesis) per die, which the
   engine strategies memoize once.
 
-Three strategies per scenario: ``soa`` (the array-resident default —
-every yield signature's affine replay evaluates in one stacked pass),
-``grouped`` (the scalar per-signature replay loop), and ``naive`` (N
-cold scalar runs).  soa must be bit-identical to grouped, grouped must
-match naive to float tolerance, and the combined wall-clock speedups at
-N=256 samples are the numbers ``run_mc_bench.py`` records in
-BENCH_montecarlo.json, each with a >= 10x bar.
+Two arms per scenario: the vectorized engine (every yield signature's
+affine replay evaluates in one stacked array-resident pass) and the
+naive baseline (N cold scalar runs).  The engine must match naive to
+float tolerance, and the combined wall-clock speedup at N=256 samples
+is the number ``run_mc_bench.py`` records in BENCH_montecarlo.json,
+with a >= 10x bar.
 
 The yield-aware Pareto bench sweeps array geometry under a tight tuner
 range, where big arrays are fast but rarely fab fully functional — the
@@ -47,8 +46,8 @@ PARETO_TUNER_RANGE_NM = 8.5
 
 #: Tuner range of the many-signature speedup scenario: tight enough
 #: that sampled dies land on dozens of distinct yield signatures, so
-#: the per-signature replay loop (what the soa strategy collapses into
-#: one stacked pass) actually dominates the engine's work.
+#: the per-signature unknowns (which the engine stacks into one pass)
+#: actually dominate its work.
 MANY_SIG_TUNER_RANGE_NM = 5.0
 
 
@@ -79,17 +78,15 @@ def _scenarios():
 
 
 def measure_mc_speedup(samples: int = 256):
-    """(records, speedups) of the MC strategies vs. the naive baseline.
+    """(records, speedup) of the vectorized engine vs. the naive baseline.
 
-    Each record holds all three wall times, the per-scenario speedups
-    and the yield; ``speedups`` is ``{"grouped": x, "soa": y}`` combined
-    over both scenarios.  soa is asserted bit-identical to grouped and
-    grouped is asserted against naive to float tolerance before any
-    number is reported.
+    Each record holds both wall times, the per-scenario speedup and the
+    yield; ``speedup`` is combined over every scenario.  The engine is
+    asserted against naive to float tolerance before any number is
+    reported.
     """
     records = []
     total_soa_s = 0.0
-    total_grouped_s = 0.0
     total_naive_s = 0.0
     for (
         platform,
@@ -98,28 +95,15 @@ def measure_mc_speedup(samples: int = 256):
         make_workload,
         context,
     ) in _scenarios():
-        # Warm the graph memo outside the timed regions: the engine
-        # arms then measure evaluation cost, not one-time dataset
-        # synthesis (the naive arm clears the memo per sample).
+        # Warm the graph memo outside the timed regions: the engine arm
+        # then measures evaluation cost, not one-time dataset synthesis
+        # (the naive arm clears the memo per sample).
         make_workload().materialize()
         t0 = time.perf_counter()
         soa = run_monte_carlo(
-            make_accelerator,
-            make_workload,
-            context,
-            samples=samples,
-            strategy="soa",
+            make_accelerator, make_workload, context, samples=samples
         )
         soa_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        grouped = run_monte_carlo(
-            make_accelerator,
-            make_workload,
-            context,
-            samples=samples,
-            strategy="grouped",
-        )
-        grouped_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         naive = run_monte_carlo(
             make_accelerator,
@@ -129,29 +113,17 @@ def measure_mc_speedup(samples: int = 256):
             vectorized=False,
         )
         naive_s = time.perf_counter() - t0
-        # The array-resident path reproduces the scalar replay loop bit
-        # for bit; the replay loop matches naive to float tolerance
-        # (its affine reconstruction rounds differently in the last ulp).
-        assert np.array_equal(soa.operational, grouped.operational)
-        assert np.array_equal(soa.fully_functional, grouped.fully_functional)
-        assert np.array_equal(
-            soa.energy_pj, grouped.energy_pj, equal_nan=True
-        )
-        assert np.array_equal(
-            soa.latency_ns, grouped.latency_ns, equal_nan=True
-        )
-        assert np.array_equal(grouped.operational, naive.operational)
-        assert np.array_equal(
-            grouped.fully_functional, naive.fully_functional
+        # The affine reconstruction rounds differently from a direct run
+        # in the last ulp, so the engine matches naive to tolerance.
+        assert np.array_equal(soa.operational, naive.operational)
+        assert np.array_equal(soa.fully_functional, naive.fully_functional)
+        assert np.allclose(
+            soa.energy_pj, naive.energy_pj, rtol=1e-9, equal_nan=True
         )
         assert np.allclose(
-            grouped.energy_pj, naive.energy_pj, rtol=1e-9, equal_nan=True
-        )
-        assert np.allclose(
-            grouped.latency_ns, naive.latency_ns, rtol=1e-9, equal_nan=True
+            soa.latency_ns, naive.latency_ns, rtol=1e-9, equal_nan=True
         )
         total_soa_s += soa_s
-        total_grouped_s += grouped_s
         total_naive_s += naive_s
         records.append(
             {
@@ -159,20 +131,15 @@ def measure_mc_speedup(samples: int = 256):
                 "workload": workload,
                 "samples": samples,
                 "soa_wall_s": round(soa_s, 4),
-                "grouped_wall_s": round(grouped_s, 4),
                 "naive_wall_s": round(naive_s, 4),
                 "soa_speedup": round(naive_s / soa_s, 2),
-                "speedup": round(naive_s / grouped_s, 2),
                 "soa_groups": (soa.evaluation or {}).get("groups", 0),
                 "yield": soa.yield_fraction,
                 "mean_energy_uj": round(soa.mean_energy_pj / 1e6, 2),
                 "mean_latency_us": round(soa.mean_latency_ns / 1e3, 2),
             }
         )
-    return records, {
-        "grouped": total_naive_s / total_grouped_s,
-        "soa": total_naive_s / total_soa_s,
-    }
+    return records, total_naive_s / total_soa_s
 
 
 def _tron_pareto_space() -> SweepSpace:
@@ -238,22 +205,17 @@ def compute_yield_pareto(samples: int = 128, yield_threshold: float = 0.7):
 
 
 def test_mc_vectorized_speedup(run_once):
-    records, speedups = run_once(measure_mc_speedup, samples=64)
+    records, speedup = run_once(measure_mc_speedup, samples=64)
     print()
     for record in records:
         print(
             f"{record['platform']}/{record['workload']}: "
-            f"{record['speedup']}x grouped / {record['soa_speedup']}x soa "
-            f"(yield {record['yield']:.2f})"
+            f"{record['soa_speedup']}x (yield {record['yield']:.2f})"
         )
-    print(
-        f"combined speedup at N=64: {speedups['grouped']:.1f}x grouped, "
-        f"{speedups['soa']:.1f}x soa"
-    )
-    # The >= 10x bars apply at the recorded N=256 (run_mc_bench.py);
+    print(f"combined speedup at N=64: {speedup:.1f}x")
+    # The >= 10x bar applies at the recorded N=256 (run_mc_bench.py);
     # the in-suite smoke run at N=64 just guards against regressions.
-    assert speedups["grouped"] >= 3.0
-    assert speedups["soa"] >= 3.0
+    assert speedup >= 3.0
 
 
 def test_yield_pareto_nonempty(run_once):

@@ -20,26 +20,23 @@ Two evaluation paths produce the same numbers:
 - **vectorized** (the default): the workload materializes once, every
   die's ring errors / TED heater solves / yield gating evaluate in one
   batched numpy pass per array geometry
-  (:func:`repro.core.engine.batch_context_physics`), samples collapse
-  into groups sharing a yield signature, and each group costs through
-  the run path exactly once per unknown (a zero-correction run plus one
-  unit-correction run per geometry — report energy is linear in the
+  (:func:`repro.core.engine.batch_context_physics`), and samples
+  collapse into groups sharing a yield signature.  Each group has one
+  unknown per pinned context: a zero-correction base plus one
+  unit-correction context per geometry.  Report energy is linear in the
   standing correction power, so every sample in the group is an exact
-  affine combination).
+  affine combination of those unknowns.
 
-The vectorized path resolves its unknowns through one of two strategies:
-``"soa"`` (the default) stacks every signature's pinned contexts into a
-single array-resident evaluation
-(:func:`repro.core.engine.soa_evaluator`) — the sample axis becomes one
-more tensor axis, and the whole unknown set costs as a handful of NumPy
-ops; ``"grouped"`` is the scalar per-signature replay (one
-``Accelerator.run`` per unknown, groups evaluated concurrently), which
-platforms without a registered evaluator fall back to automatically.
+The vectorized path evaluates every signature's unknowns in one stacked
+call of the platform's array-resident evaluator
+(:func:`repro.core.engine.soa_evaluator`).  Where none is registered
+(and for probes without a ``config``), the same contexts run through a
+plain loop of scalar ``Accelerator.run`` calls, recorded as
+``fallback_points``.  One affine reconstruction then serves both.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -60,10 +57,6 @@ from repro.errors import ConfigurationError, YieldError
 
 #: Default yield threshold of the yield-aware Pareto frontier.
 DEFAULT_YIELD_THRESHOLD = 0.9
-
-#: The Monte-Carlo evaluation strategies of :func:`run_monte_carlo`.
-MC_STRATEGIES = ("soa", "grouped", "naive")
-
 
 # ----------------------------------------------------------------------
 # Result containers
@@ -226,8 +219,6 @@ def run_monte_carlo(
     context: ExecutionContext,
     samples: int = 256,
     vectorized: bool = True,
-    max_workers: Optional[int] = None,
-    strategy: Optional[str] = None,
 ) -> MonteCarloResult:
     """Evaluate one configuration over ``samples`` sampled dies.
 
@@ -241,13 +232,6 @@ def run_monte_carlo(
         samples: number of dies (N).
         vectorized: batched engine (default) vs. the naive N-scalar-runs
             baseline; both produce the same distributions.
-        max_workers: thread pool width of the vectorized group runs.
-        strategy: explicit evaluation strategy — ``"soa"`` (the default
-            with ``vectorized=True``) resolves every yield-signature
-            unknown in one stacked array-resident evaluation,
-            ``"grouped"`` replays each unknown through the scalar run
-            path, ``"naive"`` is the N-scalar-runs baseline.  All three
-            produce bit-identical distributions.
 
     Example:
         >>> from repro.core import TRON, get_workload
@@ -269,23 +253,9 @@ def run_monte_carlo(
         raise ConfigurationError(
             "Monte-Carlo needs a sampling context (no pinned overrides)"
         )
-    if strategy is None:
-        strategy = "soa" if vectorized else "naive"
-    if strategy not in MC_STRATEGIES:
-        raise ConfigurationError(
-            f"unknown Monte-Carlo strategy {strategy!r}; pick one of "
-            f"{MC_STRATEGIES}"
-        )
-    if strategy == "naive":
+    if not vectorized:
         return _run_naive(make_accelerator, make_workload, context, samples)
-    return _run_vectorized(
-        make_accelerator,
-        make_workload,
-        context,
-        samples,
-        max_workers,
-        use_soa=(strategy == "soa"),
-    )
+    return _run_vectorized(make_accelerator, make_workload, context, samples)
 
 
 def _result(
@@ -365,11 +335,33 @@ def _run_naive(
     )
 
 
+def _evaluate_unknowns(
+    probe: Accelerator, workload: Workload, contexts: List[ExecutionContext]
+) -> Tuple[Sequence[float], Sequence[float], bool]:
+    """``(latency_ns, energy_pj, fell_back)`` of every pinned context.
+
+    One stacked call of the probe's array-resident evaluator, or — where
+    none is registered — one scalar run per context.
+    """
+    config = getattr(probe, "config", None)
+    evaluator = None
+    if config is not None and soa_config_supported(config):
+        evaluator = soa_evaluator(probe.name, workload.kind)
+    if evaluator is None:
+        reports = [probe.run(workload, ctx=ctx) for ctx in contexts]
+        latency = [report.latency_ns for report in reports]
+        energy = [report.energy_pj for report in reports]
+        return latency, energy, True
+    if not contexts:  # no operational dies: nothing to evaluate
+        return [], [], False
+    stacked = evaluator([config] * len(contexts), contexts, workload)
+    return stacked.latency_ns, stacked.energy_pj, False
+
+
 def _run_vectorized(
-    make_accelerator, make_workload, context, samples, max_workers,
-    use_soa: bool = True,
+    make_accelerator, make_workload, context, samples
 ) -> MonteCarloResult:
-    """One batched physics pass + one run-path evaluation per unknown."""
+    """One batched physics pass + one evaluation per unknown."""
     workload = make_workload()
     workload.materialize()  # once, shared by every sample
     probe = make_accelerator()
@@ -392,113 +384,48 @@ def _run_vectorized(
 
     # Samples sharing a yield signature differ only in their standing
     # correction power, which report energy is linear in — so each group
-    # costs through the run path once at zero correction plus once per
-    # geometry at unit correction.
+    # needs a zero-correction base plus one unit-correction context per
+    # geometry.
     signatures: Dict[Tuple, List[int]] = {}
     for i in np.flatnonzero(operational):
         signature = tuple(
             (int(b.usable_rows[i]), int(b.usable_cols[i])) for b in batches
         )
         signatures.setdefault(signature, []).append(i)
-
-    latency_ns = np.full(samples, np.nan)
-    energy_pj = np.full(samples, np.nan)
-    signature_items = list(signatures.items())
-
-    evaluator = None
-    config = getattr(probe, "config", None)
-    if use_soa and config is not None and soa_config_supported(config):
-        evaluator = soa_evaluator(probe.name, workload.kind)
-
-    if evaluator is not None:
-        # Array-resident resolution: every signature's unknowns — the
-        # zero-correction base plus one unit-correction context per
-        # geometry — stack into ONE evaluation (the sample axis is just
-        # one more tensor axis), then each sample reconstructs as the
-        # scalar path's exact affine combination.  An empty signature
-        # set (no operational dies) has nothing to evaluate.
-        stride = 1 + len(geometries)
-        contexts = []
-        for signature, _ in signature_items:
-            pinned = {
-                (spec.rows, spec.cols): PinnedArrayPhysics(rows, cols, 0.0)
-                for spec, (rows, cols) in zip(geometries, signature)
-            }
-            contexts.append(context.with_pinned(pinned))
-            for spec, (rows, cols) in zip(geometries, signature):
-                unit_pinned = dict(pinned)
-                unit_pinned[(spec.rows, spec.cols)] = PinnedArrayPhysics(
-                    rows, cols, 1.0
-                )
-                contexts.append(context.with_pinned(unit_pinned))
-        if contexts:
-            stacked = evaluator([config] * len(contexts), contexts, workload)
-            stacked_latency = stacked.latency_ns
-            stacked_energy = stacked.energy_pj
-        for group, (signature, indices) in enumerate(signature_items):
-            base_index = group * stride
-            base_latency = float(stacked_latency[base_index])
-            base_energy = float(stacked_energy[base_index])
-            slopes = [
-                float(stacked_energy[base_index + 1 + g]) - base_energy
-                for g in range(len(geometries))
-            ]
-            for i in indices:
-                latency_ns[i] = base_latency
-                energy_pj[i] = base_energy + sum(
-                    slope * float(batch.correction_power_mw[i])
-                    for slope, batch in zip(slopes, batches)
-                )
-        return _result(
-            probe,
-            workload,
-            nominal,
-            context,
-            operational,
-            fully_functional,
-            latency_ns,
-            energy_pj,
-            tuning_power_mw,
-            evaluation=SoAStats(
-                strategy="soa",
-                points=samples,
-                groups=len(signature_items),
-            ),
-        )
-
-    def evaluate_group(item) -> None:
-        signature, indices = item
+    contexts = []
+    for signature in signatures:
         pinned = {
             (spec.rows, spec.cols): PinnedArrayPhysics(rows, cols, 0.0)
             for spec, (rows, cols) in zip(geometries, signature)
         }
-        base = make_accelerator().run(
-            workload, ctx=context.with_pinned(pinned)
-        )
-        slopes = []
+        contexts.append(context.with_pinned(pinned))
         for spec, (rows, cols) in zip(geometries, signature):
             unit_pinned = dict(pinned)
             unit_pinned[(spec.rows, spec.cols)] = PinnedArrayPhysics(
                 rows, cols, 1.0
             )
-            unit = make_accelerator().run(
-                workload, ctx=context.with_pinned(unit_pinned)
-            )
-            slopes.append(unit.energy_pj - base.energy_pj)
+            contexts.append(context.with_pinned(unit_pinned))
+    unknown_latency, unknown_energy, fell_back = _evaluate_unknowns(
+        probe, workload, contexts
+    )
+
+    latency_ns = np.full(samples, np.nan)
+    energy_pj = np.full(samples, np.nan)
+    stride = 1 + len(geometries)
+    for group, indices in enumerate(signatures.values()):
+        base = group * stride
+        base_latency = float(unknown_latency[base])
+        base_energy = float(unknown_energy[base])
+        slopes = [
+            float(unknown_energy[base + 1 + g]) - base_energy
+            for g in range(len(geometries))
+        ]
         for i in indices:
-            latency_ns[i] = base.latency_ns
-            energy_pj[i] = base.energy_pj + sum(
+            latency_ns[i] = base_latency
+            energy_pj[i] = base_energy + sum(
                 slope * float(batch.correction_power_mw[i])
                 for slope, batch in zip(slopes, batches)
             )
-
-    if len(signature_items) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            list(pool.map(evaluate_group, signature_items))
-    else:
-        for item in signature_items:
-            evaluate_group(item)
-
     return _result(
         probe,
         workload,
@@ -510,10 +437,10 @@ def _run_vectorized(
         energy_pj,
         tuning_power_mw,
         evaluation=SoAStats(
-            strategy="soa" if use_soa else "grouped",
+            strategy="soa",
             points=samples,
-            groups=len(signature_items),
-            fallback_points=samples if use_soa else 0,
+            groups=len(signatures),
+            fallback_points=samples if fell_back else 0,
         ),
     )
 
@@ -614,7 +541,6 @@ def monte_carlo_sweep(
     space,
     context: ExecutionContext,
     samples: int = 128,
-    max_workers: Optional[int] = None,
 ) -> List[RobustPoint]:
     """Monte-Carlo every knob setting of a sweep space at one corner.
 
@@ -644,7 +570,6 @@ def monte_carlo_sweep(
             context=context,
             samples=samples,
             vectorized=True,
-            max_workers=max_workers,
         )
         points.append(
             RobustPoint(label=space.label(knobs), knobs=knobs, result=result)

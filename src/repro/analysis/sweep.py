@@ -5,24 +5,19 @@ accelerator ... were determined through detailed design-space analysis."
 This module replays that analysis with a single sweep engine: a
 :class:`SweepSpace` names the knob grid, how to build an accelerator at
 a point, and which workload to evaluate — the engine enumerates the
-cartesian product and evaluates every point through one of the
-strategies of :func:`run_sweep`.
+cartesian product and evaluates every point through :func:`run_sweep`.
 
-The default **soa** strategy is the array-resident production path: the
-whole grid becomes structure-of-arrays columns and a registered platform
-evaluator (:func:`repro.core.engine.soa_evaluator`) computes every
-point's energy / latency breakdown as a handful of NumPy ops, with
-scalar :class:`SweepPoint` reports materialized from the stacked columns
-afterwards (lazily, in :func:`run_sweep_soa`).  Spaces without an
-evaluator fall back to the **batched** strategy: the workload
-materializes once, every distinct array geometry's device physics is
-computed in one vectorized kernel call
-(:func:`repro.core.engine.prime_breakdown_cache`), points collapse into
-groups sharing a run-path signature — platform, full configuration and
-normalized execution context, exactly how
-:mod:`repro.analysis.robustness` groups Monte-Carlo dies — and each
-group costs through the run path once.  Both paths are bit-identical to
-scalar runs because the kernels replicate the scalar operation order.
+There is one production path and one scalar oracle.  The default
+``soa`` strategy is array-resident: the whole grid becomes
+structure-of-arrays columns and a registered platform evaluator
+(:func:`repro.core.engine.soa_evaluator`) computes every point's energy
+/ latency breakdown as a handful of NumPy ops, with scalar
+:class:`SweepPoint` reports materialized from the stacked columns
+afterwards (lazily, in :func:`run_sweep_soa`).  The ``serial`` strategy
+is the oracle: one ``Accelerator.run`` per point over a workload
+materialized once.  Spaces without an evaluator run the serial loop
+under ``soa`` too.  The two are bit-identical because the evaluators
+replicate the scalar operation order.
 
 The classic TRON and GHOST sweeps are thin wrappers
 (:func:`sweep_tron` / :func:`sweep_ghost`); any registered workload and
@@ -31,9 +26,7 @@ any config space sweeps the same way.
 
 from __future__ import annotations
 
-import importlib
 import itertools
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -45,7 +38,6 @@ from repro.core.engine import (
     SoAStats,
     clear_physics_cache,
     pareto_mask,
-    prime_breakdown_cache,
     soa_config_supported,
     soa_evaluator,
 )
@@ -58,7 +50,7 @@ from repro.nn.models import bert_base
 from repro.workloads import TransformerWorkload, make_gnn_workload
 
 #: The sweep evaluation strategies of :func:`run_sweep`.
-STRATEGIES = ("soa", "batched", "serial", "threads")
+STRATEGIES = ("soa", "serial", "naive")
 
 
 @dataclass(frozen=True)
@@ -119,7 +111,7 @@ class SweepSpace:
         knobs: ordered knob name -> candidate values.
         build_accelerator: knob values -> configured accelerator.
         build_workload: materializes the reference workload (called once
-            per sweep when memoizing; per point in the naive baseline).
+            per sweep; per point in the naive baseline).
         label: knob values -> human-readable point label.
         corners: optional corner axis — named execution contexts every
             knob setting is additionally evaluated at (see
@@ -127,8 +119,8 @@ class SweepSpace:
             sweep.
         platform: platform name of the accelerators this space builds
             (e.g. ``"TRON"``), keying the array-resident evaluator
-            registry.  ``None`` keeps the space on the scalar strategies
-            (the ``soa`` strategy then falls back to ``batched``).
+            registry.  ``None`` keeps the space on the scalar loop (the
+            ``soa`` strategy then falls back to ``serial``).
         build_config: knob values -> bare platform configuration, the
             cheap counterpart of ``build_accelerator`` the array-resident
             path uses (no executor / block construction per point).
@@ -212,75 +204,45 @@ def with_corners(
 def _normalized_context(
     ctx: Optional[ExecutionContext],
 ) -> Optional[ExecutionContext]:
-    """``None`` and nominal contexts share one run-path signature (they
-    cost bit-identically by construction)."""
+    """``None`` and nominal contexts evaluate as one group (they cost
+    bit-identically by construction)."""
     if ctx is None or ctx.is_nominal:
         return None
     return ctx
 
 
-def _physics_requests(accelerator: Accelerator) -> List[Tuple]:
-    """The nominal breakdown-cache keys this accelerator's run will hit.
-
-    Every unit costs with the default average weight magnitude; the
-    refresh windows in play are the config's weight-stationary window
-    and the un-amortized default.
-    """
-    specs = getattr(accelerator, "array_specs", None)
-    if specs is None:
-        return []
-    refresh = getattr(accelerator.config, "weight_refresh_cycles", 1)
-    requests = []
-    for spec in specs():
-        requests.append((spec, 0.5, refresh))
-        if refresh != 1:
-            requests.append((spec, 0.5, 1))
-    return requests
-
-
-def _run_batched(
+def _run_serial(
     space: SweepSpace, evaluations: List[Tuple]
 ) -> List[SweepPoint]:
-    """The configuration-batched sweep path (see :func:`run_sweep`)."""
+    """The scalar oracle: one ``Accelerator.run`` per point over a
+    workload materialized once."""
     workload = space.build_workload()
-    workload.materialize()  # once, shared by every point
-
-    accelerators = [
-        space.build_accelerator(knobs) for knobs, _, _ in evaluations
-    ]
-    # One vectorized kernel call computes every distinct array
-    # geometry's device-physics curve before any point runs.
-    requests = []
-    for accelerator in accelerators:
-        requests.extend(_physics_requests(accelerator))
-    prime_breakdown_cache(requests)
-
-    # Group points by run-path signature — platform, configuration and
-    # normalized context — exactly how the Monte-Carlo engine groups
-    # dies by yield signature: each group costs through the run path
-    # once and every member reuses the report (requests differing only
-    # in label, e.g. duplicated corner axes, never re-run).
-    groups: Dict[Tuple, List[int]] = {}
-    signatures = []
-    for index, ((knobs, label, ctx), accelerator) in enumerate(
-        zip(evaluations, accelerators)
-    ):
-        signature = (
-            type(accelerator).__name__,
-            repr(accelerator.config),
-            _normalized_context(ctx),
-        )
-        signatures.append(signature)
-        groups.setdefault(signature, []).append(index)
-
-    reports: Dict[Tuple, RunReport] = {}
-    for signature, members in groups.items():
-        knobs, _, ctx = evaluations[members[0]]
-        reports[signature] = accelerators[members[0]].run(workload, ctx=ctx)
+    workload.materialize()
     return [
-        SweepPoint(label=label, knobs=knobs, report=reports[signature])
-        for (knobs, label, _), signature in zip(evaluations, signatures)
+        SweepPoint(
+            label=label,
+            knobs=knobs,
+            report=space.build_accelerator(knobs).run(workload, ctx=ctx),
+        )
+        for knobs, label, ctx in evaluations
     ]
+
+
+def _run_naive(
+    space: SweepSpace, evaluations: List[Tuple]
+) -> List[SweepPoint]:
+    """The benchmark baseline: every point rebuilds its workload and
+    recomputes its physics from cold caches."""
+    from repro.workloads import clear_graph_memo
+
+    points = []
+    for knobs, label, ctx in evaluations:
+        clear_physics_cache()
+        clear_graph_memo()
+        workload = space.build_workload()
+        report = space.build_accelerator(knobs).run(workload, ctx=ctx)
+        points.append(SweepPoint(label=label, knobs=knobs, report=report))
+    return points
 
 
 def _soa_stack(
@@ -290,7 +252,7 @@ def _soa_stack(
 
     Returns ``None`` when the space carries no platform / bare-config
     factory or no evaluator is registered for (platform, workload kind)
-    — the callers then fall back to the batched scalar path.
+    — the callers then fall back to the serial loop.
     """
     if space.platform is None or space.build_config is None:
         return None
@@ -316,11 +278,11 @@ def _run_soa(
     space: SweepSpace, evaluations: List[Tuple]
 ) -> Tuple[List[SweepPoint], SoAStats]:
     """The array-resident sweep path (see :func:`run_sweep`), with its
-    evaluation stats.  Falls back to :func:`_run_batched` (recorded as
+    evaluation stats.  Falls back to :func:`_run_serial` (recorded as
     ``fallback_points``) when the space has no registered evaluator."""
     stack = _soa_stack(space, evaluations)
     if stack is None:
-        points = _run_batched(space, evaluations)
+        points = _run_serial(space, evaluations)
         stats = SoAStats(
             strategy="soa",
             points=len(points),
@@ -418,232 +380,51 @@ def run_sweep_soa(space: SweepSpace) -> SoASweepResult:
     )
 
 
-def run_sweep(
-    space: SweepSpace,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    memoize: bool = True,
-    strategy: Optional[str] = None,
-) -> List[SweepPoint]:
+def run_sweep(space: SweepSpace, strategy: str = "soa") -> List[SweepPoint]:
     """Evaluate every point of a sweep space.
 
-    Strategies (``strategy``; the executor-choice heuristic):
+    Strategies (``strategy``):
 
-    - ``"soa"`` — the default and the array-resident production path:
-      the whole grid evaluates as structure-of-arrays NumPy columns
-      through the platform's registered evaluator (no per-point
-      accelerator or executor construction), and scalar reports
-      materialize from the stacked columns afterwards.  Spaces without
-      an evaluator (no ``platform`` / ``build_config``, or an
-      unregistered workload kind) transparently fall back to
-      ``"batched"``.  Use :func:`run_sweep_soa` to keep the columns
-      resident and skip materialization entirely.
-    - ``"batched"`` — the scalar production path (and the ``soa``
-      fallback): materialize the workload once, compute all device
-      physics in one vectorized kernel call, group points by run-path
-      signature and cost each group once.  Point evaluation is pure
-      Python/numpy compute, so **a thread pool cannot speed it up — the
-      GIL serializes it**; batching the math is what wins.
-    - ``"threads"`` — the legacy pool (also selected by
-      ``parallel=True``).  Kept *only* for I/O-ish paths: when the
-      physics caches are already warm (or the persistent disk cache
-      serves them), point evaluation degenerates to cache lookups and
-      numpy kernels that release the GIL, and overlapping points can
-      hide the remaining stalls.  Never the right choice for a cold
-      CPU-bound grid.
-    - ``"serial"`` — one plain scalar run per point (memoized state,
-      no grouping; also selected by ``parallel=False``); the reference
-      the batched path is tested against, and the path to use when
-      every point must own a distinct report object (batched grouping
-      shares one report across duplicate-signature points).
-    - For non-batchable spaces (factories that resist signature
-      grouping) on multi-core hosts, use
-      :func:`run_sweep_in_processes` — a ``ProcessPoolExecutor`` over
-      importable space factories sidesteps the GIL entirely.
+    - ``"soa"`` — the default and the production path: the whole grid
+      evaluates as structure-of-arrays NumPy columns through the
+      platform's registered evaluator (no per-point accelerator or
+      executor construction), and scalar reports materialize from the
+      stacked columns afterwards.  Spaces without an evaluator (no
+      ``platform`` / ``build_config``, or an unregistered workload
+      kind) run the ``"serial"`` loop instead.  Use
+      :func:`run_sweep_soa` to keep the columns resident and skip
+      materialization entirely.
+    - ``"serial"`` — the scalar oracle: one ``Accelerator.run`` per
+      point over a workload materialized once.
+    - ``"naive"`` — the benchmark baseline: every point re-materializes
+      its workload and recomputes its physics from cold caches.
 
-    ``memoize=False`` is the naive baseline the benchmarks compare
-    against: every point re-materializes its workload and recomputes
-    the physics curves, **strictly sequentially** — requesting
-    ``parallel=True`` with it is a contradiction and raises.
+    All three produce bit-identical reports.
     """
-    points, _ = run_sweep_with_stats(
-        space,
-        parallel=parallel,
-        max_workers=max_workers,
-        memoize=memoize,
-        strategy=strategy,
-    )
+    points, _ = run_sweep_with_stats(space, strategy=strategy)
     return points
 
 
 def run_sweep_with_stats(
-    space: SweepSpace,
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    memoize: bool = True,
-    strategy: Optional[str] = None,
+    space: SweepSpace, strategy: str = "soa"
 ) -> Tuple[List[SweepPoint], SoAStats]:
     """:func:`run_sweep` plus the evaluation stats of the strategy that
     ran (what the ``--json`` envelopes surface).
 
-    For scalar strategies the stats record the resolved strategy name
-    and point count; the ``soa`` strategy additionally reports its group
-    collapse, materialization count and any scalar fallback.
+    For the scalar strategies the stats record the strategy name and
+    point count; ``soa`` additionally reports its group collapse,
+    materialization count and any scalar fallback.
     """
-    evaluations = space.evaluations()
-
-    if not memoize:
-        if parallel:
-            raise ConfigurationError(
-                "memoize=False is the sequential per-point baseline; "
-                "it cannot run in parallel (the physics cache is cleared "
-                "per point)"
-            )
-        from repro.workloads import clear_graph_memo
-
-        points = []
-        for knobs, label, ctx in evaluations:
-            clear_physics_cache()
-            clear_graph_memo()
-            workload = space.build_workload()
-            report = space.build_accelerator(knobs).run(workload, ctx=ctx)
-            points.append(SweepPoint(label=label, knobs=knobs, report=report))
-        return points, SoAStats(strategy="naive", points=len(points))
-
-    if strategy is None:
-        # Back-compat mapping: parallel=True is the legacy thread pool,
-        # parallel=False the legacy strict per-point serial loop (each
-        # point owns a distinct report object); only the unspecified
-        # default upgrades to the array-resident path.
-        if parallel is True:
-            strategy = "threads"
-        elif parallel is False:
-            strategy = "serial"
-        else:
-            strategy = "soa"
     if strategy not in STRATEGIES:
         raise ConfigurationError(
-            f"unknown sweep strategy {strategy!r}; pick one of {STRATEGIES} "
-            "(or run_sweep_in_processes for the multi-process fallback)"
+            f"unknown sweep strategy {strategy!r}; pick one of {STRATEGIES}"
         )
-
+    evaluations = space.evaluations()
     if strategy == "soa":
         return _run_soa(space, evaluations)
-    if strategy == "batched":
-        points = _run_batched(space, evaluations)
-        return points, SoAStats(strategy="batched", points=len(points))
-
-    workload = space.build_workload()
-    workload.materialize()  # once, outside the worker pool
-
-    def evaluate(evaluation) -> SweepPoint:
-        knobs, label, ctx = evaluation
-        report = space.build_accelerator(knobs).run(workload, ctx=ctx)
-        return SweepPoint(label=label, knobs=knobs, report=report)
-
-    if strategy == "threads" and len(evaluations) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            points = list(pool.map(evaluate, evaluations))
-    else:
-        points = [evaluate(evaluation) for evaluation in evaluations]
+    run = _run_serial if strategy == "serial" else _run_naive
+    points = run(space, evaluations)
     return points, SoAStats(strategy=strategy, points=len(points))
-
-
-def _resolve_space_factory(factory) -> Callable[..., SweepSpace]:
-    """A space factory from a callable or an ``"module:attr"`` string."""
-    if callable(factory):
-        return factory
-    if isinstance(factory, str) and ":" in factory:
-        module_name, attr = factory.split(":", 1)
-        return getattr(importlib.import_module(module_name), attr)
-    raise ConfigurationError(
-        "space factory must be a callable or 'module:attribute' string, "
-        f"got {factory!r}"
-    )
-
-
-def _process_chunk(payload) -> List[Tuple]:
-    """Worker: rebuild the space in-process and run one index chunk."""
-    factory, kwargs, indices = payload
-    space = _resolve_space_factory(factory)(**kwargs)
-    evaluations = space.evaluations()
-    chunk = [evaluations[i] for i in indices]
-    points = _run_batched(space, chunk)
-    return [
-        (index, point.label, point.knobs, point.report)
-        for index, point in zip(indices, points)
-    ]
-
-
-def run_sweep_in_processes(
-    space_factory,
-    factory_kwargs: Optional[Mapping[str, Any]] = None,
-    max_workers: int = 2,
-) -> List[SweepPoint]:
-    """Evaluate a sweep space across worker *processes*.
-
-    The GIL-free fallback for grids the batched path cannot help (e.g.
-    custom spaces whose points share no run-path structure) on
-    multi-core hosts.  Because worker processes cannot receive closures,
-    the space is named by a picklable **factory** — a module-level
-    callable or an ``"module:attribute"`` string — plus keyword
-    arguments, and each worker rebuilds it locally and evaluates an
-    index chunk through the batched path.  Results are returned in grid
-    order and are bit-identical to an in-process sweep (same code, same
-    inputs).
-
-    Example:
-        >>> points = run_sweep_in_processes(
-        ...     "repro.analysis.sweep:tron_sweep_space",
-        ...     {"head_units": (4,), "array_sizes": (32, 64),
-        ...      "clocks_ghz": (5.0,)},
-        ...     max_workers=2)
-        >>> [p.label for p in points]
-        ['H4/A32/5.0GHz', 'H4/A64/5.0GHz']
-    """
-    if max_workers < 1:
-        raise ConfigurationError(f"need >= 1 worker, got {max_workers}")
-    factory = space_factory
-    kwargs = dict(factory_kwargs or {})
-    # Validate eagerly in the parent (workers would fail opaquely).
-    space = _resolve_space_factory(factory)(**kwargs)
-    num_points = len(space.evaluations())
-    chunk_count = min(max_workers, num_points)
-    chunks = [
-        list(range(start, num_points, chunk_count))
-        for start in range(chunk_count)
-    ]
-    payloads = [(factory, kwargs, indices) for indices in chunks]
-    results: List[Optional[SweepPoint]] = [None] * num_points
-    if chunk_count == 1:
-        chunk_results = [_process_chunk(payloads[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=chunk_count) as pool:
-            chunk_results = list(pool.map(_process_chunk, payloads))
-    for chunk in chunk_results:
-        for index, label, knobs, report in chunk:
-            results[index] = SweepPoint(label=label, knobs=knobs, report=report)
-    return list(results)
-
-
-def combined_sweep(
-    spaces: Sequence[SweepSpace],
-    parallel: Optional[bool] = None,
-    max_workers: Optional[int] = None,
-    memoize: bool = True,
-    strategy: Optional[str] = None,
-) -> Dict[str, List[SweepPoint]]:
-    """Run several sweep spaces, sharing the memoized engine state."""
-    return {
-        space.name: run_sweep(
-            space,
-            parallel=parallel,
-            max_workers=max_workers,
-            memoize=memoize,
-            strategy=strategy,
-        )
-        for space in spaces
-    }
 
 
 # ----------------------------------------------------------------------

@@ -221,7 +221,7 @@ class Session:
         target: str = "all",
         corners: bool = False,
         seed: int = 0,
-        strategy: Optional[str] = None,
+        strategy: str = "soa",
     ) -> SweepResult:
         """Run the classic design-space sweep(s) with Pareto marking.
 
@@ -229,8 +229,8 @@ class Session:
             target: ``"tron"``, ``"ghost"``, or ``"all"``.
             corners: add the standard execution-corner axis.
             seed: die-selection seed of the corner axis.
-            strategy: sweep evaluation strategy override (see
-                :func:`repro.analysis.sweep.run_sweep`).
+            strategy: ``"soa"`` (the production path) or one of the
+                scalar oracles (see :func:`repro.analysis.sweep.run_sweep`).
         """
         from repro.analysis.sweep import (
             ghost_sweep_space,
@@ -292,17 +292,14 @@ class Session:
         tuner_range_nm: Optional[float] = None,
         vectorized: bool = True,
         overrides: Optional[Mapping[str, Any]] = None,
-        strategy: Optional[str] = None,
     ) -> MonteCarloRunResult:
         """Monte-Carlo variation analysis over ``samples`` sampled dies.
 
         The sampling population is the named corner's variation
         statistics; the nominal corner falls back to the typical
         statistics (a die population must exist to sample from).
-        ``strategy`` picks the evaluation engine explicitly
-        (``"soa"``/``"grouped"``/``"naive"``, see
-        :func:`repro.analysis.robustness.run_monte_carlo`); when left
-        ``None`` it resolves from ``vectorized``.
+        ``vectorized=False`` runs the naive N-scalar-runs baseline (see
+        :func:`repro.analysis.robustness.run_monte_carlo`).
         """
         from dataclasses import replace
 
@@ -335,7 +332,6 @@ class Session:
             context=ctx,
             samples=samples,
             vectorized=vectorized,
-            strategy=strategy,
         )
         return MonteCarloRunResult(result=result, corner=corner, seed=seed)
 
@@ -738,27 +734,6 @@ class Session:
 
         workload = get_workload(name)
         return f"[{workload.kind.value:<11s}] {workload.describe()}"
-
-    def gnn_workload(
-        self,
-        kind: str,
-        dataset: str,
-        hidden_dim: int = 64,
-        rng_seed: int = 0,
-        name: Optional[str] = None,
-    ):
-        """An ad-hoc GNN workload over a synthesized dataset replica
-        (the deprecated ``run-gnn`` CLI path builds through this)."""
-        from repro.nn.gnn import GNNKind
-        from repro.workloads import make_gnn_workload
-
-        return make_gnn_workload(
-            GNNKind(kind),
-            dataset,
-            hidden_dim=hidden_dim,
-            rng_seed=rng_seed,
-            name=name,
-        )
 
     def claims(self) -> List:
         """The paper's headline-claim checks plus the streaming-extension

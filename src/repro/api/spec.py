@@ -44,6 +44,7 @@ Example:
 from __future__ import annotations
 
 import json
+import math
 import pathlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Union
@@ -155,9 +156,12 @@ class ContextSpec:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.tuner_range_nm is not None and self.tuner_range_nm <= 0.0:
+        if self.tuner_range_nm is not None and not (
+            math.isfinite(self.tuner_range_nm) and self.tuner_range_nm > 0.0
+        ):
             raise ConfigurationError(
-                f"tuner range must be > 0 nm, got {self.tuner_range_nm}"
+                "context.tuner_range_nm must be a finite number > 0 nm, "
+                f"got {self.tuner_range_nm}"
             )
 
     def to_dict(self) -> Dict[str, Any]:

@@ -25,9 +25,6 @@ Commands:
 - ``cache`` — inspect or clear the persistent physics cache
   (``repro cache --clear``; see docs/performance.md).
 - ``gen-trace`` — synthesize a mixed LLM+GNN request trace.
-- ``run-llm <model>`` — deprecated alias of ``run --platform tron``.
-- ``run-gnn <kind> <dataset>`` — deprecated; builds the GNN workload
-  and routes through the same ``run`` path.
 
 ``run`` / ``sweep`` / ``mc`` / ``serve`` also accept a declarative
 experiment spec (``--spec file.{json,toml}``, format ``repro.spec/1``;
@@ -102,13 +99,6 @@ def _emit(result, args) -> None:
         print(result.format())
 
 
-def _deprecated(old: str, new: str) -> None:
-    print(
-        f"note: '{old}' is deprecated; use '{new}' instead",
-        file=sys.stderr,
-    )
-
-
 def _cmd_describe(_args) -> int:
     print(_session(disk_cache=False).describe())
     return 0
@@ -145,7 +135,7 @@ def _cmd_sweep(args) -> int:
                 target=None,
                 corners=False,
                 seed=0,
-                strategy=None,
+                strategy="soa",
             )
         )
     else:
@@ -207,7 +197,6 @@ def _cmd_mc(args) -> int:
                 seed=0,
                 tuner_range=None,
                 naive=False,
-                strategy=None,
             )
         )
     else:
@@ -221,7 +210,6 @@ def _cmd_mc(args) -> int:
             seed=args.seed,
             tuner_range_nm=args.tuner_range,
             vectorized=not args.naive,
-            strategy=args.strategy,
         )
     _emit(result, args)
     return 0
@@ -296,29 +284,6 @@ def _cmd_gen_trace(args) -> int:
     return 0
 
 
-def _cmd_run_llm(args) -> int:
-    _deprecated("run-llm", f"run {args.model} --platform tron")
-    result = _session().run(args.model, platform="tron", batch=args.batch)
-    print(result.format())
-    return 0
-
-
-def _cmd_run_gnn(args) -> int:
-    _deprecated(
-        "run-gnn", f"run {args.kind.upper()}-{args.dataset} --platform ghost"
-    )
-    session = _session()
-    workload = session.gnn_workload(
-        args.kind,
-        args.dataset,
-        hidden_dim=args.hidden,
-        rng_seed=args.seed,
-        name=f"{args.kind}-{args.dataset}",
-    )
-    print(session.run(workload, platform="ghost").format())
-    return 0
-
-
 def _missing(command: str, what: str):
     from repro.errors import ConfigurationError
 
@@ -377,10 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument(
         "--strategy",
-        choices=("soa", "batched", "serial", "threads"),
-        default=None,
+        choices=("soa", "serial"),
+        default="soa",
         help="sweep evaluation strategy (default: soa, the "
-        "array-resident path; batched is the scalar oracle)",
+        "array-resident path; serial is the scalar oracle)",
     )
     sweep.add_argument("--json", action="store_true")
     _add_seed(sweep)
@@ -455,13 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="run the N-scalar-runs baseline instead of the vectorized "
         "engine (same numbers, benchmarking aid)",
-    )
-    mc.add_argument(
-        "--strategy",
-        choices=("soa", "grouped", "naive"),
-        default=None,
-        help="Monte-Carlo evaluation strategy (default: soa, the "
-        "array-resident path; overrides --naive when given)",
     )
     mc.add_argument("--json", action="store_true")
     _add_seed(mc)
@@ -599,23 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_seed(gen_trace)
 
-    run_llm = sub.add_parser(
-        "run-llm",
-        help="[deprecated] cost a transformer on TRON (use 'run')",
-    )
-    run_llm.add_argument("model", help="model zoo name, e.g. BERT-base")
-    run_llm.add_argument("--batch", type=int, default=1)
-
-    from repro.nn.gnn import GNNKind
-
-    run_gnn = sub.add_parser(
-        "run-gnn", help="[deprecated] cost a GNN on GHOST (use 'run')"
-    )
-    run_gnn.add_argument("kind", choices=[k.value for k in GNNKind])
-    run_gnn.add_argument("dataset", help="dataset name, e.g. cora")
-    run_gnn.add_argument("--hidden", type=int, default=64)
-    _add_seed(run_gnn)
-
     return parser
 
 
@@ -631,8 +572,6 @@ _HANDLERS = {
     "cache": _cmd_cache,
     "serve": _cmd_serve,
     "gen-trace": _cmd_gen_trace,
-    "run-llm": _cmd_run_llm,
-    "run-gnn": _cmd_run_gnn,
 }
 
 

@@ -24,6 +24,7 @@ leaves every cost bit-identical to the nominal, context-free path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -152,9 +153,12 @@ class ExecutionContext:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.tuner_range_nm is not None and self.tuner_range_nm <= 0.0:
+        if self.tuner_range_nm is not None and not (
+            math.isfinite(self.tuner_range_nm) and self.tuner_range_nm > 0.0
+        ):
             raise ConfigurationError(
-                f"tuner range must be > 0 nm, got {self.tuner_range_nm}"
+                "tuner_range_nm must be a finite number > 0 nm, got "
+                f"{self.tuner_range_nm}"
             )
 
     @property

@@ -45,8 +45,8 @@ _GRAPH_MEMO = LRUMemo(max_entries=GRAPH_MEMO_ENTRIES)
 def clear_graph_memo() -> None:
     """Forget every memoized synthesized graph.
 
-    The naive benchmarking baselines (``run_sweep(memoize=False)``,
-    Monte-Carlo ``strategy="naive"``) call this per point so a fresh
+    The naive benchmarking baselines (``run_sweep(strategy="naive")``,
+    ``run_monte_carlo(vectorized=False)``) call this per point so a fresh
     workload really pays graph synthesis, the way a cold process would.
     """
     _GRAPH_MEMO.clear()

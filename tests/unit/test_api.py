@@ -166,6 +166,17 @@ class TestNonFiniteConfigRejected:
         ):
             Session().execute(ExperimentSpec.from_dict(doc))
 
+    @staticmethod
+    def _repro(*args):
+        src = Path(repro.__file__).resolve().parents[1]
+        return subprocess.run(
+            [sys.executable, "-m", "repro", *args],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            timeout=120,
+        )
+
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_cli_run_spec_exits_nonzero(self, tmp_path, literal):
         path = tmp_path / "run.json"
@@ -174,20 +185,35 @@ class TestNonFiniteConfigRejected:
             '"platform": {"name": "tron", "overrides": {"clock_ghz": %s}}}'
             % literal
         )
-        src = Path(repro.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--spec", str(path),
-             "--json"],
-            capture_output=True,
-            text=True,
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            timeout=120,
-        )
+        proc = self._repro("run", "--spec", str(path), "--json")
         assert proc.returncode != 0
         assert proc.stdout == ""
         assert "tron.overrides.clock_ghz: expected a finite number" in (
             proc.stderr
         )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_session_run_tuner_range(self, value):
+        with pytest.raises(ConfigurationError, match="tuner_range_nm"):
+            Session().run(
+                "MLP-mnist", corner="typical", tuner_range_nm=value
+            )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_session_monte_carlo_tuner_range(self, value):
+        with pytest.raises(ConfigurationError, match="tuner_range_nm"):
+            Session().monte_carlo(
+                "MLP-mnist", samples=4, tuner_range_nm=value
+            )
+
+    def test_cli_mc_nan_tuner_range_exits_nonzero(self):
+        proc = self._repro(
+            "mc", "MLP-mnist", "--samples", "4", "--tuner-range", "nan",
+            "--json",
+        )
+        assert proc.returncode != 0
+        assert proc.stdout == ""
+        assert "tuner_range_nm" in proc.stderr
 
 
 # ----------------------------------------------------------------------

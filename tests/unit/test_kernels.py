@@ -293,8 +293,8 @@ class TestPrimeBreakdownCache:
 
 
 class TestGoldenFrontier:
-    """The 27-point BENCH_engine frontier is a golden: the batched
-    engine must reproduce it exactly."""
+    """The 27-point default-grid frontier is a golden: the production
+    path and the serial oracle must both reproduce it exactly."""
 
     TRON_FRONTIER = ["H16/A128/5.0GHz"]
     GHOST_FRONTIER = ["V32/N16", "V32/N32", "V32/N64"]
@@ -307,8 +307,13 @@ class TestGoldenFrontier:
             tron_sweep_space,
         )
 
-        tron = run_sweep(tron_sweep_space(), strategy="batched")
-        ghost = run_sweep(ghost_sweep_space(), strategy="batched")
-        assert len(tron) + len(ghost) == 27
-        assert [p.label for p in pareto_frontier(tron)] == self.TRON_FRONTIER
-        assert [p.label for p in pareto_frontier(ghost)] == self.GHOST_FRONTIER
+        for strategy in ("soa", "serial"):
+            tron = run_sweep(tron_sweep_space(), strategy=strategy)
+            ghost = run_sweep(ghost_sweep_space(), strategy=strategy)
+            assert len(tron) + len(ghost) == 27
+            assert [p.label for p in pareto_frontier(tron)] == (
+                self.TRON_FRONTIER
+            )
+            assert [p.label for p in pareto_frontier(ghost)] == (
+                self.GHOST_FRONTIER
+            )

@@ -3,8 +3,8 @@
 The structure-of-arrays engine's contract is that it is *invisible* in
 the numbers: every stacked column, every materialized report and every
 frontier must be bit-identical to what the scalar oracle produces —
-``Accelerator.run`` point by point for sweeps, the per-signature replay
-loop for Monte-Carlo.  These tests drive randomized configurations,
+``Accelerator.run`` point by point for sweeps, one scalar run per
+yield-signature unknown for Monte-Carlo.  These tests drive randomized configurations,
 corners and seeds through both paths and compare exactly (``==`` on the
 report dicts, never ``allclose``), including the degenerate shapes the
 engine must survive: 1-point tensors, non-contiguous column views, and
@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import repro.workloads  # noqa: F401  (registers the default workloads)
+import repro.analysis.robustness as robustness
 from repro.analysis.robustness import run_monte_carlo
 from repro.analysis.sweep import (
     ghost_sweep_space,
@@ -140,16 +141,16 @@ def test_non_contiguous_column_views_materialize_identically():
         assert view.materialize(i).to_dict() == direct.materialize(i).to_dict()
 
 
-def _assert_same_points(soa_points, batched_points):
-    assert len(soa_points) == len(batched_points)
-    for soa_point, batched_point in zip(soa_points, batched_points):
-        assert soa_point.label == batched_point.label
-        assert soa_point.knobs == batched_point.knobs
-        assert soa_point.report.to_dict() == batched_point.report.to_dict()
+def _assert_same_points(soa_points, serial_points):
+    assert len(soa_points) == len(serial_points)
+    for soa_point, serial_point in zip(soa_points, serial_points):
+        assert soa_point.label == serial_point.label
+        assert soa_point.knobs == serial_point.knobs
+        assert soa_point.report.to_dict() == serial_point.report.to_dict()
 
 
 @pytest.mark.parametrize("corners_axis", [False, True])
-def test_sweep_soa_matches_batched_oracle(corners_axis):
+def test_sweep_soa_matches_serial_oracle(corners_axis):
     for space in (
         tron_sweep_space(
             head_units=(2, 8), array_sizes=(32, 96), clocks_ghz=(2.5, 5.0)
@@ -165,11 +166,11 @@ def test_sweep_soa_matches_batched_oracle(corners_axis):
         clear_physics_cache()
         soa_points = run_sweep(space, strategy="soa")
         clear_physics_cache()
-        batched_points = run_sweep(space, strategy="batched")
-        _assert_same_points(soa_points, batched_points)
+        serial_points = run_sweep(space, strategy="serial")
+        _assert_same_points(soa_points, serial_points)
         soa_frontier = pareto_frontier(soa_points)
-        batched_frontier = pareto_frontier(batched_points)
-        _assert_same_points(soa_frontier, batched_frontier)
+        serial_frontier = pareto_frontier(serial_points)
+        _assert_same_points(soa_frontier, serial_frontier)
 
 
 def test_lazy_frontier_matches_and_materializes_only_frontier():
@@ -178,35 +179,88 @@ def test_lazy_frontier_matches_and_materializes_only_frontier():
     )
     result = run_sweep_soa(space)
     frontier = result.frontier()
-    oracle = pareto_frontier(run_sweep(space, strategy="batched"))
+    oracle = pareto_frontier(run_sweep(space, strategy="serial"))
     _assert_same_points(frontier, oracle)
     # Laziness: only the frontier (plus nothing else) materialized.
     assert result.stats.materialized_reports == len(frontier)
     assert result.stats.points == len(result) == 12
 
 
-def test_mc_soa_bit_identical_to_grouped_across_many_signatures():
+def _assert_same_mc(a, b):
+    assert np.array_equal(a.operational, b.operational)
+    assert np.array_equal(a.fully_functional, b.fully_functional)
+    assert np.array_equal(a.latency_ns, b.latency_ns, equal_nan=True)
+    assert np.array_equal(a.energy_pj, b.energy_pj, equal_nan=True)
+    assert np.array_equal(
+        a.tuning_power_mw, b.tuning_power_mw, equal_nan=True
+    )
+
+
+@pytest.mark.parametrize(
+    "platform, workload_name", [(TRON, "BERT-base"), (GHOST, "GCN-cora")]
+)
+def test_mc_evaluator_bit_identical_to_scalar_fallback(
+    monkeypatch, platform, workload_name
+):
     # tuner_range_nm=5.0 lands the sampled dies on many distinct yield
-    # signatures (rich per-signature replay), the case the stacked MC
-    # path collapses into one evaluation.
+    # signatures; the stacked evaluator call and the scalar loop over
+    # the same pinned contexts must agree bit for bit on all of them.
     context = ExecutionContext(
         variation=ProcessVariationModel(), seed=7, tuner_range_nm=5.0
     )
-    soa = run_monte_carlo(
-        TRON, lambda: get_workload("BERT-base"), context,
-        samples=48, strategy="soa",
+
+    def run():
+        return run_monte_carlo(
+            platform, lambda: get_workload(workload_name), context,
+            samples=48,
+        )
+
+    stacked = run()
+    monkeypatch.setattr(robustness, "soa_evaluator", lambda *_: None)
+    fallback = run()
+    assert stacked.evaluation["groups"] > 1
+    assert stacked.evaluation["fallback_points"] == 0
+    assert fallback.evaluation["fallback_points"] == 48
+    assert fallback.evaluation["groups"] == stacked.evaluation["groups"]
+    _assert_same_mc(stacked, fallback)
+
+
+@pytest.mark.parametrize(
+    "platform, workload_name",
+    [
+        (TRON, "decode-gpt2-small"),
+        (TRON, "LLM-serving-mix"),
+        (GHOST, "GCN-ba-temporal"),
+    ],
+)
+def test_mc_kinds_without_evaluator_match_naive(platform, workload_name):
+    """DECODE, SUITE and TEMPORAL_GNN workloads have no registered
+    evaluator: every die runs the scalar fallback and still matches the
+    naive N-scalar-runs baseline."""
+    context = ExecutionContext(
+        variation=ProcessVariationModel(), seed=7, tuner_range_nm=8.5
     )
-    grouped = run_monte_carlo(
-        TRON, lambda: get_workload("BERT-base"), context,
-        samples=48, strategy="grouped",
+    samples = 16
+    vectorized = run_monte_carlo(
+        platform, lambda: get_workload(workload_name), context,
+        samples=samples,
     )
-    assert soa.evaluation["strategy"] == "soa"
-    assert soa.evaluation["groups"] > 1
-    assert grouped.evaluation["strategy"] == "grouped"
-    assert np.array_equal(soa.operational, grouped.operational)
-    assert np.array_equal(soa.fully_functional, grouped.fully_functional)
-    assert np.array_equal(soa.latency_ns, grouped.latency_ns, equal_nan=True)
-    assert np.array_equal(soa.energy_pj, grouped.energy_pj, equal_nan=True)
+    naive = run_monte_carlo(
+        platform, lambda: get_workload(workload_name), context,
+        samples=samples, vectorized=False,
+    )
+    assert vectorized.evaluation["fallback_points"] == samples
+    assert vectorized.evaluation["groups"] > 1
+    assert np.array_equal(vectorized.operational, naive.operational)
+    assert np.array_equal(
+        vectorized.fully_functional, naive.fully_functional
+    )
+    assert np.allclose(
+        vectorized.latency_ns, naive.latency_ns, rtol=1e-9, equal_nan=True
+    )
+    assert np.allclose(
+        vectorized.energy_pj, naive.energy_pj, rtol=1e-9, equal_nan=True
+    )
 
 
 def test_mc_all_yield_gated_population():
@@ -218,11 +272,11 @@ def test_mc_all_yield_gated_population():
     )
     soa = run_monte_carlo(
         TRON, lambda: get_workload("MLP-mnist"), context,
-        samples=16, strategy="soa",
+        samples=16,
     )
     naive = run_monte_carlo(
         TRON, lambda: get_workload("MLP-mnist"), context,
-        samples=16, strategy="naive",
+        samples=16, vectorized=False,
     )
     assert not soa.operational.any()
     assert soa.yield_fraction == 0.0

@@ -7,11 +7,11 @@ import pytest
 from repro.analysis.sweep import (
     SweepPoint,
     SweepSpace,
-    combined_sweep,
     format_sweep,
     ghost_sweep_space,
     pareto_frontier,
     run_sweep,
+    run_sweep_with_stats,
     sweep_ghost,
     sweep_tron,
     tron_sweep_space,
@@ -126,48 +126,18 @@ class TestSweepEngine:
         with pytest.raises(ConfigurationError):
             space.enumerate()
 
-    def test_parallel_and_sequential_agree(self):
-        space = tron_sweep_space(
-            head_units=(4, 8), array_sizes=(32,), clocks_ghz=(5.0,)
-        )
-        par = run_sweep(space, parallel=True)
-        seq = run_sweep(space, parallel=False)
-        assert [p.label for p in par] == [p.label for p in seq]
-        for a, b in zip(par, seq):
-            assert a.latency_ns == pytest.approx(b.latency_ns)
-            assert a.energy_pj == pytest.approx(b.energy_pj)
-
-    def test_naive_rejects_parallel_request(self):
-        space = tron_sweep_space(
-            head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
-        )
-        with pytest.raises(ConfigurationError):
-            run_sweep(space, parallel=True, memoize=False)
-
     def test_memoized_matches_naive(self):
         space = ghost_sweep_space(lanes=(8, 16), edge_units=(32,))
-        fast = run_sweep(space, memoize=True)
-        naive = run_sweep(space, memoize=False)
+        fast = run_sweep(space)
+        naive = run_sweep(space, strategy="naive")
         assert [p.label for p in fast] == [p.label for p in naive]
         for a, b in zip(fast, naive):
             assert a.latency_ns == pytest.approx(b.latency_ns)
             assert a.energy_pj == pytest.approx(b.energy_pj)
 
-    def test_combined_sweep_covers_both_targets(self):
-        results = combined_sweep(
-            [
-                tron_sweep_space(
-                    head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
-                ),
-                ghost_sweep_space(lanes=(8,), edge_units=(16,)),
-            ]
-        )
-        assert set(results) == {"tron", "ghost"}
-        assert results["tron"][0].report.platform == "TRON"
-        assert results["ghost"][0].report.platform == "GHOST"
-
     def test_custom_space_over_any_workload(self):
-        """The engine is workload-agnostic: any evaluate fn works."""
+        """The engine is workload-agnostic: any evaluate fn works.  A
+        space with no evaluator runs the serial loop under soa."""
         from repro.core.base import get_workload
         from repro.core.tron import TRON, TRONConfig
 
@@ -180,13 +150,18 @@ class TestSweepEngine:
             build_workload=lambda: get_workload("MLP-mnist"),
             label=lambda knobs: f"FF{knobs['ff_arrays']}",
         )
-        points = run_sweep(space)
+        points, stats = run_sweep_with_stats(space)
         assert [p.label for p in points] == ["FF4", "FF8"]
         assert all(p.report.workload == "MLP-mnist" for p in points)
+        assert stats.strategy == "soa"
+        assert stats.fallback_points == stats.points == 2
+        serial = run_sweep(space, strategy="serial")
+        for a, b in zip(points, serial):
+            assert a.report.to_dict() == b.report.to_dict()
 
 
 class TestSweepStrategies:
-    """The batched engine is an exact reorganization of scalar runs."""
+    """The soa path is an exact reorganization of scalar runs."""
 
     def _spaces(self):
         return [
@@ -196,50 +171,47 @@ class TestSweepStrategies:
             ghost_sweep_space(lanes=(8, 16), edge_units=(16, 32)),
         ]
 
-    def test_batched_is_bit_identical_to_serial_and_naive(self):
+    def test_soa_is_bit_identical_to_serial_and_naive(self):
         for space in self._spaces():
-            batched = run_sweep(space, strategy="batched")
+            soa = run_sweep(space, strategy="soa")
             serial = run_sweep(space, strategy="serial")
-            naive = run_sweep(space, memoize=False)
-            assert [p.label for p in batched] == [p.label for p in serial]
-            for a, b, c in zip(batched, serial, naive):
-                assert a.report.latency_ns == b.report.latency_ns
-                assert a.report.energy_pj == b.report.energy_pj
+            naive = run_sweep(space, strategy="naive")
+            assert [p.label for p in soa] == [p.label for p in serial]
+            for a, b, c in zip(soa, serial, naive):
+                assert a.report.to_dict() == b.report.to_dict()
                 assert a.report.latency_ns == c.report.latency_ns
                 assert a.report.energy_pj == c.report.energy_pj
 
-    def test_batched_is_the_default_strategy(self):
+    def test_soa_is_the_default_strategy(self):
         space = tron_sweep_space(
             head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
         )
-        default = run_sweep(space)
-        batched = run_sweep(space, strategy="batched")
-        assert default[0].report.energy_pj == batched[0].report.energy_pj
+        default, stats = run_sweep_with_stats(space)
+        assert stats.strategy == "soa" and stats.fallback_points == 0
+        serial = run_sweep(space, strategy="serial")
+        assert default[0].report.energy_pj == serial[0].report.energy_pj
 
     def test_unknown_strategy_rejected(self):
         space = tron_sweep_space(
             head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
         )
-        with pytest.raises(ConfigurationError):
-            run_sweep(space, strategy="gpu")
+        for strategy in ("gpu", "batched", "threads"):
+            with pytest.raises(ConfigurationError, match=strategy):
+                run_sweep(space, strategy=strategy)
 
-    def test_batched_groups_duplicate_signatures(self):
-        """Points sharing platform + config + normalized context cost
-        through the run path once and share one report object."""
-        from repro.core.context import ExecutionContext
-
+    def test_soa_groups_duplicate_signatures(self):
+        """None and a nominal context share one evaluation group."""
         space = with_corners(
             tron_sweep_space(
                 head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
             ),
             {"none": None, "nominal": ExecutionContext()},
         )
-        points = run_sweep(space, strategy="batched")
-        assert len(points) == 2
-        # None and a nominal context share a run-path signature.
-        assert points[0].report is points[1].report
+        points, stats = run_sweep_with_stats(space)
+        assert len(points) == 2 and stats.groups == 1
+        assert points[0].report.to_dict() == points[1].report.to_dict()
 
-    def test_batched_primes_physics_before_running(self):
+    def test_soa_primes_physics_before_running(self):
         from repro.core.engine import breakdown_cache_stats, clear_physics_cache
 
         clear_physics_cache()
@@ -247,46 +219,23 @@ class TestSweepStrategies:
             head_units=(4,), array_sizes=(32, 64), clocks_ghz=(2.5, 5.0)
         )
         before = breakdown_cache_stats()["insertions"]
-        run_sweep(space, strategy="batched")
+        run_sweep(space)
         stats = breakdown_cache_stats()
         # All four geometries were inserted by the vectorized primer.
         assert stats["insertions"] - before >= 4
 
-    def test_cornered_batched_matches_naive(self):
+    def test_cornered_soa_matches_naive(self):
         space = with_corners(
             tron_sweep_space(
                 head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
             ),
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
-        batched = run_sweep(space, strategy="batched")
-        naive = run_sweep(space, memoize=False)
-        for a, b in zip(batched, naive):
+        soa = run_sweep(space)
+        naive = run_sweep(space, strategy="naive")
+        for a, b in zip(soa, naive):
             assert a.report.latency_ns == b.report.latency_ns
             assert a.report.energy_pj == b.report.energy_pj
-
-    def test_process_fallback_matches_batched(self):
-        from repro.analysis.sweep import run_sweep_in_processes
-
-        kwargs = {
-            "head_units": (4, 8),
-            "array_sizes": (32,),
-            "clocks_ghz": (5.0,),
-        }
-        in_process = run_sweep(tron_sweep_space(**kwargs))
-        across = run_sweep_in_processes(
-            "repro.analysis.sweep:tron_sweep_space", kwargs, max_workers=2
-        )
-        assert [p.label for p in across] == [p.label for p in in_process]
-        for a, b in zip(across, in_process):
-            assert a.report.latency_ns == b.report.latency_ns
-            assert a.report.energy_pj == b.report.energy_pj
-
-    def test_process_fallback_rejects_bad_factory(self):
-        from repro.analysis.sweep import run_sweep_in_processes
-
-        with pytest.raises(ConfigurationError):
-            run_sweep_in_processes("not-a-factory-path")
 
 
 class TestCornerAxis:
@@ -325,8 +274,8 @@ class TestCornerAxis:
             self._space(),
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
-        fast = run_sweep(space, memoize=True)
-        naive = run_sweep(space, memoize=False)
+        fast = run_sweep(space)
+        naive = run_sweep(space, strategy="naive")
         assert [p.label for p in fast] == [p.label for p in naive]
         for a, b in zip(fast, naive):
             assert a.energy_pj == pytest.approx(b.energy_pj)
@@ -372,15 +321,17 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "TRON" in out and "GHOST" in out
 
-    def test_run_llm(self, capsys):
-        assert main(["run-llm", "BERT-base", "--batch", "4"]) == 0
+    def test_run_transformer_on_tron_with_batch(self, capsys):
+        assert main(
+            ["run", "BERT-base", "--platform", "tron", "--batch", "4"]
+        ) == 0
         out = capsys.readouterr().out
         assert "BERT-base" in out and "GOPS" in out
 
-    def test_run_gnn(self, capsys):
-        assert main(["run-gnn", "gcn", "cora"]) == 0
+    def test_run_gnn_on_ghost(self, capsys):
+        assert main(["run", "GCN-cora", "--platform", "ghost"]) == 0
         out = capsys.readouterr().out
-        assert "gcn-cora" in out
+        assert "GCN-cora" in out and "GHOST" in out
 
     def test_sweep_tron_smoke(self, capsys):
         # Full sweep is slow; just exercise the parser path.
@@ -426,8 +377,8 @@ class TestCLI:
         assert "BERT-base" in out and "GCN-cora" in out
 
     def test_unknown_model_fails_cleanly(self):
-        with pytest.raises(Exception):
-            main(["run-llm", "BERT-giant"])
+        with pytest.raises(ConfigurationError, match="BERT-giant"):
+            main(["run", "BERT-giant"])
 
     def test_parser_rejects_unknown_command(self):
         with pytest.raises(SystemExit):
@@ -498,8 +449,23 @@ class TestCLI:
         assert all(r["correction_power_mw"] == 0.0 for r in nominal)
 
     def test_run_gnn_seed_flag(self, capsys):
-        assert main(["run-gnn", "gcn", "cora", "--seed", "3"]) == 0
-        assert "gcn-cora" in capsys.readouterr().out
+        assert main(["run", "GCN-cora", "--seed", "3"]) == 0
+        assert "GCN-cora" in capsys.readouterr().out
+
+    def test_sweep_strategy_flag_keeps_soa_and_serial(self):
+        parser = build_parser()
+        for strategy in ("soa", "serial"):
+            args = parser.parse_args(["sweep", "ghost", "--strategy", strategy])
+            assert args.strategy == strategy
+        for strategy in ("batched", "threads"):
+            with pytest.raises(SystemExit):
+                parser.parse_args(["sweep", "ghost", "--strategy", strategy])
+
+    def test_mc_has_no_strategy_flag(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["mc", "MLP-mnist", "--strategy", "grouped"]
+            )
 
     def test_sweep_parser_accepts_new_flags(self):
         args = build_parser().parse_args(

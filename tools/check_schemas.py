@@ -113,16 +113,15 @@ def main_check() -> int:
         ),
         ("mc --json", ["mc", "MLP-mnist", "--samples", "4", "--json"]),
         (
-            "mc --strategy grouped --json",
-            ["mc", "MLP-mnist", "--samples", "4", "--strategy", "grouped",
-             "--json"],
+            "mc --naive --json",
+            ["mc", "MLP-mnist", "--samples", "4", "--naive", "--json"],
         ),
         ("corners --json", ["corners", "--json"]),
         ("cache --json", ["cache", "--json"]),
         ("sweep ghost --json", ["sweep", "ghost", "--json"]),
         (
-            "sweep ghost --strategy batched --json",
-            ["sweep", "ghost", "--strategy", "batched", "--json"],
+            "sweep ghost --strategy serial --json",
+            ["sweep", "ghost", "--strategy", "serial", "--json"],
         ),
         (
             "serve --json",

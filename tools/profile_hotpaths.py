@@ -8,7 +8,8 @@ Usage::
 Targets:
 
 - ``sweep`` (default) — a small combined TRON + GHOST sweep through the
-  batched engine (or the naive sequential baseline with ``--naive``).
+  array-resident soa path (or the naive sequential baseline with
+  ``--naive``).
   This is the first tool to reach for when a sweep regression lands:
   the historical GHOST per-vertex aggregation loop, for example, showed
   up here as ~50k ``node_cycles`` calls before it was vectorized (see
@@ -63,10 +64,7 @@ def profile_sweep(naive: bool = False, top: int = 20) -> pstats.Stats:
     profiler = cProfile.Profile()
     profiler.enable()
     for space in spaces:
-        if naive:
-            run_sweep(space, memoize=False, parallel=False)
-        else:
-            run_sweep(space, strategy="batched")
+        run_sweep(space, strategy="naive" if naive else "soa")
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
