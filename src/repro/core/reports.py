@@ -12,6 +12,7 @@ definitions across platforms:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -19,6 +20,16 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.nn.counting import OpCount
+
+
+def _check_breakdown(report, names: Tuple[str, ...]) -> None:
+    """Reject a breakdown field that is negative, NaN or infinite."""
+    for name in names:
+        value = getattr(report, name)
+        if not 0.0 <= value < math.inf:
+            raise ConfigurationError(
+                f"{name} must be >= 0 and finite, got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -47,34 +58,34 @@ class EnergyReport:
     static_pj: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ConfigurationError(f"{f.name} must be >= 0")
+        _check_breakdown(self, ENERGY_FIELDS)
 
     @property
     def total_pj(self) -> float:
         """Total energy across all categories."""
-        return sum(getattr(self, f.name) for f in fields(self))
+        return sum(getattr(self, name) for name in ENERGY_FIELDS)
 
     def __add__(self, other: "EnergyReport") -> "EnergyReport":
         return EnergyReport(
             **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
+                name: getattr(self, name) + getattr(other, name)
+                for name in ENERGY_FIELDS
             }
         )
 
     def scaled(self, factor: float) -> "EnergyReport":
         """This breakdown scaled by a repetition factor."""
-        if factor < 0.0:
-            raise ConfigurationError(f"factor must be >= 0, got {factor}")
+        if not 0.0 <= factor < math.inf:
+            raise ConfigurationError(
+                f"factor must be >= 0 and finite, got {factor}"
+            )
         return EnergyReport(
-            **{f.name: getattr(self, f.name) * factor for f in fields(self)}
+            **{name: getattr(self, name) * factor for name in ENERGY_FIELDS}
         )
 
     def as_dict(self) -> Dict[str, float]:
         """Breakdown as a plain dict (for tabular bench output)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in ENERGY_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -100,34 +111,34 @@ class LatencyReport:
     digital_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            if getattr(self, f.name) < 0.0:
-                raise ConfigurationError(f"{f.name} must be >= 0")
+        _check_breakdown(self, LATENCY_FIELDS)
 
     @property
     def total_ns(self) -> float:
         """Total latency (categories are non-overlapped by construction)."""
-        return sum(getattr(self, f.name) for f in fields(self))
+        return sum(getattr(self, name) for name in LATENCY_FIELDS)
 
     def __add__(self, other: "LatencyReport") -> "LatencyReport":
         return LatencyReport(
             **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
+                name: getattr(self, name) + getattr(other, name)
+                for name in LATENCY_FIELDS
             }
         )
 
     def scaled(self, factor: float) -> "LatencyReport":
         """This breakdown scaled by a repetition factor."""
-        if factor < 0.0:
-            raise ConfigurationError(f"factor must be >= 0, got {factor}")
+        if not 0.0 <= factor < math.inf:
+            raise ConfigurationError(
+                f"factor must be >= 0 and finite, got {factor}"
+            )
         return LatencyReport(
-            **{f.name: getattr(self, f.name) * factor for f in fields(self)}
+            **{name: getattr(self, name) * factor for name in LATENCY_FIELDS}
         )
 
     def as_dict(self) -> Dict[str, float]:
         """Breakdown as a plain dict (for tabular bench output)."""
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return {name: getattr(self, name) for name in LATENCY_FIELDS}
 
 
 @dataclass(frozen=True)
@@ -223,9 +234,9 @@ class RunReport:
         }
 
 
-#: Breakdown field names in declaration order.  The stacked containers
-#: below chain their total reductions in exactly this order so the float
-#: results match the scalar ``total_pj`` / ``total_ns`` sums bit for bit.
+#: Breakdown field names in declaration order.  The report classes above
+#: and the stacked containers below chain their total reductions in
+#: exactly this order, so stacked and scalar totals match bit for bit.
 ENERGY_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(EnergyReport))
 LATENCY_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(LatencyReport))
 

@@ -16,16 +16,18 @@ the scheduler serves each one through the cheapest sufficient path:
    run path with its die's physics pinned, which is bit-identical to a
    direct scalar run (the cost model reads exactly the pinned fields).
 
-Groups evaluate concurrently.  The scheduler is synchronous; the
-asynchronous submission front-end lives in
-:mod:`repro.serving.engine`.
+Groups evaluate in order on the calling thread, through one long-lived
+accelerator per ``(platform, batch)``.  The cost models are pure Python,
+so under the GIL a thread pool could never overlap group evaluations;
+it only paid thread start-up per flush and let cache insertions race.
+The scheduler is synchronous and runs one micro-batch at a time; the
+asynchronous submission front-end lives in :mod:`repro.serving.engine`.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -129,7 +131,11 @@ class BatchingScheduler:
             one batched corner-physics pass (disable to force scalar
             per-request physics — the numbers are identical; this is a
             benchmarking aid).
-        max_workers: thread-pool width for concurrent group evaluation.
+
+    One accelerator per ``(platform, batch)`` is built on first use and
+    evaluates every later group of that pair, so its per-instance memos
+    survive across flushes.  Those instances are not thread-safe:
+    :meth:`execute` and :meth:`cache_key` serialize on one lock.
     """
 
     def __init__(
@@ -137,41 +143,38 @@ class BatchingScheduler:
         cache: Optional[ReportCache] = None,
         catalog: Optional[PlatformCatalog] = None,
         use_batched_physics: bool = True,
-        max_workers: Optional[int] = None,
     ) -> None:
         self.cache = cache
         self.catalog = (
             default_platform_catalog() if catalog is None else catalog
         )
         self.use_batched_physics = use_batched_physics
-        self.max_workers = max_workers
         self.stats = SchedulerStats()
-        self._fingerprints: Dict[Tuple[str, int], str] = {}
-        self._stats_lock = threading.Lock()
+        #: (platform, batch) -> (accelerator, config fingerprint).
+        self._platforms: Dict[Tuple[str, int], Tuple[Accelerator, str]] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
-    # Key construction
+    # Key construction (callers hold ``self._lock``)
     # ------------------------------------------------------------------
 
-    def _fingerprint(self, platform: str, batch: int) -> str:
-        """Memoized configuration fingerprint of a catalog platform."""
+    def _platform(self, platform: str, batch: int) -> Tuple[Accelerator, str]:
+        """The long-lived accelerator of a catalog platform and its
+        configuration fingerprint, built on first use."""
         key = (platform, batch)
-        with self._stats_lock:
-            cached = self._fingerprints.get(key)
-        if cached is not None:
-            return cached
-        factory = self.catalog.get(platform)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown platform {platform!r}; catalog has "
-                f"{sorted(self.catalog)}"
-            )
-        accelerator = factory(batch)
-        config = getattr(accelerator, "config", accelerator.name)
-        fingerprint = config_fingerprint(config)
-        with self._stats_lock:
-            self._fingerprints[key] = fingerprint
-        return fingerprint
+        entry = self._platforms.get(key)
+        if entry is None:
+            factory = self.catalog.get(platform)
+            if factory is None:
+                raise ConfigurationError(
+                    f"unknown platform {platform!r}; catalog has "
+                    f"{sorted(self.catalog)}"
+                )
+            accelerator = factory(batch)
+            config = getattr(accelerator, "config", accelerator.name)
+            entry = (accelerator, config_fingerprint(config))
+            self._platforms[key] = entry
+        return entry
 
     def _resolve(self, request: ServeRequest):
         """(workload, platform, cache key) of a request — the single
@@ -180,14 +183,15 @@ class BatchingScheduler:
         platform = request.resolve_platform(workload.kind)
         key = (
             request.workload,
-            self._fingerprint(platform, request.batch),
+            self._platform(platform, request.batch)[1],
             normalize_context(request.ctx),
         )
         return workload, platform, key
 
     def cache_key(self, request: ServeRequest) -> CacheKey:
         """The frozen cache key of a request (see :mod:`.cache`)."""
-        return self._resolve(request)[2]
+        with self._lock:
+            return self._resolve(request)[2]
 
     # ------------------------------------------------------------------
     # Execution
@@ -196,23 +200,28 @@ class BatchingScheduler:
     def execute(
         self, requests: Sequence[ServeRequest]
     ) -> List[ServeResponse]:
-        """Serve one micro-batch, returning responses in request order."""
-        requests = list(requests)
+        """Serve one micro-batch, returning responses in request order.
+
+        Concurrent callers (``ServingEngine.serve`` racing the engine's
+        flush thread) run one after the other.
+        """
+        with self._lock:
+            return self._execute(list(requests))
+
+    def _execute(self, requests: List[ServeRequest]) -> List[ServeResponse]:
         start = time.perf_counter()
-        with self._stats_lock:
-            self.stats.requests += len(requests)
+        self.stats.requests += len(requests)
         responses: List[Optional[ServeResponse]] = [None] * len(requests)
 
         # Pass 1: cache lookups + in-batch dedup.  A request that cannot
         # even resolve (unknown workload, unroutable platform/batch)
         # fails alone; it must not sink the micro-batch.
         jobs: Dict[CacheKey, _Job] = {}
-        resolution_errors = cache_hits = deduped = 0
         for i, request in enumerate(requests):
             try:
                 workload, platform, key = self._resolve(request)
             except (ConfigurationError, MappingError) as exc:
-                resolution_errors += 1
+                self.stats.errors += 1
                 responses[i] = ServeResponse(
                     request=request,
                     report=None,
@@ -222,7 +231,7 @@ class BatchingScheduler:
                 continue
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
-                cache_hits += 1
+                self.stats.cache_hits += 1
                 responses[i] = ServeResponse(
                     request=request,
                     report=cached,
@@ -239,12 +248,8 @@ class BatchingScheduler:
                     platform=platform,
                 )
             else:
-                deduped += 1
+                self.stats.deduped += 1
             job.indices.append(i)
-        with self._stats_lock:
-            self.stats.errors += resolution_errors
-            self.stats.cache_hits += cache_hits
-            self.stats.deduped += deduped
 
         # Pass 2: group unique jobs by (platform, batch, context family).
         groups: Dict[Tuple, List[_Job]] = {}
@@ -254,17 +259,11 @@ class BatchingScheduler:
             groups.setdefault(
                 (job.platform, job.request.batch, family), []
             ).append(job)
-        with self._stats_lock:
-            self.stats.groups += len(groups)
+        self.stats.groups += len(groups)
 
-        # Pass 3: evaluate groups (concurrently when there are several).
-        items = list(groups.items())
-        if len(items) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-                list(pool.map(self._evaluate_group, items))
-        else:
-            for item in items:
-                self._evaluate_group(item)
+        # Pass 3: evaluate groups in order, on this thread.
+        for group, group_jobs in groups.items():
+            self._evaluate_group(group, group_jobs)
 
         # Pass 4: fan reports back out to every request of each job.
         for job in jobs.values():
@@ -298,34 +297,22 @@ class BatchingScheduler:
             return ctx
         return replace(ctx, seed=0)
 
-    def _evaluate_group(self, item: Tuple[Tuple, List[_Job]]) -> None:
-        (platform, batch, family), group_jobs = item
-        try:
-            accelerator = self.catalog[platform](batch)
-        except ConfigurationError as exc:
-            for job in group_jobs:
-                job.error = str(exc)
-                job.finished_s = time.perf_counter()
-            with self._stats_lock:
-                self.stats.errors += len(group_jobs)
-            return
+    def _evaluate_group(self, group: Tuple, group_jobs: List[_Job]) -> None:
+        platform, batch, family = group
+        accelerator = self._platforms[(platform, batch)][0]
         pinned_ctx = self._pin_group_physics(accelerator, family, group_jobs)
-        evaluated = errors = 0
         for job in group_jobs:
             ctx = normalize_context(job.request.ctx)
             run_ctx = pinned_ctx.get(ctx, ctx)
             try:
                 job.report = accelerator.run(job.workload, ctx=run_ctx)
-                evaluated += 1
+                self.stats.evaluated += 1
             except (YieldError, MappingError, ConfigurationError) as exc:
                 job.error = str(exc)
-                errors += 1
+                self.stats.errors += 1
             job.finished_s = time.perf_counter()
             if job.report is not None and self.cache is not None:
                 self.cache.put(job.key, job.report)
-        with self._stats_lock:
-            self.stats.evaluated += evaluated
-            self.stats.errors += errors
 
     def _pin_group_physics(
         self,
@@ -361,8 +348,7 @@ class BatchingScheduler:
         pinned: Dict[ExecutionContext, Dict] = {c: {} for c in contexts}
         for (rows, cols), spec in geometries.items():
             batch_physics = batch_context_physics_for(spec, contexts)
-            with self._stats_lock:
-                self.stats.physics_batches += 1
+            self.stats.physics_batches += 1
             for i, ctx in enumerate(contexts):
                 pinned[ctx][(rows, cols)] = PinnedArrayPhysics(
                     usable_rows=int(batch_physics.usable_rows[i]),
@@ -371,6 +357,5 @@ class BatchingScheduler:
                         batch_physics.correction_power_mw[i]
                     ),
                 )
-        with self._stats_lock:
-            self.stats.batched_dies += len(contexts)
+        self.stats.batched_dies += len(contexts)
         return {ctx: ctx.with_pinned(entries) for ctx, entries in pinned.items()}

@@ -1,8 +1,15 @@
 """Tests for cost reports and metric definitions (EPB, GOPS)."""
 
+import math
+
 import pytest
 
-from repro.core.reports import EnergyReport, LatencyReport, RunReport
+from repro.core.reports import (
+    ENERGY_FIELDS,
+    EnergyReport,
+    LatencyReport,
+    RunReport,
+)
 from repro.errors import ConfigurationError
 from repro.nn.counting import OpCount
 
@@ -45,6 +52,38 @@ class TestLatencyReport:
     def test_rejects_negative(self):
         with pytest.raises(ConfigurationError):
             LatencyReport(compute_ns=-1.0)
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestBreakdownBoundary:
+    """Breakdowns reject non-finite values, naming the field, so a NaN
+    never reaches a report total or an envelope."""
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "cls, name", [(EnergyReport, "tuning_pj"), (LatencyReport, "memory_ns")]
+    )
+    def test_rejects_non_finite_field(self, cls, name, value):
+        with pytest.raises(ConfigurationError, match=f"^{name} must be >= 0"):
+            cls(**{name: value})
+
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize(
+        "report", [EnergyReport(dac_pj=1.0), LatencyReport(compute_ns=1.0)]
+    )
+    def test_rejects_non_finite_scale_factor(self, report, value):
+        with pytest.raises(ConfigurationError, match="^factor must be >= 0"):
+            report.scaled(value)
+
+    def test_totals_keep_declaration_order(self):
+        values = [0.1, 1e16, 0.2, 3.0, 1e-3, 7.0, 0.5, 1e-9]
+        report = EnergyReport(**dict(zip(ENERGY_FIELDS, values)))
+        expected = 0
+        for value in values:
+            expected += value
+        assert report.total_pj == expected
 
 
 class TestRunReport:

@@ -14,6 +14,7 @@ from repro.serving import (
     BatchingScheduler,
     ReportCache,
     ServeRequest,
+    ServeResponse,
     ServingEngine,
     config_fingerprint,
     generate_trace,
@@ -220,6 +221,171 @@ class TestBatchingScheduler:
         )
         assert scheduler.stats.groups == 3
         assert scheduler.stats.batched_dies == 2
+
+
+class TestOneThreadScheduler:
+    """Each micro-batch evaluates on the calling thread, in group order,
+    through one long-lived accelerator per (platform, batch)."""
+
+    def _multi_group_batch(self):
+        return [
+            ServeRequest(workload="MLP-mnist"),
+            ServeRequest(workload="GCN-cora"),
+            ServeRequest(workload="BERT-base", batch=4),
+            ServeRequest(workload="MLP-mnist", ctx=resolve_corner("typical", 1)),
+        ]
+
+    def test_execute_starts_no_threads(self, monkeypatch):
+        import threading
+
+        def refuse(self):
+            raise AssertionError("scheduler started a thread")
+
+        scheduler = BatchingScheduler(cache=ReportCache())
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        responses = scheduler.execute(self._multi_group_batch())
+        assert all(r.ok for r in responses)
+        assert scheduler.stats.groups == 4
+
+    def test_one_accelerator_per_platform_and_batch(self):
+        stock = default_platform_catalog()
+        built = []
+
+        def counting(name):
+            def factory(batch):
+                built.append((name, batch))
+                return stock[name](batch)
+
+            return factory
+
+        scheduler = BatchingScheduler(
+            cache=None, catalog={name: counting(name) for name in stock}
+        )
+        requests = self._multi_group_batch()
+        for _ in range(3):
+            scheduler.execute(requests)
+        scheduler.cache_key(requests[0])
+        assert sorted(built) == [("ghost", 1), ("tron", 1), ("tron", 4)]
+        assert scheduler.stats.evaluated == 3 * len(requests)
+
+    def test_ghost_batched_request_fails_alone(self):
+        bad = ServeRequest(workload="GCN-cora", platform="ghost", batch=8)
+        batch = self._multi_group_batch() + [bad]
+        responses = BatchingScheduler().execute(batch)
+        assert [r.ok for r in responses] == [True] * 4 + [False]
+        assert responses[-1].error == (
+            "GHOST costs full-graph inferences; batched requests must "
+            "target tron (got batch=8)"
+        )
+
+    def test_identical_replays_give_identical_flags(self):
+        """Fresh engines replaying one stream agree on every response's
+        ``(cached, deduped)`` flags: cache insertion (hence LRU eviction)
+        order follows group order, not thread timing."""
+        import numpy as np
+
+        population = generate_trace(20000, seed=0, catalog_size=256)
+        types = {}
+        kinds = [
+            types.setdefault(tuple(sorted(record.items())), len(types))
+            for record in population
+        ]
+        requests = [record_to_request(dict(key)) for key in types]
+        picks = np.random.default_rng(1).integers(len(kinds), size=1024)
+        stream = [requests[kinds[i]] for i in picks]
+
+        def replay():
+            engine = ServingEngine(cache_entries=64)
+            flags = []
+            for start in range(0, len(stream), 256):
+                flags += [
+                    (r.cached, r.deduped)
+                    for r in engine.serve(stream[start:start + 256])
+                ]
+            return flags
+
+        first = replay()
+        for _ in range(2):
+            assert replay() == first
+
+    def test_serve_racing_submit_never_overlaps(self):
+        """Synchronous ``serve`` calls racing the async flush thread on
+        one engine serialize: no two evaluations overlap on the shared
+        accelerator, no stats update is lost, and every report matches
+        a fresh engine's."""
+        import sys
+        import threading
+        import time
+
+        requests = [
+            ServeRequest(workload="MLP-mnist", ctx=resolve_corner("typical", s))
+            for s in range(4)
+        ]
+        expected = [
+            r.report.to_dict() for r in ServingEngine().serve(requests)
+        ]
+        guard = threading.Lock()
+        active, peak = [0], [0]
+
+        def probing_tron(batch):
+            accelerator = default_platform_catalog()["tron"](batch)
+            inner = accelerator.run
+
+            def run(workload, ctx=None):
+                with guard:
+                    active[0] += 1
+                    peak[0] = max(peak[0], active[0])
+                try:
+                    time.sleep(1e-4)  # invite another thread in
+                    return inner(workload, ctx=ctx)
+                finally:
+                    with guard:
+                        active[0] -= 1
+
+            accelerator.run = run
+            return accelerator
+
+        rounds, threads = 10, 6
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            # A one-entry cache keeps nearly every request a miss.
+            with ServingEngine(
+                cache_entries=1, max_pending=3, catalog={"tron": probing_tron}
+            ) as engine:
+                served = [[] for _ in range(threads)]
+
+                def client(slot):
+                    for _ in range(rounds):
+                        if slot % 2:
+                            served[slot] += engine.serve(requests)
+                        else:
+                            served[slot] += [
+                                engine.submit(r) for r in requests
+                            ]
+
+                pool = [
+                    threading.Thread(target=client, args=(slot,))
+                    for slot in range(threads)
+                ]
+                for thread in pool:
+                    thread.start()
+                for thread in pool:
+                    thread.join(timeout=60)
+                assert not any(thread.is_alive() for thread in pool)
+                engine.drain()
+        finally:
+            sys.setswitchinterval(interval)
+
+        total = threads * rounds * len(requests)
+        assert peak[0] == 1
+        assert engine.scheduler.stats.requests == total
+        assert engine.stats.requests == total
+        for responses in served:
+            for i, response in enumerate(responses):
+                if not isinstance(response, ServeResponse):
+                    response = response.result(timeout=60)
+                assert response.report.to_dict() == expected[i % 4]
 
 
 class TestServingEngine:
