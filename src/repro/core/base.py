@@ -17,6 +17,7 @@ Two contracts live here:
 from __future__ import annotations
 
 import abc
+from dataclasses import replace
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -270,3 +271,33 @@ class Accelerator(abc.ABC):
     def _check_report(report: RunReport) -> RunReport:
         """Hook for subclasses to validate reports before returning them."""
         return report
+
+
+#: Context-bound clones one accelerator retains (LRU).  A serving worker
+#: rotates each accelerator through about a dozen dies; die sweeps churn
+#: through the bound instead of growing it.
+MAX_CONTEXT_CLONES = 64
+
+
+class ContextBoundAccelerator(Accelerator):
+    """A dataclass accelerator bound to one context (``self.ctx``).
+
+    ``run(workload, ctx=...)`` dispatches through a clone bound to
+    ``ctx``.  Subclasses create ``self._context_clones`` as an
+    ``LRUMemo(max_entries=MAX_CONTEXT_CLONES)`` in ``__post_init__``;
+    a hit refreshes the clone's recency, so a hot rotation of dies keeps
+    its unit stacks and per-clone memos.
+    """
+
+    def bind(self, ctx: Optional[ExecutionContext] = None):
+        """The context-bound clone ``run(workload, ctx=...)`` dispatches
+        to (``self`` for ``None`` or its own context) — public so callers
+        can reach its memory model (e.g. a recorded DRAM command trace)
+        after a run."""
+        if ctx is None or ctx == self.ctx:
+            return self
+        clone = self._context_clones.get(ctx)
+        if clone is None:
+            clone = replace(self, ctx=ctx)
+            self._context_clones.put(ctx, clone)
+        return clone

@@ -17,9 +17,12 @@ this module answers the three questions the cost model needs:
 3. **Is the die functional at all?**  Zero usable rows or columns means
    the sample cannot execute anything.
 
-Scalar physics is memoized per ``(geometry, context)`` and batched
-physics per ``(geometry, die list)``, so sweeps and Monte-Carlo runs
-that revisit a corner or a die population never recompute it.
+Physics is memoized per ``(geometry, context)`` — one die — and
+batched physics also per ``(geometry, die list)``.  Monte-Carlo
+populations hit the list memo as a whole; explicit die lists (serving
+groups) assemble from the per-die memo and draw only unseen dies, so
+sweeps, Monte-Carlo runs and serving traffic that revisit a corner, a
+population or a die never recompute it.
 :func:`batch_context_physics` evaluates all the folding / masking / TED
 math for N samples in one batched numpy pass (each sample draws from
 its own seeded generator, so scalar and batched evaluation see exactly
@@ -389,11 +392,11 @@ def batch_context_physics(
     if samples is not None and samples < 1:
         raise ConfigurationError(f"need >= 1 sample, got {samples}")
     contexts = (
-        [ctx]
+        (ctx,)
         if samples is None
-        else [ctx.for_sample(i) for i in range(samples)]
+        else tuple(ctx.for_sample(i) for i in range(samples))
     )
-    return batch_context_physics_for(spec, contexts)
+    return _memoized_batch(spec, contexts, _evaluate_batch)
 
 
 def batch_context_physics_for(
@@ -408,7 +411,9 @@ def batch_context_physics_for(
     Entry ``i`` of the result is the physics of ``contexts[i]``,
     identical to what :func:`context_physics` computes for that context
     alone.  Results are memoized per ``(geometry, contexts)`` and shared,
-    so their arrays are read-only.
+    so their arrays are read-only; on a list miss, dies already in the
+    per-die memo are reused and only the unseen ones are drawn, in one
+    batched pass.
 
     Args:
         spec: the array geometry (``rows``, ``cols``, ``design``).
@@ -420,20 +425,47 @@ def batch_context_physics_for(
         ConfigurationError: on an empty batch, a pinned context, or
             contexts drawn from different die populations.
     """
-    contexts = tuple(contexts)
+    return _memoized_batch(spec, tuple(contexts), _assemble_from_dies)
+
+
+def _memoized_batch(spec, contexts, evaluate) -> BatchContextPhysics:
+    """``evaluate(spec, contexts)``, memoized per die list, read-only."""
     key = (spec.rows, spec.cols, spec.design, contexts)
     physics = _BATCH_CACHE.get(key)
     if physics is None:
-        physics = _evaluate_batch(spec, contexts)
+        physics = evaluate(spec, contexts)
         for field in fields(physics):
             getattr(physics, field.name).flags.writeable = False
         _BATCH_CACHE.put(key, physics)
     return physics
 
 
-def _evaluate_batch(spec, contexts) -> BatchContextPhysics:
-    """The unmemoized body of :func:`batch_context_physics_for`."""
-    contexts = list(contexts)
+def _assemble_from_dies(spec, contexts) -> BatchContextPhysics:
+    """Batched physics of ``contexts`` served per die from the scalar
+    memo; the unseen dies are drawn in one :func:`_evaluate_batch` pass
+    and memoized.  Bit-identical to evaluating the whole list at once."""
+    _check_batch(contexts)
+    keys = [(spec.rows, spec.cols, spec.design, ctx) for ctx in contexts]
+    dies = [_PHYSICS_CACHE.get(key) for key in keys]
+    unseen = [i for i, die in enumerate(dies) if die is None]
+    if unseen:
+        drawn = _evaluate_batch(spec, [contexts[i] for i in unseen])
+        for j, i in enumerate(unseen):
+            dies[i] = drawn.sample(j)
+            _PHYSICS_CACHE.put(keys[i], dies[i])
+    # Field types are the strings "int" / "float": numpy's default
+    # integer and float64, the dtypes of an _evaluate_batch pass.
+    return BatchContextPhysics(**{
+        field.name: np.array(
+            [getattr(die, field.name) for die in dies], dtype=field.type
+        )
+        for field in fields(ArrayContextPhysics)
+    })
+
+
+def _check_batch(contexts) -> None:
+    """Raise unless ``contexts`` is a non-empty list of unpinned dies of
+    one family (the preconditions of one batched physics pass)."""
     if not contexts:
         raise ConfigurationError("need >= 1 context to batch")
     base = contexts[0]
@@ -452,7 +484,13 @@ def _evaluate_batch(spec, contexts) -> BatchContextPhysics:
                 "variation model, thermal corner, TED flag and tuner "
                 "range (they may differ only in seed)"
             )
-    ctx = base
+
+
+def _evaluate_batch(spec, contexts) -> BatchContextPhysics:
+    """One unmemoized batched physics pass over ``contexts``."""
+    contexts = list(contexts)
+    _check_batch(contexts)
+    ctx = contexts[0]
     rows, cols = spec.rows, spec.cols
     fsr = _design_fsr_nm(spec.design)
     # The draws loop per die (each die has its own seeded generator, so

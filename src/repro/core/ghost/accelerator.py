@@ -11,13 +11,17 @@ penalty.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.base import Accelerator, Workload, WorkloadKind
+from repro.core.base import (
+    MAX_CONTEXT_CLONES,
+    ContextBoundAccelerator,
+    Workload,
+    WorkloadKind,
+)
 from repro.core.context import ExecutionContext
 from repro.core.engine import (
     ArraySpec,
@@ -47,13 +51,9 @@ from repro.nn.gnn import (
 )
 from repro.nn.ops import relu
 
-#: Context-bound clones retained per accelerator instance (a corner grid
-#: is small; die sweeps churn through the cache instead of growing it).
-_MAX_CONTEXT_CLONES = 8
-
 
 @dataclass
-class GHOST(Accelerator):
+class GHOST(ContextBoundAccelerator):
     """The silicon-photonic GNN accelerator (Sections V.D, VI).
 
     Example::
@@ -80,7 +80,7 @@ class GHOST(Accelerator):
             context=self.ctx,
             geometry=self.config.hbm,
         )
-        self._context_clones: Dict[ExecutionContext, "GHOST"] = {}
+        self._context_clones = LRUMemo(max_entries=MAX_CONTEXT_CLONES)
         # Stage-cost memo: aggregate/combine/update/memory layer costs
         # keyed on exactly the inputs they depend on, so re-running on
         # evolving graph snapshots (temporal streams) reuses every stage
@@ -101,26 +101,6 @@ class GHOST(Accelerator):
             )
         ]
 
-    def _bound(self, ctx: Optional[ExecutionContext]) -> "GHOST":
-        """This accelerator, bound to ``ctx`` (memoized per corner).
-
-        The clone cache is bounded: looping one instance over many dies
-        (distinct seeds) must not retain a block stack per die.
-        """
-        if ctx is None or ctx == self.ctx:
-            return self
-        if ctx not in self._context_clones:
-            while len(self._context_clones) >= _MAX_CONTEXT_CLONES:
-                self._context_clones.pop(next(iter(self._context_clones)))
-            self._context_clones[ctx] = replace(self, ctx=ctx)
-        return self._context_clones[ctx]
-
-    def bind(self, ctx: Optional[ExecutionContext] = None) -> "GHOST":
-        """The context-bound clone ``run(workload, ctx=...)`` dispatches
-        to — public so callers can reach its memory model (e.g. a
-        recorded DRAM command trace) after a run."""
-        return self._bound(ctx)
-
     def describe(self) -> str:
         cfg = self.config
         return (
@@ -138,7 +118,7 @@ class GHOST(Accelerator):
         workload: Workload,
         ctx: Optional[ExecutionContext] = None,
     ) -> RunReport:
-        engine = self._bound(ctx)
+        engine = self.bind(ctx)
         if workload.kind is WorkloadKind.GNN:
             report = engine.run_gnn(workload.model_config, workload.graph)
             # Figure tables key rows on the registry name, not the
@@ -253,21 +233,12 @@ class GHOST(Accelerator):
         self._stage_memo.clear()
         self._stage_memo.reset_stats()
 
-    @staticmethod
-    def _degree_digest(graph: CSRGraph) -> bytes:
-        """Digest of the degree array — everything the aggregate stage's
-        cost depends on besides the block configuration."""
-        return hashlib.blake2b(
-            np.ascontiguousarray(graph.degrees()).tobytes(), digest_size=16
-        ).digest()
-
     def run_gnn(self, model: GNNConfig, graph: CSRGraph) -> RunReport:
         """Estimate one full-graph inference (Figs. 10 and 11 path)."""
         if graph.num_nodes < 1:
             raise ConfigurationError("graph must have at least one node")
         cfg = self.config
         pim_offload = getattr(self.memory_model, "pim_active", False)
-        degree_digest = self._degree_digest(graph)
         total_latency = LatencyReport()
         total_energy = EnergyReport()
         for layer_idx, (d_in, d_out) in enumerate(model.layer_dims()):
@@ -311,7 +282,7 @@ class GHOST(Accelerator):
                 )
             else:
                 agg = self._memoized(
-                    ("aggregate", degree_digest, d_in, model.reduction),
+                    ("aggregate", graph.degree_digest, d_in, model.reduction),
                     lambda: self.aggregate.layer_cost(
                         graph, d_in, model.reduction
                     ),

@@ -13,15 +13,21 @@ two-layer MLP engine, so the general case just tiles more layers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import List, Optional
 
 import numpy as np
 
-from repro.core.base import Accelerator, Workload, WorkloadKind
+from repro.core.base import (
+    MAX_CONTEXT_CLONES,
+    ContextBoundAccelerator,
+    Workload,
+    WorkloadKind,
+)
 from repro.core.context import ExecutionContext
 from repro.core.engine import (
     ArraySpec,
+    LRUMemo,
     MemoryModel,
     build_memory_backend,
     serial_waves,
@@ -34,13 +40,9 @@ from repro.errors import ConfigurationError, MappingError
 from repro.nn.counting import transformer_op_count
 from repro.nn.transformer import TransformerConfig, TransformerKind, TransformerModel
 
-#: Context-bound clones retained per accelerator instance (a corner grid
-#: is small; die sweeps churn through the cache instead of growing it).
-_MAX_CONTEXT_CLONES = 8
-
 
 @dataclass
-class TRON(Accelerator):
+class TRON(ContextBoundAccelerator):
     """The silicon-photonic transformer accelerator (Sections V.C, VI).
 
     Example::
@@ -51,7 +53,7 @@ class TRON(Accelerator):
 
     A TRON instance is bound to one execution context (``ctx``, default
     nominal); ``run(workload, ctx=...)`` transparently dispatches through
-    a context-bound clone, memoized per corner.
+    a context-bound clone, LRU-memoized per context.
     """
 
     config: TRONConfig = field(default_factory=TRONConfig)
@@ -69,7 +71,7 @@ class TRON(Accelerator):
             context=self.ctx,
             geometry=self.config.hbm,
         )
-        self._context_clones: Dict[ExecutionContext, "TRON"] = {}
+        self._context_clones = LRUMemo(max_entries=MAX_CONTEXT_CLONES)
 
     @property
     def name(self) -> str:
@@ -79,26 +81,6 @@ class TRON(Accelerator):
         """The distinct MR bank array geometries this instance deploys
         (all TRON units share one array spec)."""
         return [ArraySpec.from_config(self.config)]
-
-    def _bound(self, ctx: Optional[ExecutionContext]) -> "TRON":
-        """This accelerator, bound to ``ctx`` (memoized per corner).
-
-        The clone cache is bounded: looping one instance over many dies
-        (distinct seeds) must not retain a unit stack per die.
-        """
-        if ctx is None or ctx == self.ctx:
-            return self
-        if ctx not in self._context_clones:
-            while len(self._context_clones) >= _MAX_CONTEXT_CLONES:
-                self._context_clones.pop(next(iter(self._context_clones)))
-            self._context_clones[ctx] = replace(self, ctx=ctx)
-        return self._context_clones[ctx]
-
-    def bind(self, ctx: Optional[ExecutionContext] = None) -> "TRON":
-        """The context-bound clone ``run(workload, ctx=...)`` dispatches
-        to — public so callers can reach its memory model (e.g. a
-        recorded DRAM command trace) after a run."""
-        return self._bound(ctx)
 
     def describe(self) -> str:
         cfg = self.config
@@ -118,7 +100,7 @@ class TRON(Accelerator):
         workload: Workload,
         ctx: Optional[ExecutionContext] = None,
     ) -> RunReport:
-        engine = self._bound(ctx)
+        engine = self.bind(ctx)
         if workload.kind is WorkloadKind.TRANSFORMER:
             return engine.run_transformer(workload.model)
         if workload.kind is WorkloadKind.MLP:
@@ -143,7 +125,7 @@ class TRON(Accelerator):
         # Local import: the streaming package layers on top of the core.
         from repro.streaming.decode import decode_series
 
-        engine = self._bound(ctx)
+        engine = self.bind(ctx)
         return decode_series(
             engine,
             workload.model,

@@ -8,6 +8,8 @@ statistics, and the partitioner slices it into blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from hashlib import blake2b
 from typing import Iterable, Tuple, Union
 
 import numpy as np
@@ -24,6 +26,10 @@ class CSRGraph:
         indices: (num_edges,) column indices (neighbour ids).
         num_node_features: width of per-node feature vectors (metadata used
             by cost models; features themselves live with the caller).
+
+    Nothing in the library edits a graph after ``__post_init__``, so
+    values derived from its arrays (e.g. :attr:`degree_digest`) are
+    cached on the instance.
     """
 
     indptr: np.ndarray
@@ -83,6 +89,14 @@ class CSRGraph:
     def degrees(self) -> np.ndarray:
         """Out-degrees of all vertices."""
         return np.diff(self.indptr).astype(float)
+
+    @cached_property
+    def degree_digest(self) -> bytes:
+        """16-byte digest of :meth:`degrees` (GHOST's aggregate-stage
+        memo key), hashed once per graph."""
+        return blake2b(
+            np.ascontiguousarray(self.degrees()).tobytes(), digest_size=16
+        ).digest()
 
     @property
     def average_degree(self) -> float:

@@ -16,15 +16,19 @@ from repro.core import (
     get_workload,
     standard_corners,
 )
+from repro.core.base import MAX_CONTEXT_CLONES
 from repro.core.engine import (
     ArrayExecutor,
     ArraySpec,
+    batch_context_physics,
     batch_context_physics_for,
     clear_physics_cache,
     context_physics,
 )
+from repro.core.engine import corners
 from repro.core.engine.corners import (
     _BATCH_CACHE,
+    _PHYSICS_CACHE,
     BATCH_PHYSICS_ENTRIES,
     _evaluate_batch,
 )
@@ -233,13 +237,51 @@ class TestYieldGating:
         workload = get_workload("MLP-mnist")
         tron = TRON()
         evictions_before = _PHYSICS_CACHE.stats.evictions
-        for i in range(_PHYSICS_CACHE.max_entries + 20):
+        dies = _PHYSICS_CACHE.max_entries + 20
+        assert dies > MAX_CONTEXT_CLONES
+        for i in range(dies):
             tron.run(workload, ctx=dataclasses.replace(VARIED, seed=20 + i))
-        assert len(tron._context_clones) <= 8
+        assert len(tron._context_clones) <= MAX_CONTEXT_CLONES
         assert len(_BREAKDOWN_CACHE) <= _BREAKDOWN_CACHE.max_entries
         assert len(_PHYSICS_CACHE) <= _PHYSICS_CACHE.max_entries
         # The LRU discipline is observable: the overflow evicted entries.
         assert _PHYSICS_CACHE.stats.evictions > evictions_before
+
+    def test_die_rotation_builds_each_clone_once(self):
+        """Two passes of a 12-die rotation (3 corners x 4 seeds, the
+        serving traffic) reuse every context clone: hits refresh the
+        LRU, so no hot clone is evicted and rebuilt."""
+        corners_ = standard_corners()
+        dies = [
+            dataclasses.replace(corners_[name], seed=seed)
+            for name in ("typical", "slow-hot", "fast-cold")
+            for seed in range(4)
+        ]
+        for accelerator, workload in (
+            (TRON(), get_workload("MLP-mnist")),
+            (GHOST(), get_workload("GCN-cora")),
+        ):
+            first = [accelerator.bind(ctx) for ctx in dies]
+            for ctx in dies:
+                accelerator.run(workload, ctx=ctx)
+            second = [accelerator.bind(ctx) for ctx in dies]
+            assert all(a is b for a, b in zip(first, second))
+            assert accelerator._context_clones.stats.insertions == len(dies)
+
+    def test_clone_cache_evicts_least_recent(self):
+        tron = TRON()
+        dies = [
+            dataclasses.replace(VARIED, seed=1000 + i)
+            for i in range(MAX_CONTEXT_CLONES + 1)
+        ]
+        oldest = tron.bind(dies[0])
+        for ctx in dies[1:MAX_CONTEXT_CLONES]:
+            tron.bind(ctx)
+        assert tron.bind(dies[0]) is oldest  # refreshed, now most recent
+        tron.bind(dies[-1])
+        assert len(tron._context_clones) == MAX_CONTEXT_CLONES
+        assert tron.bind(dies[0]) is oldest
+        assert dies[1] not in tron._context_clones
 
     def test_correction_power_scales_breakdown(self):
         spec = ArraySpec(rows=16, cols=16)
@@ -388,3 +430,85 @@ class TestBatchPhysicsMemo:
         assert [batch.sample(i) for i in range(len(dies))] == scalar
         # The tight tuner gates some dies, so the check covers yield too.
         assert len({p.usable_rows for p in scalar}) > 1
+
+
+class TestPerDiePhysics:
+    """Explicit die lists draw only dies the per-die memo has not seen.
+
+    Bit-identity between per-die assembly and a whole-list pass needs a
+    float32 TED matmul whose rows do not depend on the batch's row count.
+    That holds for the 64x64 arrays of TRON and GHOST (all serving
+    traffic); for some smaller arrays the BLAS kernel choice depends on
+    the batch size (see ``test_small_array_rows_depend_on_batch_size``).
+    """
+
+    SPEC = ArraySpec(rows=64, cols=64)
+
+    @staticmethod
+    def dies(seeds, base=VARIED):
+        return [dataclasses.replace(base, seed=seed) for seed in seeds]
+
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Count the dies every ``_evaluate_batch`` pass draws."""
+        clear_physics_cache()
+        counts = []
+        evaluate = corners._evaluate_batch
+
+        def counting(spec, contexts):
+            contexts = list(contexts)
+            counts.append(len(contexts))
+            return evaluate(spec, contexts)
+
+        monkeypatch.setattr(corners, "_evaluate_batch", counting)
+        return counts
+
+    def test_overlapping_lists_draw_unseen_dies_only(self, drawn):
+        lists = [self.dies([0, 1]), self.dies([1, 2]), self.dies(range(4))]
+        results = [batch_context_physics_for(self.SPEC, dies) for dies in lists]
+        assert sum(drawn) == 4  # a whole-list memo alone draws 8
+        for dies, physics in zip(lists, results):
+            fresh = _evaluate_batch(self.SPEC, dies)
+            for field in dataclasses.fields(physics):
+                got = getattr(physics, field.name)
+                want = getattr(fresh, field.name)
+                assert got.dtype == want.dtype, field.name
+                assert got.tobytes() == want.tobytes(), field.name
+                assert not got.flags.writeable, field.name
+
+    def test_memo_hits_are_still_validated(self, drawn):
+        batch_context_physics_for(self.SPEC, self.dies([0, 1]))
+        hot = dataclasses.replace(VARIED, thermal=ThermalCorner("hot", 30.0))
+        batch_context_physics_for(self.SPEC, self.dies([0], base=hot))
+        pinned = VARIED.with_pinned(
+            {(64, 64): PinnedArrayPhysics(64, 64, 1.0)}
+        )
+        for dies in (
+            self.dies([0, 1]) + [pinned],
+            self.dies([1, 0]) + [None],
+            self.dies([0]) + self.dies([0], base=hot),
+        ):
+            with pytest.raises(ConfigurationError):
+                batch_context_physics_for(self.SPEC, dies)
+        assert sum(drawn) == 3
+
+    def test_monte_carlo_skips_per_die_memo(self, drawn):
+        before = _PHYSICS_CACHE.stats.to_dict()
+        batch_context_physics(self.SPEC, VARIED, 16)
+        assert _PHYSICS_CACHE.stats.to_dict() == before
+        assert len(_PHYSICS_CACHE) == 0
+        assert drawn == [16]
+
+    @pytest.mark.xfail(
+        reason="known defect: the float32 TED matmul of small arrays "
+        "rounds differently for one die than inside a larger batch "
+        "(BLAS picks its kernel by matrix shape), so per-die memo "
+        "entries of such arrays depend on which batch drew them",
+        strict=False,
+    )
+    def test_small_array_rows_depend_on_batch_size(self):
+        spec = ArraySpec(rows=32, cols=32)
+        dies = self.dies(range(8))
+        whole = _evaluate_batch(spec, dies).correction_power_mw.copy()
+        alone = [_evaluate_batch(spec, [ctx]).correction_power_mw[0] for ctx in dies]
+        assert whole.tobytes() == np.array(alone).tobytes()

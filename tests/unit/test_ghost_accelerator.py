@@ -170,3 +170,33 @@ class TestGHOSTAccelerator:
 
     def test_describe_mentions_lanes(self, ghost):
         assert "lanes" in ghost.describe()
+
+
+def test_degrees_hashed_once_per_graph(monkeypatch):
+    """Repeated and context-bound runs on one graph hash its degree
+    array once; the digest lives on the graph."""
+    import dataclasses
+
+    import repro.graphs.graph as graph_module
+    from repro.core import ExecutionContext
+    from repro.photonics.variation import ProcessVariationModel
+
+    calls = []
+    blake2b = graph_module.blake2b
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return blake2b(*args, **kwargs)
+
+    monkeypatch.setattr(graph_module, "blake2b", counting)
+    graph = erdos_renyi(120, 0.05, rng=np.random.default_rng(7))
+    model = make_gnn(GNNKind.GCN, in_dim=16, out_dim=4, hidden_dim=8)
+    ghost = GHOST()
+    ctx = ExecutionContext(variation=ProcessVariationModel(), seed=1)
+    reports = [ghost.run_gnn(model.config, graph) for _ in range(2)]
+    for seed in (1, 2):
+        ghost.bind(dataclasses.replace(ctx, seed=seed)).run_gnn(
+            model.config, graph
+        )
+    assert len(calls) == 1
+    assert reports[0] == reports[1]

@@ -97,3 +97,21 @@ class TestSubgraph:
     def test_rejects_out_of_range(self, path_graph):
         with pytest.raises(ConfigurationError):
             path_graph.subgraph(np.array([99]))
+
+
+class TestDegreeDigest:
+    def test_cached_per_graph(self, path_graph):
+        digest = path_graph.degree_digest
+        assert isinstance(digest, bytes) and len(digest) == 16
+        assert path_graph.degree_digest is digest
+
+    def test_distinguishes_degree_arrays(self):
+        path = CSRGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+        star = CSRGraph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
+        assert path.degree_digest != star.degree_digest
+        # Only degrees count: a hexagon and two triangles are 2-regular.
+        hexagon = CSRGraph.from_edges(6, [(i, (i + 1) % 6) for i in range(6)])
+        triangles = CSRGraph.from_edges(
+            6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+        )
+        assert hexagon.degree_digest == triangles.degree_digest
