@@ -20,8 +20,7 @@ from repro.analysis.sweep import (
     run_sweep,
     tron_sweep_space,
 )
-from repro.core.engine import clear_physics_cache
-from repro.workloads import clear_graph_memo
+from repro.core.engine import memo
 
 
 def production_spaces(quick: bool = False):
@@ -48,8 +47,8 @@ def production_spaces(quick: bool = False):
 
 def _evaluate_point_naively(space, point):
     """One fresh scalar evaluation of a sweep point (cold caches)."""
-    clear_physics_cache()
-    clear_graph_memo()
+    memo.clear("engine.")
+    memo.clear("workloads.graph")
     workload = space.build_workload()
     knobs = {k: v for k, v in point.knobs.items() if k != "corner"}
     return space.build_accelerator(knobs).run(workload, ctx=None)
@@ -57,7 +56,7 @@ def _evaluate_point_naively(space, point):
 
 def _timed_sweeps(spaces, strategy):
     """``({space name: points}, wall seconds)`` from cold physics caches."""
-    clear_physics_cache()
+    memo.clear("engine.")
     t0 = time.perf_counter()
     points = {
         space.name: run_sweep(space, strategy=strategy) for space in spaces
@@ -85,7 +84,7 @@ def measure_sweep(quick: bool = False):
     """
     spaces = production_spaces(quick=quick)
 
-    clear_graph_memo()
+    memo.clear("workloads.graph")
     naive, naive_s = _timed_sweeps(spaces, "naive")
 
     # Warm the graph memo outside the timed regions: both engine arms

@@ -123,7 +123,7 @@ def measure_temporal_stream(workload_name, iterations):
     t0 = time.perf_counter()
     for _ in range(iterations):
         for graph in snapshots:
-            cold_ghost.reset_stage_memo()
+            cold_ghost.stage_memo.clear()
             cold_ghost.run_gnn(model, graph)
     cold_wall = (time.perf_counter() - t0) / iterations
 

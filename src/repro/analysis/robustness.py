@@ -47,8 +47,8 @@ from repro.core.context import ExecutionContext, PinnedArrayPhysics
 from repro.core.engine import (
     SoAStats,
     batch_context_physics,
-    clear_physics_cache,
     context_physics,
+    memo,
     soa_config_supported,
     soa_evaluator,
 )
@@ -289,16 +289,14 @@ def _run_naive(
     make_accelerator, make_workload, context, samples
 ) -> MonteCarloResult:
     """The baseline: N scalar runs, nothing shared between samples."""
-    from repro.workloads import clear_graph_memo
-
     operational = np.zeros(samples, dtype=bool)
     fully_functional = np.zeros(samples, dtype=bool)
     latency_ns = np.full(samples, np.nan)
     energy_pj = np.full(samples, np.nan)
     tuning_power_mw = np.full(samples, np.nan)
     for i in range(samples):
-        clear_physics_cache()
-        clear_graph_memo()
+        memo.clear("engine.")
+        memo.clear("workloads.graph")
         workload = make_workload()
         accelerator = make_accelerator()
         ctx = context.for_sample(i)
@@ -317,7 +315,7 @@ def _run_naive(
         tuning_power_mw[i] = sum(
             p.correction_power_mw for p in physics if p is not None
         )
-    clear_physics_cache()
+    memo.clear("engine.")
     workload = make_workload()
     accelerator = make_accelerator()
     nominal = accelerator.run(workload)

@@ -36,7 +36,7 @@ from repro.core.base import Accelerator, Workload
 from repro.core.context import ExecutionContext
 from repro.core.engine import (
     SoAStats,
-    clear_physics_cache,
+    memo,
     pareto_mask,
     soa_config_supported,
     soa_evaluator,
@@ -233,12 +233,10 @@ def _run_naive(
 ) -> List[SweepPoint]:
     """The benchmark baseline: every point rebuilds its workload and
     recomputes its physics from cold caches."""
-    from repro.workloads import clear_graph_memo
-
     points = []
     for knobs, label, ctx in evaluations:
-        clear_physics_cache()
-        clear_graph_memo()
+        memo.clear("engine.")
+        memo.clear("workloads.graph")
         workload = space.build_workload()
         report = space.build_accelerator(knobs).run(workload, ctx=ctx)
         points.append(SweepPoint(label=label, knobs=knobs, report=report))

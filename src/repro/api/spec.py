@@ -349,8 +349,9 @@ class ExperimentSpec:
     # ------------------------------------------------------------------
 
     def to_json(self, indent: int = 2) -> str:
-        """The spec as a JSON document."""
-        return json.dumps(self.to_dict(), indent=indent) + "\n"
+        """The spec as a JSON document (a non-finite value raises)."""
+        text = json.dumps(self.to_dict(), indent=indent, allow_nan=False)
+        return text + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentSpec":

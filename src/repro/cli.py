@@ -94,7 +94,7 @@ def _load_spec(args, expected_kind: str, **flag_defaults):
 def _emit(result, args) -> None:
     """Print a result object the way the flags ask for."""
     if getattr(args, "json", False):
-        print(json.dumps(result.envelope(), indent=2))
+        print(json.dumps(result.envelope(), indent=2, allow_nan=False))
     else:
         print(result.format())
 
@@ -225,7 +225,7 @@ def _cmd_cache(args) -> int:
     session = _session()
     result = session.clear_cache() if args.clear else session.cache_info()
     if args.json and result.enabled and not args.clear:
-        print(json.dumps(result.envelope(), indent=2))
+        print(json.dumps(result.envelope(), indent=2, allow_nan=False))
     else:
         print(result.format())
     return 0
@@ -262,7 +262,7 @@ def _cmd_serve(args) -> int:
             tenant_rate=args.tenant_rate,
         )
     if args.json:
-        print(json.dumps(result.envelope(), indent=2))
+        print(json.dumps(result.envelope(), indent=2, allow_nan=False))
     else:
         print(result.format(detailed=args.stats))
     return 0 if result.ok else 1

@@ -284,9 +284,9 @@ class ContextBoundAccelerator(Accelerator):
 
     ``run(workload, ctx=...)`` dispatches through a clone bound to
     ``ctx``.  Subclasses create ``self._context_clones`` as an
-    ``LRUMemo(max_entries=MAX_CONTEXT_CLONES)`` in ``__post_init__``;
-    a hit refreshes the clone's recency, so a hot rotation of dies keeps
-    its unit stacks and per-clone memos.
+    ``LRUMemo("accelerator.context_clones", MAX_CONTEXT_CLONES)`` in
+    ``__post_init__``; a hit refreshes the clone's recency, so a hot
+    rotation of dies keeps its unit stacks and per-clone memos.
     """
 
     def bind(self, ctx: Optional[ExecutionContext] = None):

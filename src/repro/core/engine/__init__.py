@@ -27,7 +27,6 @@ from repro.core.engine.corners import (
     batch_context_physics,
     batch_context_physics_for,
     context_physics,
-    context_physics_cache_stats,
 )
 from repro.core.engine.diskcache import (
     PhysicsDiskCache,
@@ -40,8 +39,6 @@ from repro.core.engine.diskcache import (
 from repro.core.engine.matmul import (
     ArrayExecutor,
     ArraySpec,
-    breakdown_cache_stats,
-    clear_physics_cache,
     nominal_breakdown_pj,
     photonic_matmul,
     prime_breakdown_cache,
@@ -61,12 +58,9 @@ from repro.core.engine.membackend import (
     list_memory_backends,
     register_memory_backend,
 )
+from repro.core.engine import memo
 from repro.core.engine.memo import LRUMemo, MemoStats
 from repro.core.engine.memory import MemoryModel, Traffic
-from repro.core.engine.movement import (
-    clear_movement_cache,
-    movement_cache_stats,
-)
 from repro.core.engine.pipeline import (
     PipelineStage,
     overlapped_stage_latency_ns,
@@ -75,18 +69,48 @@ from repro.core.engine.pipeline import (
 )
 
 
+#: The ``engine.*`` memos, in ``physics_cache`` envelope order.
+_PHYSICS_MEMOS = (
+    "breakdown", "context_physics", "batch_physics",
+    "coupling_inverse", "design_fsr", "movement",
+)
+
+
 def physics_cache_stats() -> dict:
     """One dict aggregating every physics-cache observable.
 
-    The in-process memos (device-physics curves, per-context physics)
-    plus the persistent disk cache — what ``repro sweep --json`` and
-    ``repro serve --stats`` surface.
+    The registry's ``engine.*`` memos plus the persistent disk cache —
+    what ``repro sweep --json`` and ``repro serve --stats`` surface.
     """
-    stats = {"breakdown": breakdown_cache_stats()}
-    stats.update(context_physics_cache_stats())
-    stats["movement"] = movement_cache_stats()
+    registry = memo.stats("engine.")
+    stats = {name: registry["engine." + name] for name in _PHYSICS_MEMOS}
     stats["disk"] = disk_cache_stats()
     return stats
+
+
+def clear_physics_cache() -> None:
+    """Drop the ``engine.*`` memos (benchmarks use this to time the
+    unmemoized path).  The graph memo and the persistent disk cache are
+    deliberately untouched — ``repro cache --clear`` owns the latter."""
+    memo.clear("engine.")
+
+
+# Per-memo names from before the registry, kept as aliases.
+def breakdown_cache_stats() -> dict:
+    return physics_cache_stats()["breakdown"]
+
+
+def context_physics_cache_stats() -> dict:
+    return dict(list(physics_cache_stats().items())[1:5])
+
+
+def movement_cache_stats() -> dict:
+    return physics_cache_stats()["movement"]
+
+
+def clear_movement_cache() -> None:
+    memo.clear("engine.movement")
+
 
 __all__ = [
     "ArrayContextPhysics",
@@ -119,6 +143,7 @@ __all__ = [
     "disk_cache_stats",
     "fingerprint",
     "list_memory_backends",
+    "memo",
     "movement_cache_stats",
     "nominal_breakdown_pj",
     "overlapped_stage_latency_ns",

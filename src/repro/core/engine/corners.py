@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -119,15 +119,15 @@ class BatchContextPhysics:
 #: (rows, cols, design, context) -> scalar physics record.  LRU-bounded
 #: (with eviction counters) so per-die loops (a fresh context per seed)
 #: churn through it instead of growing it.
-_PHYSICS_CACHE: LRUMemo = LRUMemo(max_entries=256)
+_PHYSICS_CACHE = LRUMemo("engine.context_physics", 256)
 #: (rows, cols, design, contexts) -> read-only batched physics, shared by
 #: Monte-Carlo runs and serving groups over one die population.
 BATCH_PHYSICS_ENTRIES = 16
-_BATCH_CACHE: LRUMemo = LRUMemo(max_entries=BATCH_PHYSICS_ENTRIES)
+_BATCH_CACHE = LRUMemo("engine.batch_physics", BATCH_PHYSICS_ENTRIES)
 #: cols -> inverse thermal coupling matrix of a bank of heaters.
-_COUPLING_INVERSE_CACHE: LRUMemo = LRUMemo(max_entries=64)
+_COUPLING_INVERSE_CACHE = LRUMemo("engine.coupling_inverse", 64)
 #: design -> FSR at 1550 nm.
-_FSR_CACHE: LRUMemo = LRUMemo(max_entries=64)
+_FSR_CACHE = LRUMemo("engine.design_fsr", 64)
 #: Per-thread scratch of the batched passes.  Their temporaries run to
 #: megabytes, past the allocator's mmap threshold, so fresh ones would
 #: be mapped and page-faulted in again on every call.
@@ -142,25 +142,6 @@ def _scratch(name: str, shape: Tuple[int, ...], dtype=np.float32) -> np.ndarray:
         buffer = np.empty(size, dtype=dtype)
         setattr(_SCRATCH, name, buffer)
     return buffer[:size].reshape(shape)
-
-
-def clear_context_physics_cache() -> None:
-    """Drop all memoized per-context physics (benchmarks use this to
-    time the unmemoized path, mirroring the engine's physics cache)."""
-    _PHYSICS_CACHE.clear()
-    _BATCH_CACHE.clear()
-    _COUPLING_INVERSE_CACHE.clear()
-    _FSR_CACHE.clear()
-
-
-def context_physics_cache_stats() -> Dict[str, Dict[str, float]]:
-    """Hit/miss/eviction counters of the per-context physics memos."""
-    return {
-        "context_physics": _PHYSICS_CACHE.stats.to_dict(),
-        "batch_physics": _BATCH_CACHE.stats.to_dict(),
-        "coupling_inverse": _COUPLING_INVERSE_CACHE.stats.to_dict(),
-        "design_fsr": _FSR_CACHE.stats.to_dict(),
-    }
 
 
 def _design_fsr_nm(design: MicroringDesign) -> float:

@@ -21,14 +21,9 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.engine.corners import (
-    ArrayContextPhysics,
-    clear_context_physics_cache,
-    context_physics,
-)
+from repro.core.engine.corners import ArrayContextPhysics, context_physics
 from repro.core.engine.diskcache import active_disk_cache
 from repro.core.engine.memo import LRUMemo
-from repro.core.engine.movement import clear_movement_cache
 from repro.core.reports import EnergyReport
 from repro.errors import ConfigurationError, YieldError
 from repro.photonics.converters import ADC, DAC
@@ -131,21 +126,7 @@ class ArraySpec:
 #: sample's correction tuning power never pollutes the nominal curve.
 #: LRU-bounded (with eviction counters) so per-die loops — a fresh
 #: context per seed — churn through it instead of growing it.
-_BREAKDOWN_CACHE: LRUMemo = LRUMemo(max_entries=256)
-
-
-def clear_physics_cache() -> None:
-    """Drop memoized device-physics curves (benchmarks use this to time
-    the unmemoized path).  The persistent disk cache, when enabled, is
-    deliberately untouched — ``repro cache --clear`` owns that."""
-    _BREAKDOWN_CACHE.clear()
-    clear_context_physics_cache()
-    clear_movement_cache()
-
-
-def breakdown_cache_stats() -> Dict[str, float]:
-    """Hit/miss/eviction counters of the in-process breakdown memo."""
-    return _BREAKDOWN_CACHE.stats.to_dict()
+_BREAKDOWN_CACHE = LRUMemo("engine.breakdown", 256)
 
 
 def _nominal_breakdown(

@@ -1,33 +1,32 @@
-"""Bounded, stats-instrumented in-process memos for the physics caches.
+"""Bounded, stats-instrumented in-process memos and their one registry.
 
-The engine memoizes two families of expensive pure functions: per-spec
-device-physics energy curves (:mod:`repro.core.engine.matmul`) and
-per-``(geometry, context)`` variation physics
-(:mod:`repro.core.engine.corners`).  Long serving runs and die sweeps
-churn through thousands of distinct keys, so every memo is bounded with
-the same LRU discipline as the serving layer's
-:class:`~repro.serving.cache.ReportCache`: lookups refresh recency,
-inserts evict the least-recently-used entry past the bound, and every
-hit / miss / eviction is counted so cache behaviour is a first-class
-observable (``repro sweep --json``, ``repro serve --stats``).
+Every memo of expensive pure functions — device and context physics,
+movement costs, synthesized graphs, context clones, GHOST stage costs,
+serving reports and routes — is an :class:`LRUMemo`: lookups refresh
+recency, inserts evict the least-recently-used entry past the bound,
+and every hit / miss / eviction is counted.  Each memo registers by
+name, so :func:`stats` and :func:`clear` reach every cache in the
+process.  The registry holds memos weakly (a dropped accelerator takes
+its memos with it); memos that share a name are reported summed.
 
 Example:
-    >>> memo = LRUMemo(max_entries=2)
+    >>> memo = LRUMemo("doc.example", max_entries=2)
     >>> memo.get("a") is None
     True
     >>> memo.put("a", 1); memo.put("b", 2); memo.put("c", 3)
     >>> memo.get("a") is None   # evicted as LRU
     True
-    >>> memo.stats.evictions
+    >>> stats("doc.")["doc.example"]["evictions"]
     1
 """
 
 from __future__ import annotations
 
 import threading
+import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from dataclasses import asdict, astuple, dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -57,33 +56,38 @@ class MemoStats:
         """Fraction of lookups served from the memo (0.0 when idle)."""
         return self.hits / self.lookups if self.lookups else 0.0
 
+    def __add__(self, other: "MemoStats") -> "MemoStats":
+        return MemoStats(*map(sum, zip(astuple(self), astuple(other))))
+
     def to_dict(self) -> Dict[str, float]:
         """JSON-serializable form."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
+
+
+#: name -> the live memos registered under it (weakly held).
+_REGISTRY: Dict[str, "weakref.WeakSet[LRUMemo]"] = {}
+_REGISTRY_LOCK = threading.Lock()
 
 
 class LRUMemo:
-    """A bounded LRU mapping with hit/miss/eviction accounting.
+    """A named, bounded LRU mapping with hit/miss/eviction accounting.
 
-    Thread-safe: sweep thread pools and the serving flush worker share
-    the engine's module-level memos.
+    Thread-safe: the serving engine's flush thread and ``submit``
+    callers share the module-level memos.
     """
 
-    def __init__(self, max_entries: int = 256) -> None:
+    def __init__(self, name: str, max_entries: int = 256) -> None:
         if max_entries < 1:
             raise ConfigurationError(
-                f"memo needs >= 1 entry, got {max_entries}"
+                f"memo {name!r} needs >= 1 entry, got {max_entries}"
             )
+        self.name = name
         self.max_entries = max_entries
         self.stats = MemoStats()
         self._entries: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.Lock()
+        with _REGISTRY_LOCK:
+            _REGISTRY.setdefault(name, weakref.WeakSet()).add(self)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -122,3 +126,31 @@ class LRUMemo:
         """Zero the lookup accounting."""
         with self._lock:
             self.stats = MemoStats()
+
+
+def _registered(prefix: str) -> Dict[str, List[LRUMemo]]:
+    """name -> live memos, for every name starting with ``prefix``."""
+    with _REGISTRY_LOCK:
+        found = {
+            name: list(members)
+            for name, members in sorted(_REGISTRY.items())
+            if name.startswith(prefix)
+        }
+    return {name: members for name, members in found.items() if members}
+
+
+def stats(prefix: str = "") -> Dict[str, Dict[str, float]]:
+    """``{name: MemoStats.to_dict()}`` of every live memo under ``prefix``
+    (sorted by name; memos that share a name are summed)."""
+    return {
+        name: sum((memo.stats for memo in members), MemoStats()).to_dict()
+        for name, members in _registered(prefix).items()
+    }
+
+
+def clear(prefix: str = "") -> None:
+    """Drop the entries of every live memo under ``prefix`` (accounting
+    is kept, as in :meth:`LRUMemo.clear`)."""
+    for members in _registered(prefix).values():
+        for memo in members:
+            memo.clear()

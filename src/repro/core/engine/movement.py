@@ -13,32 +13,34 @@ The memo is consulted only on the costing path: a tracing model bypasses
 it entirely, because recording the DRAM command stream is a side effect
 a cache hit would silently skip.
 
-Stats surface under the ``movement`` key of
+The memo registers as ``engine.movement`` (:mod:`repro.core.engine.memo`),
+so its counters surface under the ``movement`` key of
 :func:`repro.core.engine.physics_cache_stats` — visible in
 ``repro sweep --json`` and ``repro serve --stats`` next to the
 breakdown / context / disk cache counters.
 
 Example:
+    >>> from repro.core.engine import memo
     >>> from repro.core.engine.hbm.model import HBMMemoryModel
     >>> from repro.electronics.memory import MemorySystem
-    >>> clear_movement_cache()
+    >>> memo.clear("engine.movement")
     >>> model = HBMMemoryModel(MemorySystem())
-    >>> before = movement_cache_stats()["hits"]
+    >>> before = memo.stats("engine.movement")["engine.movement"]["hits"]
     >>> model.burst_offchip(1 << 20) == model.burst_offchip(1 << 20)
     True
-    >>> movement_cache_stats()["hits"] - before
+    >>> memo.stats("engine.movement")["engine.movement"]["hits"] - before
     1
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict
+from typing import Any, Callable
 
 from repro.core.engine.memo import LRUMemo
 
 #: Bound chosen like the breakdown memo's: a corner grid x a handful of
 #: distinct transfer sizes is tiny; die sweeps churn instead of growing.
-_MOVEMENT_MEMO = LRUMemo(max_entries=4096)
+_MOVEMENT_MEMO = LRUMemo("engine.movement", 4096)
 
 
 def cached_movement(key: Any, compute: Callable[[], Any]) -> Any:
@@ -48,13 +50,3 @@ def cached_movement(key: Any, compute: Callable[[], Any]) -> Any:
         value = compute()
         _MOVEMENT_MEMO.put(key, value)
     return value
-
-
-def movement_cache_stats() -> Dict[str, float]:
-    """Hit/miss/eviction counters of the movement-cost memo."""
-    return _MOVEMENT_MEMO.stats.to_dict()
-
-
-def clear_movement_cache() -> None:
-    """Drop every memoized traffic entry (accounting is kept)."""
-    _MOVEMENT_MEMO.clear()

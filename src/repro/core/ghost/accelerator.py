@@ -12,7 +12,7 @@ penalty.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -80,13 +80,15 @@ class GHOST(ContextBoundAccelerator):
             context=self.ctx,
             geometry=self.config.hbm,
         )
-        self._context_clones = LRUMemo(max_entries=MAX_CONTEXT_CLONES)
+        self._context_clones = LRUMemo(
+            "accelerator.context_clones", MAX_CONTEXT_CLONES
+        )
         # Stage-cost memo: aggregate/combine/update/memory layer costs
         # keyed on exactly the inputs they depend on, so re-running on
         # evolving graph snapshots (temporal streams) reuses every stage
         # the delta left untouched — bit-identically, since the cached
         # value IS the value the stage would recompute.
-        self._stage_memo = LRUMemo(max_entries=512)
+        self.stage_memo = LRUMemo("ghost.stage", 512)
 
     @property
     def name(self) -> str:
@@ -215,23 +217,11 @@ class GHOST(ContextBoundAccelerator):
     def _memoized(self, key: tuple, compute):
         """Stage-cost lookup: cached value or ``compute()``, recorded."""
         sentinel = object()
-        value = self._stage_memo.get(key, sentinel)
+        value = self.stage_memo.get(key, sentinel)
         if value is sentinel:
             value = compute()
-            self._stage_memo.put(key, value)
+            self.stage_memo.put(key, value)
         return value
-
-    def stage_memo_stats(self) -> Dict[str, float]:
-        """Hit/miss accounting of the stage-cost memo (JSON-friendly).
-
-        Temporal streams read this to surface how much of each
-        snapshot's evaluation was reused from the previous deltas."""
-        return self._stage_memo.stats.to_dict()
-
-    def reset_stage_memo(self) -> None:
-        """Drop cached stage costs and zero the accounting (cold start)."""
-        self._stage_memo.clear()
-        self._stage_memo.reset_stats()
 
     def run_gnn(self, model: GNNConfig, graph: CSRGraph) -> RunReport:
         """Estimate one full-graph inference (Figs. 10 and 11 path)."""

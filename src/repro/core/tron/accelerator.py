@@ -71,7 +71,9 @@ class TRON(ContextBoundAccelerator):
             context=self.ctx,
             geometry=self.config.hbm,
         )
-        self._context_clones = LRUMemo(max_entries=MAX_CONTEXT_CLONES)
+        self._context_clones = LRUMemo(
+            "accelerator.context_clones", MAX_CONTEXT_CLONES
+        )
 
     @property
     def name(self) -> str:

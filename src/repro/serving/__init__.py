@@ -48,7 +48,6 @@ from repro.serving.arrivals import (
 )
 from repro.serving.cache import (
     CacheKey,
-    CacheStats,
     ReportCache,
     config_fingerprint,
     normalize_context,
@@ -86,7 +85,6 @@ __all__ = [
     "ArrivalProcess",
     "BatchingScheduler",
     "CacheKey",
-    "CacheStats",
     "FleetResponse",
     "GRANULARITIES",
     "OpenLoopResult",

@@ -15,21 +15,19 @@ components:
   nominal context share one entry (they are bit-identical by
   construction; see :func:`normalize_context`).
 
-Eviction is LRU under a hard entry bound, and every lookup is counted,
-so hit rates are first-class observables (``repro serve --stats``).
+The cache is an :class:`~repro.core.engine.memo.LRUMemo` registered as
+``serving.report_cache``: eviction is LRU under a hard entry bound, and
+every lookup is counted, so hit rates are first-class observables
+(``repro serve --stats``).
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.core.context import ExecutionContext
 from repro.core.engine.diskcache import fingerprint
-from repro.core.reports import RunReport
-from repro.errors import ConfigurationError
+from repro.core.engine.memo import LRUMemo
 
 #: A frozen cache key: (workload name, config fingerprint, context).
 CacheKey = Tuple[str, str, Optional[ExecutionContext]]
@@ -77,45 +75,9 @@ def normalize_context(
     return ctx
 
 
-@dataclass
-class CacheStats:
-    """Lookup accounting of one :class:`ReportCache`.
-
-    Attributes:
-        hits / misses: lookup outcomes since construction (or the last
-            ``reset``).
-        insertions: successful ``put`` calls.
-        evictions: entries dropped to enforce the bound.
-    """
-
-    hits: int = 0
-    misses: int = 0
-    insertions: int = 0
-    evictions: int = 0
-
-    @property
-    def lookups(self) -> int:
-        """Total lookups."""
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from the cache (0.0 when idle)."""
-        return self.hits / self.lookups if self.lookups else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-serializable form."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
-            "hit_rate": self.hit_rate,
-        }
-
-
-class ReportCache:
-    """A bounded LRU cache of :class:`RunReport` keyed by request triple.
+class ReportCache(LRUMemo):
+    """A bounded LRU cache of :class:`~repro.core.reports.RunReport`
+    keyed by request triple (:data:`CacheKey`).
 
     Thread-safe: the serving front-end flushes micro-batches from a
     worker thread while ``submit`` calls keep arriving.
@@ -134,50 +96,4 @@ class ReportCache:
     """
 
     def __init__(self, max_entries: int = 1024) -> None:
-        if max_entries < 1:
-            raise ConfigurationError(
-                f"cache needs >= 1 entry, got {max_entries}"
-            )
-        self.max_entries = max_entries
-        self.stats = CacheStats()
-        self._entries: "OrderedDict[CacheKey, RunReport]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, key: CacheKey) -> bool:
-        """Membership probe; does not count as a lookup or touch LRU."""
-        return key in self._entries
-
-    def get(self, key: CacheKey) -> Optional[RunReport]:
-        """The cached report for ``key``, or ``None`` (counted either way)."""
-        with self._lock:
-            report = self._entries.get(key)
-            if report is None:
-                self.stats.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            return report
-
-    def put(self, key: CacheKey, report: RunReport) -> None:
-        """Insert (or refresh) an entry, evicting LRU past the bound."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = report
-            self.stats.insertions += 1
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-
-    def clear(self) -> None:
-        """Drop every entry (stats are kept; use ``reset_stats`` too)."""
-        with self._lock:
-            self._entries.clear()
-
-    def reset_stats(self) -> None:
-        """Zero the lookup accounting."""
-        with self._lock:
-            self.stats = CacheStats()
+        super().__init__("serving.report_cache", max_entries)

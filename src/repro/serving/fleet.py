@@ -234,7 +234,9 @@ def _worker_main(
     # distinct report.  The report reference in the value keeps the id
     # stable for as long as the memo entry lives.  Bounded at the report
     # cache plus one coalesced batch: every cached report stays memoized.
-    report_payloads = LRUMemo(engine.cache.max_entries + WORKER_COALESCE)
+    report_payloads = LRUMemo(
+        "serving.report_payloads", engine.cache.max_entries + WORKER_COALESCE
+    )
 
     def encode(response):
         report = response.report

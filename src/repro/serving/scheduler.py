@@ -33,7 +33,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import Accelerator, Workload, get_workload
 from repro.core.context import ExecutionContext, PinnedArrayPhysics
-from repro.core.engine import batch_context_physics_for
+from repro.core.engine import LRUMemo, batch_context_physics_for
 from repro.core.ghost import GHOST
 from repro.core.reports import RunReport
 from repro.core.tron import TRON, TRONConfig
@@ -48,6 +48,9 @@ from repro.serving.request import ServeRequest, ServeResponse
 
 #: platform name -> factory taking the request batch size.
 PlatformCatalog = Dict[str, Callable[[int], Accelerator]]
+#: Long-lived accelerators a scheduler keeps, one per ``(platform,
+#: batch)``.  ``batch`` is request input, so the memo is bounded.
+PLATFORM_ENTRIES = 64
 
 
 def _make_tron(batch: int) -> Accelerator:
@@ -68,6 +71,21 @@ def default_platform_catalog() -> PlatformCatalog:
     return {"tron": _make_tron, "ghost": _make_ghost}
 
 
+def build_platform(
+    catalog: PlatformCatalog, platform: str, batch: int
+) -> Tuple[Accelerator, str]:
+    """A catalog platform's accelerator for ``batch`` and its
+    configuration fingerprint (the cache and routing key component)."""
+    factory = catalog.get(platform)
+    if factory is None:
+        raise ConfigurationError(
+            f"unknown platform {platform!r}; catalog has {sorted(catalog)}"
+        )
+    accelerator = factory(batch)
+    config = getattr(accelerator, "config", accelerator.name)
+    return accelerator, config_fingerprint(config)
+
+
 @dataclass
 class _Job:
     """One unique (deduplicated) evaluation inside a micro-batch."""
@@ -76,6 +94,7 @@ class _Job:
     request: ServeRequest
     workload: Workload
     platform: str
+    accelerator: Accelerator
     indices: List[int] = field(default_factory=list)
     report: Optional[RunReport] = None
     error: Optional[str] = None
@@ -134,7 +153,8 @@ class BatchingScheduler:
 
     One accelerator per ``(platform, batch)`` is built on first use and
     evaluates every later group of that pair, so its per-instance memos
-    survive across flushes.  Those instances are not thread-safe:
+    survive across flushes; the :data:`PLATFORM_ENTRIES` most recently
+    used pairs are kept.  Those instances are not thread-safe:
     :meth:`execute` and :meth:`cache_key` serialize on one lock.
     """
 
@@ -151,7 +171,9 @@ class BatchingScheduler:
         self.use_batched_physics = use_batched_physics
         self.stats = SchedulerStats()
         #: (platform, batch) -> (accelerator, config fingerprint).
-        self._platforms: Dict[Tuple[str, int], Tuple[Accelerator, str]] = {}
+        self._platforms = LRUMemo(
+            "serving.scheduler_platforms", PLATFORM_ENTRIES
+        )
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
@@ -164,34 +186,23 @@ class BatchingScheduler:
         key = (platform, batch)
         entry = self._platforms.get(key)
         if entry is None:
-            factory = self.catalog.get(platform)
-            if factory is None:
-                raise ConfigurationError(
-                    f"unknown platform {platform!r}; catalog has "
-                    f"{sorted(self.catalog)}"
-                )
-            accelerator = factory(batch)
-            config = getattr(accelerator, "config", accelerator.name)
-            entry = (accelerator, config_fingerprint(config))
-            self._platforms[key] = entry
+            entry = build_platform(self.catalog, platform, batch)
+            self._platforms.put(key, entry)
         return entry
 
     def _resolve(self, request: ServeRequest):
-        """(workload, platform, cache key) of a request — the single
-        key-construction rule of the scheduler."""
+        """(workload, platform, accelerator, cache key) of a request —
+        the single key-construction rule of the scheduler."""
         workload = get_workload(request.workload)
         platform = request.resolve_platform(workload.kind)
-        key = (
-            request.workload,
-            self._platform(platform, request.batch)[1],
-            normalize_context(request.ctx),
-        )
-        return workload, platform, key
+        accelerator, digest = self._platform(platform, request.batch)
+        key = (request.workload, digest, normalize_context(request.ctx))
+        return workload, platform, accelerator, key
 
     def cache_key(self, request: ServeRequest) -> CacheKey:
         """The frozen cache key of a request (see :mod:`.cache`)."""
         with self._lock:
-            return self._resolve(request)[2]
+            return self._resolve(request)[3]
 
     # ------------------------------------------------------------------
     # Execution
@@ -219,7 +230,7 @@ class BatchingScheduler:
         jobs: Dict[CacheKey, _Job] = {}
         for i, request in enumerate(requests):
             try:
-                workload, platform, key = self._resolve(request)
+                workload, platform, accelerator, key = self._resolve(request)
             except (ConfigurationError, MappingError) as exc:
                 self.stats.errors += 1
                 responses[i] = ServeResponse(
@@ -246,6 +257,7 @@ class BatchingScheduler:
                     request=request,
                     workload=workload,
                     platform=platform,
+                    accelerator=accelerator,
                 )
             else:
                 self.stats.deduped += 1
@@ -262,8 +274,8 @@ class BatchingScheduler:
         self.stats.groups += len(groups)
 
         # Pass 3: evaluate groups in order, on this thread.
-        for group, group_jobs in groups.items():
-            self._evaluate_group(group, group_jobs)
+        for (_, _, family), group_jobs in groups.items():
+            self._evaluate_group(family, group_jobs)
 
         # Pass 4: fan reports back out to every request of each job.
         for job in jobs.values():
@@ -297,15 +309,14 @@ class BatchingScheduler:
             return ctx
         return replace(ctx, seed=0)
 
-    def _evaluate_group(self, group: Tuple, group_jobs: List[_Job]) -> None:
-        platform, batch, family = group
-        accelerator = self._platforms[(platform, batch)][0]
-        pinned_ctx = self._pin_group_physics(accelerator, family, group_jobs)
+    def _evaluate_group(self, family, group_jobs: List[_Job]) -> None:
+        lead = group_jobs[0].accelerator
+        pinned_ctx = self._pin_group_physics(lead, family, group_jobs)
         for job in group_jobs:
             ctx = normalize_context(job.request.ctx)
             run_ctx = pinned_ctx.get(ctx, ctx)
             try:
-                job.report = accelerator.run(job.workload, ctx=run_ctx)
+                job.report = job.accelerator.run(job.workload, ctx=run_ctx)
                 self.stats.evaluated += 1
             except (YieldError, MappingError, ConfigurationError) as exc:
                 job.error = str(exc)

@@ -33,18 +33,28 @@ without ever constructing parent-side request objects.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import get_workload
 from repro.core.context import ExecutionContext
 from repro.core.engine.diskcache import fingerprint
+from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
-from repro.serving.cache import config_fingerprint, normalize_context
+from repro.serving.cache import normalize_context
 from repro.serving.request import ServeRequest
-from repro.serving.scheduler import PlatformCatalog, default_platform_catalog
+from repro.serving.scheduler import (
+    PLATFORM_ENTRIES,
+    PlatformCatalog,
+    build_platform,
+    default_platform_catalog,
+)
 
 #: The supported shard-key granularities.
 GRANULARITIES = ("type", "config")
+#: Shard assignments a router memoizes.  Keys carry request fields (die
+#: seeds), so the memo is bounded; an evicted key hashes to the same
+#: shard again.
+SHARD_ENTRIES = 1024
 
 
 def request_to_wire(request: ServeRequest) -> Dict:
@@ -137,28 +147,21 @@ class ShardRouter:
             default_platform_catalog() if catalog is None else catalog
         )
         self.requests_per_shard: List[int] = [0] * num_shards
-        self._fingerprints: Dict[Tuple[str, int], str] = {}
-        self._shards: Dict[Tuple, int] = {}
+        #: (platform, batch) -> configuration fingerprint.
+        self._fingerprints = LRUMemo(
+            "serving.router_fingerprints", PLATFORM_ENTRIES
+        )
+        #: shard key -> shard index.
+        self._shards = LRUMemo("serving.router_shards", SHARD_ENTRIES)
         self._lock = threading.Lock()
 
     def _config_fingerprint(self, platform: str, batch: int) -> str:
         """Memoized configuration fingerprint (the scheduler's scheme)."""
         key = (platform, batch)
-        with self._lock:
-            cached = self._fingerprints.get(key)
-        if cached is not None:
-            return cached
-        factory = self.catalog.get(platform)
-        if factory is None:
-            raise ConfigurationError(
-                f"unknown platform {platform!r}; catalog has "
-                f"{sorted(self.catalog)}"
-            )
-        accelerator = factory(batch)
-        config = getattr(accelerator, "config", accelerator.name)
-        digest = config_fingerprint(config)
-        with self._lock:
-            self._fingerprints[key] = digest
+        digest = self._fingerprints.get(key)
+        if digest is None:
+            digest = build_platform(self.catalog, platform, batch)[1]
+            self._fingerprints.put(key, digest)
         return digest
 
     def shard_key(self, request: ServeRequest) -> Tuple:
@@ -183,12 +186,10 @@ class ShardRouter:
         observability.
         """
         key = self.shard_key(request)
-        with self._lock:
-            shard = self._shards.get(key)
+        shard = self._shards.get(key)
         if shard is None:
             shard = int(fingerprint(key), 16) % self.num_shards
-            with self._lock:
-                self._shards[key] = shard
+            self._shards.put(key, shard)
         if count:
             self.count_assignment(shard)
         return shard

@@ -192,7 +192,8 @@ def save_trace(
     payload: Dict = {"schema": TRACE_SCHEMA, "requests": list(records)}
     if arrivals is not None:
         payload["arrivals"] = str(arrivals)
-    pathlib.Path(path).write_text(json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(payload, indent=2, allow_nan=False)
+    pathlib.Path(path).write_text(text + "\n")
 
 
 def generate_trace(

@@ -351,9 +351,9 @@ def run_temporal(
     """
     if not snapshots:
         raise ConfigurationError("need at least one snapshot")
-    before = ghost.stage_memo_stats()
+    before = ghost.stage_memo.stats.to_dict()
     reports = tuple(ghost.run_gnn(model, graph) for graph in snapshots)
-    after = ghost.stage_memo_stats()
+    after = ghost.stage_memo.stats.to_dict()
     reuse = {
         "hits": after["hits"] - before["hits"],
         "misses": after["misses"] - before["misses"],

@@ -11,8 +11,9 @@ on first use and shares it afterwards — on the workload object *and* in
 a bounded, process-level LRU memo keyed by ``(dataset, rng_seed)``
 (synthesis is deterministic in those), which is what makes repeated
 design-space sweeps and fresh workload instances over one dataset
-cheap.  The naive benchmarking baselines call :func:`clear_graph_memo`
-per point to stay genuinely cold.
+cheap.  The memo registers as ``workloads.graph``; the naive
+benchmarking baselines clear it per point
+(``memo.clear("workloads.graph")``) to stay genuinely cold.
 """
 
 from __future__ import annotations
@@ -39,17 +40,7 @@ GRAPH_MEMO_ENTRIES = 16
 #: Process-level graph-synthesis memo: (dataset, rng_seed) -> CSRGraph.
 #: Synthesis is deterministic in the key, so sharing is bit-safe; the
 #: graph is read-only to every evaluator.
-_GRAPH_MEMO = LRUMemo(max_entries=GRAPH_MEMO_ENTRIES)
-
-
-def clear_graph_memo() -> None:
-    """Forget every memoized synthesized graph.
-
-    The naive benchmarking baselines (``run_sweep(strategy="naive")``,
-    ``run_monte_carlo(vectorized=False)``) call this per point so a fresh
-    workload really pays graph synthesis, the way a cold process would.
-    """
-    _GRAPH_MEMO.clear()
+_GRAPH_MEMO = LRUMemo("workloads.graph", GRAPH_MEMO_ENTRIES)
 
 
 @dataclass(frozen=True)

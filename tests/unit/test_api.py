@@ -230,6 +230,56 @@ def _rich_spec():
     )
 
 
+class TestFiniteEnvelopes:
+    """A non-finite value fails loudly instead of printing ``NaN``."""
+
+    @staticmethod
+    def _poison(monkeypatch, result_class):
+        envelope = result_class.envelope
+
+        def poisoned(self):
+            document = envelope(self)
+            document["result"] = math.nan
+            return document
+
+        monkeypatch.setattr(result_class, "envelope", poisoned)
+
+    def test_run_json(self, monkeypatch, capsys):
+        from repro.api.results import RunResult
+
+        self._poison(monkeypatch, RunResult)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["run", "MLP-mnist", "--json"])
+        assert "NaN" not in capsys.readouterr().out
+
+    def test_serve_json(self, monkeypatch, capsys, tmp_path):
+        from repro.api.results import ServeResult
+
+        trace = tmp_path / "trace.json"
+        assert main(["gen-trace", str(trace), "--requests", "4"]) == 0
+        capsys.readouterr()
+        self._poison(monkeypatch, ServeResult)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["serve", "--trace", str(trace), "--json"])
+        assert "NaN" not in capsys.readouterr().out
+
+    def test_trace_file(self, tmp_path):
+        from repro.serving import save_trace
+
+        path = tmp_path / "trace.json"
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            save_trace([{"workload": "MLP-mnist", "rate": math.inf}], path)
+        assert not path.exists()
+
+    def test_spec_json(self, monkeypatch):
+        spec = _rich_spec()
+        monkeypatch.setattr(
+            ExperimentSpec, "to_dict", lambda self: {"seed": math.nan}
+        )
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            spec.to_json()
+
+
 class TestExperimentSpec:
     def test_dict_spec_dict_identity(self):
         spec = _rich_spec()

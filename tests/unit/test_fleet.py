@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from repro.core.context import resolve_corner
+from repro.core.engine.diskcache import fingerprint
 from repro.errors import ConfigurationError
 from repro.serving import (
     SHED_QUEUE,
@@ -24,6 +25,8 @@ from repro.serving import (
 )
 from repro.serving import fleet as fleet_module
 from repro.serving.fleet import merge_counters
+from repro.serving.scheduler import PLATFORM_ENTRIES
+from repro.serving.shard import SHARD_ENTRIES
 
 
 def small_trace(num_requests=24, catalog_size=6, seed=0):
@@ -92,6 +95,29 @@ class TestShardRouter:
         for request in small_trace():
             router.shard_of(request, count=True)
         assert sum(router.requests_per_shard) == 24
+
+    def test_route_memos_bounded_and_assignments_stable(self):
+        # Distinct die seeds and batch sizes are distinct keys; past the
+        # bounds the memos evict, and an evicted key routes back to the
+        # shard its SHA-256 digest picks.
+        requests = [
+            ServeRequest(
+                workload="BERT-base", ctx=resolve_corner("slow-hot", seed)
+            )
+            for seed in range(SHARD_ENTRIES + 64)
+        ] + [
+            ServeRequest(workload="BERT-base", platform="tron", batch=batch)
+            for batch in range(2, PLATFORM_ENTRIES + 18)
+        ]
+        router = ShardRouter(num_shards=4)
+        first = [router.shard_of(request) for request in requests]
+        assert len(router._shards) <= SHARD_ENTRIES
+        assert len(router._fingerprints) <= PLATFORM_ENTRIES
+        assert first == [
+            int(fingerprint(router.shard_key(request)), 16) % 4
+            for request in requests
+        ]
+        assert [router.shard_of(request) for request in requests] == first
 
 
 class TestWireCodec:

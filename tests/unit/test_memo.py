@@ -1,0 +1,154 @@
+"""Tests for the named LRU memo registry (``repro.core.engine.memo``)."""
+
+import gc
+import pathlib
+import re
+import weakref
+
+import pytest
+
+from repro.core import GHOST, TRON, get_workload
+from repro.core.context import resolve_corner
+from repro.core.engine import clear_physics_cache, memo, physics_cache_stats
+from repro.core.engine.memo import LRUMemo
+from repro.nn.gnn import GNNKind
+from repro.serving import ServeRequest, ServingEngine, ShardRouter
+from repro.workloads import _GRAPH_MEMO, make_gnn_workload
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
+
+#: Every memo name constructed in ``src/``.
+SRC_MEMOS = {
+    "accelerator.context_clones",
+    "engine.batch_physics",
+    "engine.breakdown",
+    "engine.context_physics",
+    "engine.coupling_inverse",
+    "engine.design_fsr",
+    "engine.movement",
+    "ghost.stage",
+    "serving.report_cache",
+    "serving.report_payloads",
+    "serving.router_fingerprints",
+    "serving.router_shards",
+    "serving.scheduler_platforms",
+    "workloads.graph",
+}
+#: Built only inside a fleet worker process.
+WORKER_ONLY = {"serving.report_payloads"}
+
+
+def _live_memos():
+    return [m for members in memo._registered("").values() for m in members]
+
+
+@pytest.fixture
+def exercised():
+    """TRON, GHOST, an engine and a router, each with warm memos."""
+    tron, ghost = TRON(), GHOST()
+    engine = ServingEngine()
+    router = ShardRouter(num_shards=2)
+    ctx = resolve_corner("typical", 1)
+    tron.run(get_workload("MLP-mnist"), ctx=ctx)
+    ghost.run(get_workload("GCN-cora"), ctx=ctx)
+    request = ServeRequest(workload="MLP-mnist", ctx=ctx)
+    engine.serve([request])
+    router.shard_of(request)
+    yield tron, ghost, engine, router
+    engine.close()
+
+
+def test_every_src_memo_is_named():
+    names = set()
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        calls = re.findall(r"\bLRUMemo\(\s*([^\s,)]*)", text)
+        for argument in calls:
+            assert re.fullmatch(r'"[\w.]+"', argument), (path, argument)
+            names.add(argument.strip('"'))
+    names.add("serving.report_cache")  # ReportCache passes it to super()
+    assert names - {"doc.example"} == SRC_MEMOS
+
+
+def test_every_memo_registers(exercised):
+    assert SRC_MEMOS - WORKER_ONLY <= set(memo.stats())
+
+
+def test_one_clear_empties_every_memo(exercised):
+    assert any(len(m) for m in _live_memos())
+    memo.clear()
+    assert all(len(m) == 0 for m in _live_memos())
+
+
+def test_clear_keeps_accounting(exercised):
+    _, ghost, engine, _ = exercised
+    kept = [ghost.stage_memo, engine.cache, _GRAPH_MEMO]
+    before = [m.stats.to_dict() for m in kept]
+    memo.clear()
+    assert [m.stats.to_dict() for m in kept] == before
+
+
+def test_shared_names_are_summed():
+    a, b = LRUMemo("test.shared", 4), LRUMemo("test.shared", 4)
+    a.put("k", 1)
+    a.get("k")
+    b.get("k")
+    b.put("k", 2)
+    b.put("j", 3)
+    stats = memo.stats("test.shared")["test.shared"]
+    assert (stats["hits"], stats["misses"], stats["insertions"]) == (1, 1, 3)
+    assert stats["hit_rate"] == 0.5
+
+
+def test_prefix_selects_names():
+    kept, other = LRUMemo("test.prefix.kept", 2), LRUMemo("test.other", 2)
+    kept.put("k", 1)
+    other.put("k", 1)
+    assert set(memo.stats("test.prefix.")) == {"test.prefix.kept"}
+    memo.clear("test.prefix.")
+    assert len(kept) == 0 and len(other) == 1
+
+
+def test_dropped_ghost_leaves_the_registry():
+    gc.collect()
+    ghost = GHOST()
+    ghost.run(get_workload("GCN-cora"))
+    own = ghost.stage_memo.stats.insertions
+    assert own > 0
+    before = memo.stats("ghost.stage")["ghost.stage"]["insertions"]
+    ref = weakref.ref(ghost.stage_memo)
+    del ghost
+    gc.collect()
+    assert ref() is None
+    after = memo.stats("ghost.stage").get("ghost.stage", {"insertions": 0})
+    assert after["insertions"] == before - own
+
+
+def test_dropped_name_disappears():
+    LRUMemo("test.dropped", 2)
+    gc.collect()
+    assert "test.dropped" not in memo.stats()
+
+
+def test_clear_physics_cache_keeps_the_graph_memo():
+    make_gnn_workload(GNNKind.GCN, "cora").materialize()
+    TRON().run(get_workload("MLP-mnist"), ctx=resolve_corner("typical", 2))
+    graphs = len(_GRAPH_MEMO)
+    assert graphs > 0
+    clear_physics_cache()
+    assert len(_GRAPH_MEMO) == graphs
+    assert all(
+        len(m) == 0 for m in _live_memos() if m.name.startswith("engine.")
+    )
+
+
+def test_physics_cache_stats_keys_pinned():
+    assert list(physics_cache_stats()) == [
+        "breakdown",
+        "context_physics",
+        "batch_physics",
+        "coupling_inverse",
+        "design_fsr",
+        "movement",
+        "disk",
+    ]

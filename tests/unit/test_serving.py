@@ -8,6 +8,7 @@ from repro.core import TRON, get_workload
 from repro.core.context import resolve_corner
 from repro.core.engine import clear_physics_cache
 from repro.core.reports import EnergyReport, LatencyReport, RunReport
+from repro.core.tron import TRONConfig
 from repro.errors import ConfigurationError
 from repro.nn.counting import OpCount
 from repro.serving import (
@@ -23,7 +24,7 @@ from repro.serving import (
     record_to_request,
     save_trace,
 )
-from repro.serving.scheduler import default_platform_catalog
+from repro.serving.scheduler import PLATFORM_ENTRIES, default_platform_catalog
 
 
 def _report(tag="w", latency=10.0):
@@ -203,6 +204,24 @@ class TestBatchingScheduler:
         )
         assert not responses[0].ok
         assert "full-graph" in responses[0].error
+
+    def test_platform_memo_bounded_within_one_flush(self):
+        """More distinct batch sizes than the bound in one micro-batch:
+        the accelerator memo evicts, yet every job keeps the accelerator
+        it resolved and matches a direct run."""
+        batches = range(1, PLATFORM_ENTRIES + 17)
+        requests = [
+            ServeRequest(workload="MLP-mnist", platform="tron", batch=batch)
+            for batch in batches
+        ]
+        scheduler = BatchingScheduler()
+        responses = scheduler.execute(requests)
+        assert len(scheduler._platforms) <= PLATFORM_ENTRIES
+        assert scheduler.stats.evaluated == len(requests)
+        workload = get_workload("MLP-mnist")
+        for batch, response in zip(batches, responses):
+            direct = TRON(TRONConfig(batch=batch)).run(workload)
+            assert response.report.to_dict() == direct.to_dict()
 
     def test_group_count(self):
         """(platform, batch, family) partitioning, seeds share a group."""

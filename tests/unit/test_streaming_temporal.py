@@ -98,7 +98,8 @@ def test_stage_memo_reuse_is_bit_identical():
 
     cold = GHOST()
     for report in warm.snapshots:
-        cold.reset_stage_memo()
+        cold.stage_memo.clear()
+        cold.stage_memo.reset_stats()
         fresh = cold.run_gnn(
             workload.model_config,
             workload.snapshots[warm.snapshots.index(report)],
@@ -151,8 +152,9 @@ def test_stage_memo_stats_surface():
     ghost = GHOST()
     workload = get_workload("GCN-ba-temporal")
     ghost.run(workload)
-    stats = ghost.stage_memo_stats()
+    stats = ghost.stage_memo.stats.to_dict()
     assert stats["insertions"] > 0
-    ghost.reset_stage_memo()
-    cleared = ghost.stage_memo_stats()
+    ghost.stage_memo.clear()
+    ghost.stage_memo.reset_stats()
+    cleared = ghost.stage_memo.stats.to_dict()
     assert cleared["hits"] == cleared["misses"] == 0

@@ -10,6 +10,7 @@ from repro.core.base import (
     list_workloads,
     register_workload,
 )
+from repro.core.engine import memo
 from repro.core.ghost import GHOST
 from repro.core.tron import TRON
 from repro.errors import ConfigurationError, MappingError
@@ -20,7 +21,6 @@ from repro.workloads import (
     TransformerWorkload,
     WorkloadSuite,
     _GRAPH_MEMO,
-    clear_graph_memo,
     make_gnn_workload,
 )
 
@@ -177,9 +177,9 @@ class TestUniformRun:
 class TestGraphMemo:
     @pytest.fixture(autouse=True)
     def cold_memo(self):
-        clear_graph_memo()
+        memo.clear("workloads.graph")
         yield
-        clear_graph_memo()
+        memo.clear("workloads.graph")
 
     @staticmethod
     def graph(seed):
@@ -208,5 +208,5 @@ class TestGraphMemo:
     def test_clear_empties(self):
         self.graph(0)
         self.graph(1)
-        clear_graph_memo()
+        memo.clear("workloads.graph")
         assert len(_GRAPH_MEMO) == 0

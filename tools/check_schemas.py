@@ -14,6 +14,9 @@ What it checks (this is what the CI ``schemas`` job runs):
    spec) without loss.
 3. A generated trace validates against ``repro.trace/1``.
 
+Every document is parsed strictly: ``NaN``/``Infinity`` (which Python's
+``json`` accepts but JSON does not) fail the check.
+
 Requires the optional ``jsonschema`` package.  Exits non-zero on any
 failure.
 """
@@ -39,6 +42,15 @@ from repro.api.schemas import schema_for  # noqa: E402
 from repro.cli import main  # noqa: E402
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
+def strict_loads(text: str):
+    """``json.loads`` that rejects ``NaN``/``Infinity``/``-Infinity``."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli_json(argv: list) -> dict:
     """Run one CLI invocation in-process and parse its JSON output."""
     buffer = io.StringIO()
@@ -46,7 +58,7 @@ def run_cli_json(argv: list) -> dict:
         code = main(argv)
     if code != 0:
         raise RuntimeError(f"{argv} exited {code}")
-    return json.loads(buffer.getvalue())
+    return strict_loads(buffer.getvalue())
 
 
 def check(label: str, fn) -> bool:
@@ -74,7 +86,7 @@ def main_check() -> int:
                  "--catalog", "6"]
             )
         assert code == 0
-        payload = json.loads(trace_path.read_text())
+        payload = strict_loads(trace_path.read_text())
         return validate_payload(payload)
 
     def gen_tenant_trace():
@@ -85,7 +97,7 @@ def main_check() -> int:
                  "--catalog", "5", "--tenants", "3", "--shape", "diurnal"]
             )
         assert code == 0
-        payload = json.loads(tenant_trace_path.read_text())
+        payload = strict_loads(tenant_trace_path.read_text())
         assert payload["arrivals"] == "diurnal:poisson:500"
         assert all("tenant" in record for record in payload["requests"])
         return validate_payload(payload)

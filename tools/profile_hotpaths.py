@@ -52,7 +52,7 @@ def profile_sweep(naive: bool = False, top: int = 20) -> pstats.Stats:
         run_sweep,
         tron_sweep_space,
     )
-    from repro.core.engine import clear_physics_cache
+    from repro.core.engine import memo
 
     spaces = [
         tron_sweep_space(
@@ -60,7 +60,7 @@ def profile_sweep(naive: bool = False, top: int = 20) -> pstats.Stats:
         ),
         ghost_sweep_space(lanes=(8, 16), edge_units=(16, 32)),
     ]
-    clear_physics_cache()
+    memo.clear("engine.")
     profiler = cProfile.Profile()
     profiler.enable()
     for space in spaces:
@@ -97,9 +97,9 @@ def profile_serving_dispatch(top: int = 20, replays: int = 5) -> pstats.Stats:
 
 def profile_hbm_costing(top: int = 20, rounds: int = 50) -> pstats.Stats:
     """Profile the HBM(-PIM) primitives over a mixed cold workload."""
+    from repro.core.engine import memo
     from repro.core.engine.hbm.geometry import HBMGeometry
     from repro.core.engine.hbm.model import HBMMemoryModel
-    from repro.core.engine.movement import clear_movement_cache
     from repro.electronics.memory import MemorySystem
 
     model = HBMMemoryModel(MemorySystem(), geometry=HBMGeometry())
@@ -110,7 +110,7 @@ def profile_hbm_costing(top: int = 20, rounds: int = 50) -> pstats.Stats:
     for _ in range(rounds):
         # Cold rounds: clear the movement memo so the profile shows the
         # closed-form arithmetic, not LRU hits.
-        clear_movement_cache()
+        memo.clear("engine.movement")
         for num_bytes in sizes:
             model.stream_offchip(num_bytes)
             model.burst_offchip(num_bytes)
