@@ -44,7 +44,6 @@ Example:
 from __future__ import annotations
 
 import json
-import math
 import pathlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Dict, List, Mapping, Optional, Union
@@ -52,7 +51,11 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 from repro._version import __version__
 from repro.core.context import ExecutionContext, resolve_corner
 from repro.core.engine.diskcache import fingerprint as _digest
-from repro.core.serialization import config_from_dict, config_to_dict
+from repro.core.serialization import (
+    check_limits,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.errors import ConfigurationError
 
 #: Schema tag of the spec interchange format.
@@ -153,16 +156,12 @@ class ContextSpec:
     seed: int = 0
     tuner_range_nm: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.tuner_range_nm is not None and not (
-            math.isfinite(self.tuner_range_nm) and self.tuner_range_nm > 0.0
-        ):
-            raise ConfigurationError(
-                "context.tuner_range_nm must be a finite number > 0 nm, "
-                f"got {self.tuner_range_nm}"
-            )
+    LIMITS = {
+        name: ExecutionContext.LIMITS[name]
+        for name in ("seed", "tuner_range_nm")
+    }
+
+    __post_init__ = check_limits
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form."""
@@ -240,22 +239,21 @@ class AnalysisSpec:
     workers: int = 0
     arrivals: Optional[str] = None
 
+    LIMITS = {
+        "samples": ">= 1",
+        "repeat": ">= 1",
+        "window": ">= 1",
+        "cache_entries": ">= 1",
+        "workers": ">= 0",
+    }
+
     def __post_init__(self) -> None:
         if self.kind not in ANALYSIS_KINDS:
             raise ConfigurationError(
                 f"unknown analysis kind {self.kind!r}; "
                 f"pick one of {ANALYSIS_KINDS}"
             )
-        for name in ("samples", "repeat", "window", "cache_entries"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"analysis.{name} must be >= 1, "
-                    f"got {getattr(self, name)}"
-                )
-        if self.workers < 0:
-            raise ConfigurationError(
-                f"analysis.workers must be >= 0, got {self.workers}"
-            )
+        check_limits(self)
         if self.arrivals is not None:
             # Fail at spec construction, not mid-serve: the arrival
             # spec must parse and the fleet tier must be requested.

@@ -24,11 +24,14 @@ leaves every cost bit-identical to the nominal, context-free path.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.serialization import config_from_dict, config_to_dict
+from repro.core.serialization import (
+    check_limits,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.errors import ConfigurationError
 from repro.photonics.noise import AnalogNoiseModel
 from repro.photonics.variation import ProcessVariationModel
@@ -64,15 +67,9 @@ class ThermalCorner:
     drift_nm_per_k: float = 0.08
     hbm_derate: float = 1.0
 
-    def __post_init__(self) -> None:
-        if self.drift_nm_per_k <= 0.0:
-            raise ConfigurationError(
-                f"thermal drift must be > 0 nm/K, got {self.drift_nm_per_k}"
-            )
-        if not 0.0 < self.hbm_derate <= 1.0:
-            raise ConfigurationError(
-                f"HBM derate must be in (0, 1], got {self.hbm_derate}"
-            )
+    LIMITS = {"drift_nm_per_k": "> 0", "hbm_derate": "(0, 1]"}
+
+    __post_init__ = check_limits
 
     @property
     def resonance_offset_nm(self) -> float:
@@ -103,11 +100,13 @@ class PinnedArrayPhysics:
     usable_cols: int
     correction_power_mw: float
 
-    def __post_init__(self) -> None:
-        if self.usable_rows < 0 or self.usable_cols < 0:
-            raise ConfigurationError("usable array dims must be >= 0")
-        if self.correction_power_mw < 0.0:
-            raise ConfigurationError("correction power must be >= 0 mW")
+    LIMITS = {
+        "usable_rows": ">= 0",
+        "usable_cols": ">= 0",
+        "correction_power_mw": ">= 0",
+    }
+
+    __post_init__ = check_limits
 
 
 @dataclass(frozen=True)
@@ -150,16 +149,9 @@ class ExecutionContext:
     noise: Optional[AnalogNoiseModel] = field(default=None, compare=False)
     pinned: Tuple[Tuple[Tuple[int, int], PinnedArrayPhysics], ...] = ()
 
-    def __post_init__(self) -> None:
-        if self.seed < 0:
-            raise ConfigurationError(f"seed must be >= 0, got {self.seed}")
-        if self.tuner_range_nm is not None and not (
-            math.isfinite(self.tuner_range_nm) and self.tuner_range_nm > 0.0
-        ):
-            raise ConfigurationError(
-                "tuner_range_nm must be a finite number > 0 nm, got "
-                f"{self.tuner_range_nm}"
-            )
+    LIMITS = {"seed": ">= 0", "tuner_range_nm": "> 0"}
+
+    __post_init__ = check_limits
 
     @property
     def affects_arrays(self) -> bool:

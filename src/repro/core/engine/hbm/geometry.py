@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 
 #: The JEDEC four-activate window admits this many ACTs per channel.
@@ -100,35 +101,30 @@ class HBMGeometry:
     pim_mac_energy_pj: float = 0.25
     pim_macs_per_bank_per_ns: float = 16.0
 
+    LIMITS = {
+        "bankgroups": ">= 1",
+        "banks_per_group": ">= 1",
+        "row_bytes": ">= 1",
+        "burst_bytes": ">= 1",
+        "trcd_ns": "> 0",
+        "trp_ns": "> 0",
+        "tfaw_ns": "> 0",
+        "refresh_interval_ns": "> 0",
+        "refresh_cycle_ns": "> 0",
+        "activate_energy_fraction": "(0, 1)",
+        "trace_limit": ">= 1",
+        "pim_read_energy_fraction": "(0, 1)",
+        "pim_bandwidth_scale": "> 0",
+        "pim_mac_energy_pj": ">= 0",
+        "pim_macs_per_bank_per_ns": "> 0",
+    }
+
     def __post_init__(self) -> None:
-        for name in ("bankgroups", "banks_per_group", "row_bytes",
-                     "burst_bytes", "trace_limit"):
-            if getattr(self, name) < 1:
-                raise ConfigurationError(
-                    f"hbm.{name} must be >= 1, got {getattr(self, name)}"
-                )
+        check_limits(self)
         if self.row_bytes % self.burst_bytes != 0:
             raise ConfigurationError(
                 f"hbm.row_bytes ({self.row_bytes}) must be a multiple of "
                 f"hbm.burst_bytes ({self.burst_bytes})"
-            )
-        for name in ("trcd_ns", "trp_ns", "tfaw_ns", "refresh_interval_ns",
-                     "refresh_cycle_ns", "pim_bandwidth_scale",
-                     "pim_macs_per_bank_per_ns"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigurationError(
-                    f"hbm.{name} must be > 0, got {getattr(self, name)}"
-                )
-        for name in ("activate_energy_fraction", "pim_read_energy_fraction"):
-            if not 0.0 < getattr(self, name) < 1.0:
-                raise ConfigurationError(
-                    f"hbm.{name} must be in (0, 1), "
-                    f"got {getattr(self, name)}"
-                )
-        if self.pim_mac_energy_pj < 0.0:
-            raise ConfigurationError(
-                f"hbm.pim_mac_energy_pj must be >= 0, "
-                f"got {self.pim_mac_energy_pj}"
             )
         if self.refresh_cycle_ns >= self.refresh_interval_ns:
             raise ConfigurationError(

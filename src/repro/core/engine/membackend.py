@@ -60,6 +60,16 @@ def list_memory_backends() -> Tuple[str, ...]:
     return tuple(sorted(_BACKENDS))
 
 
+def check_memory_backend(name: str) -> None:
+    """Raise :class:`~repro.errors.ConfigurationError` unless ``name``
+    is a registered backend (the error lists the registered ones)."""
+    if name not in _BACKENDS:
+        raise ConfigurationError(
+            f"unknown memory backend {name!r}; registered backends: "
+            + ", ".join(list_memory_backends())
+        )
+
+
 def build_memory_backend(
     name: str,
     system: MemorySystem,
@@ -71,11 +81,7 @@ def build_memory_backend(
     ``geometry`` defaults to :class:`HBMGeometry`'s defaults; the
     analytic backend ignores it entirely.
     """
-    if name not in _BACKENDS:
-        raise ConfigurationError(
-            f"unknown memory backend {name!r}; registered backends: "
-            + ", ".join(list_memory_backends())
-        )
+    check_memory_backend(name)
     return _BACKENDS[name](system, context, geometry or HBMGeometry())
 
 

@@ -15,11 +15,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.engine.hbm.geometry import HBMGeometry
-from repro.core.engine.membackend import list_memory_backends
-from repro.core.serialization import config_from_dict, config_to_dict
+from repro.core.engine.membackend import check_memory_backend
+from repro.core.serialization import (
+    check_limits,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.electronics.digital import ControlUnit, SoftmaxLUT
 from repro.electronics.memory import HBMChannel, MemorySystem, SRAMBuffer
-from repro.errors import ConfigurationError
 from repro.photonics.converters import ADC, DAC
 from repro.photonics.devices import ActivationKind, SOAActivation
 from repro.photonics.microring import MicroringDesign
@@ -94,45 +97,24 @@ class GHOSTConfig:
     memory_backend: str = "analytic"
     hbm: HBMGeometry = field(default_factory=HBMGeometry)
 
+    LIMITS = {
+        "lanes": ">= 1",
+        "edge_units": ">= 1",
+        "feature_lanes": ">= 1",
+        "array_rows": ">= 1",
+        "array_cols": ">= 1",
+        "clock_ghz": "> 0",
+        "weight_refresh_cycles": ">= 1",
+        "weight_dac_sharing": ">= 1",
+        "random_access_penalty": ">= 1",
+        "bits": ">= 2",
+    }
+
     def __post_init__(self) -> None:
-        if self.lanes < 1:
-            raise ConfigurationError(f"need >= 1 lane, got {self.lanes}")
-        if self.edge_units < 1:
-            raise ConfigurationError(
-                f"need >= 1 edge unit, got {self.edge_units}"
-            )
-        if self.feature_lanes < 1:
-            raise ConfigurationError(
-                f"need >= 1 feature lane, got {self.feature_lanes}"
-            )
-        if self.array_rows < 1 or self.array_cols < 1:
-            raise ConfigurationError(
-                f"array dims must be >= 1, got "
-                f"{self.array_rows}x{self.array_cols}"
-            )
-        if self.clock_ghz <= 0.0:
-            raise ConfigurationError(f"clock must be > 0 GHz, got {self.clock_ghz}")
-        if self.weight_refresh_cycles < 1:
-            raise ConfigurationError("weight refresh window must be >= 1")
-        if self.random_access_penalty < 1.0:
-            raise ConfigurationError(
-                "random access penalty must be >= 1, got "
-                f"{self.random_access_penalty}"
-            )
-        if self.bits < 2:
-            raise ConfigurationError(f"need >= 2 bits, got {self.bits}")
         if self.weight_dac_sharing is None:
             self.weight_dac_sharing = self.lanes
-        if self.weight_dac_sharing < 1:
-            raise ConfigurationError(
-                f"weight DAC sharing must be >= 1, got {self.weight_dac_sharing}"
-            )
-        if self.memory_backend not in list_memory_backends():
-            raise ConfigurationError(
-                f"unknown memory backend {self.memory_backend!r}; "
-                "registered backends: "
-                + ", ".join(list_memory_backends())
-            )
+        check_limits(self)
+        check_memory_backend(self.memory_backend)
 
     def to_dict(self) -> Dict[str, Any]:
         """Every knob (nested device models included) as plain dicts.

@@ -18,18 +18,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 from repro.nn.counting import OpCount
-
-
-def _check_breakdown(report, names: Tuple[str, ...]) -> None:
-    """Reject a breakdown field that is negative, NaN or infinite."""
-    for name in names:
-        value = getattr(report, name)
-        if not 0.0 <= value < math.inf:
-            raise ConfigurationError(
-                f"{name} must be >= 0 and finite, got {value}"
-            )
 
 
 @dataclass(frozen=True)
@@ -57,8 +48,7 @@ class EnergyReport:
     activation_pj: float = 0.0
     static_pj: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_breakdown(self, ENERGY_FIELDS)
+    __post_init__ = check_limits
 
     @property
     def total_pj(self) -> float:
@@ -110,8 +100,7 @@ class LatencyReport:
     conversion_ns: float = 0.0
     digital_ns: float = 0.0
 
-    def __post_init__(self) -> None:
-        _check_breakdown(self, LATENCY_FIELDS)
+    __post_init__ = check_limits
 
     @property
     def total_ns(self) -> float:
@@ -239,6 +228,9 @@ class RunReport:
 #: exactly this order, so stacked and scalar totals match bit for bit.
 ENERGY_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(EnergyReport))
 LATENCY_FIELDS: Tuple[str, ...] = tuple(f.name for f in fields(LatencyReport))
+# Every breakdown category is a finite, non-negative amount.
+EnergyReport.LIMITS = dict.fromkeys(ENERGY_FIELDS, ">= 0")
+LatencyReport.LIMITS = dict.fromkeys(LATENCY_FIELDS, ">= 0")
 
 
 @dataclass

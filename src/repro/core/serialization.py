@@ -19,6 +19,9 @@ configuration tree:
 - :func:`merge_overrides` deep-merges a sparse override mapping into a
   full config dict, which is how declarative specs express "the default
   platform, but with these knobs changed".
+- :func:`check_limits` enforces a class's ``LIMITS`` table — one
+  interval rule per numeric field, declared once next to the fields —
+  from its ``__post_init__``.
 
 Round-trips are exact: values pass through as Python objects (no string
 formatting), so ``from_dict(to_dict(cfg)) == cfg`` for every config.
@@ -42,9 +45,65 @@ import math
 import typing
 from dataclasses import fields, is_dataclass
 from enum import Enum
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.errors import ConfigurationError
+
+#: Per-class compiled limits: ``(name, lo, hi, rule text)`` rows.
+_LIMIT_TABLES: Dict[type, Tuple[Tuple[str, float, float, str], ...]] = {}
+
+
+def _compile_rule(rule: str) -> Tuple[float, float, str]:
+    """``rule`` as a closed float interval ``[lo, hi]`` plus its text.
+
+    Open ends step one ulp inward and a missing upper end is open at
+    infinity, so ``lo <= value <= hi`` is the whole check: it also
+    fails NaN and ±inf.
+    """
+    if rule[0] in "([":
+        lo, hi = (float(end) for end in rule[1:-1].split(","))
+        lo_open, hi_open = rule[0] == "(", rule[-1] == ")"
+        text = f"in {rule}"
+    else:
+        op, bound = rule.split()
+        if op not in (">", ">="):
+            raise ValueError(f"unparseable limit rule {rule!r}")
+        lo, hi, lo_open, hi_open = float(bound), math.inf, op == ">", True
+        text = rule
+    if lo_open:
+        lo = math.nextafter(lo, math.inf)
+    if hi_open:
+        hi = math.nextafter(hi, -math.inf)
+    return lo, hi, text
+
+
+def check_limits(obj: Any) -> None:
+    """Enforce ``type(obj).LIMITS`` on ``obj``'s fields.
+
+    ``LIMITS`` maps a field name to an interval rule — ``"> 0"``,
+    ``">= 1"``, ``"(0, 1)"``, ``"(0, 1]"`` or ``"[0, 1]"``. Every rule
+    implies a finite value, ``None`` (an unset Optional field) is
+    skipped, and each class's table is compiled once.
+
+    Example:
+        >>> from repro.photonics.converters import DAC
+        >>> DAC.LIMITS["sample_rate_gsps"]
+        '> 0'
+        >>> DAC(sample_rate_gsps=float("nan"))
+        Traceback (most recent call last):
+            ...
+        repro.errors.ConfigurationError: sample_rate_gsps must be > 0, got nan
+    """
+    cls = type(obj)
+    table = _LIMIT_TABLES.get(cls)
+    if table is None:
+        table = _LIMIT_TABLES[cls] = tuple(
+            (name, *_compile_rule(rule)) for name, rule in cls.LIMITS.items()
+        )
+    for name, lo, hi, rule in table:
+        value = getattr(obj, name)
+        if value is not None and not lo <= value <= hi:
+            raise ConfigurationError(f"{name} must be {rule}, got {value}")
 
 
 def config_to_dict(obj: Any) -> Any:

@@ -14,11 +14,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
 from repro.core.engine.hbm.geometry import HBMGeometry
-from repro.core.engine.membackend import list_memory_backends
-from repro.core.serialization import config_from_dict, config_to_dict
+from repro.core.engine.membackend import check_memory_backend
+from repro.core.serialization import (
+    check_limits,
+    config_from_dict,
+    config_to_dict,
+)
 from repro.electronics.digital import ControlUnit, SoftmaxLUT
 from repro.electronics.memory import MemorySystem
-from repro.errors import ConfigurationError
 from repro.photonics.converters import ADC, DAC
 from repro.photonics.devices import ActivationKind, SOAActivation
 from repro.photonics.microring import MicroringDesign
@@ -85,35 +88,21 @@ class TRONConfig:
     memory_backend: str = "analytic"
     hbm: HBMGeometry = field(default_factory=HBMGeometry)
 
+    LIMITS = {
+        "num_head_units": ">= 1",
+        "array_rows": ">= 1",
+        "array_cols": ">= 1",
+        "num_linear_arrays": ">= 1",
+        "num_ff_arrays": ">= 1",
+        "clock_ghz": "> 0",
+        "weight_refresh_cycles": ">= 1",
+        "bits": ">= 2",
+        "batch": ">= 1",
+    }
+
     def __post_init__(self) -> None:
-        if self.num_head_units < 1:
-            raise ConfigurationError(
-                f"need >= 1 head unit, got {self.num_head_units}"
-            )
-        if self.array_rows < 1 or self.array_cols < 1:
-            raise ConfigurationError(
-                f"array dims must be >= 1, got "
-                f"{self.array_rows}x{self.array_cols}"
-            )
-        if self.num_linear_arrays < 1 or self.num_ff_arrays < 1:
-            raise ConfigurationError("linear/FF array counts must be >= 1")
-        if self.clock_ghz <= 0.0:
-            raise ConfigurationError(f"clock must be > 0 GHz, got {self.clock_ghz}")
-        if self.weight_refresh_cycles < 1:
-            raise ConfigurationError(
-                "weight refresh window must be >= 1 cycle, got "
-                f"{self.weight_refresh_cycles}"
-            )
-        if self.bits < 2:
-            raise ConfigurationError(f"need >= 2 bits, got {self.bits}")
-        if self.batch < 1:
-            raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
-        if self.memory_backend not in list_memory_backends():
-            raise ConfigurationError(
-                f"unknown memory backend {self.memory_backend!r}; "
-                "registered backends: "
-                + ", ".join(list_memory_backends())
-            )
+        check_limits(self)
+        check_memory_backend(self.memory_backend)
 
     def to_dict(self) -> Dict[str, Any]:
         """Every knob (nested device models included) as plain dicts.

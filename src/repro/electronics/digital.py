@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 
 
@@ -41,13 +42,9 @@ class SoftmaxLUT:
     clock_ghz: float = 2.0
     lanes: int = 16
 
-    def __post_init__(self) -> None:
-        if self.entries < 2:
-            raise ConfigurationError(f"LUT needs >= 2 entries, got {self.entries}")
-        if self.clock_ghz <= 0.0:
-            raise ConfigurationError(f"clock must be > 0 GHz, got {self.clock_ghz}")
-        if self.lanes < 1:
-            raise ConfigurationError(f"need >= 1 lane, got {self.lanes}")
+    LIMITS = {"entries": ">= 2", "clock_ghz": "> 0", "lanes": ">= 1"}
+
+    __post_init__ = check_limits
 
     def apply(self, logits: np.ndarray, axis: int = -1) -> np.ndarray:
         """Numerically stable softmax along ``axis``."""
@@ -133,9 +130,9 @@ class ControlUnit:
 
     power_mw: float = 25.0
 
-    def __post_init__(self) -> None:
-        if self.power_mw < 0.0:
-            raise ConfigurationError(f"power must be >= 0 mW, got {self.power_mw}")
+    LIMITS = {"power_mw": ">= 0"}
+
+    __post_init__ = check_limits
 
     def energy_pj(self, active_time_ns: float) -> float:
         """Control energy over an active window."""

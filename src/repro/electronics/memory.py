@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 
 #: Calibration anchor: a 32 KB, 64-bit wide, single-port SRAM at 32 nm.
@@ -49,18 +50,16 @@ class SRAMBuffer:
     ports: int = 1
     banks: int = 1
 
+    LIMITS = {
+        "capacity_bytes": ">= 64",
+        "word_bits": ">= 1",
+        "ports": ">= 1",
+        "banks": ">= 1",
+    }
+
     def __post_init__(self) -> None:
-        if self.capacity_bytes < 64:
-            raise ConfigurationError(
-                f"SRAM capacity must be >= 64 B, got {self.capacity_bytes}"
-            )
-        if self.word_bits < 1:
-            raise ConfigurationError(
-                f"word width must be >= 1 bit, got {self.word_bits}"
-            )
-        if self.ports < 1:
-            raise ConfigurationError(f"need >= 1 port, got {self.ports}")
-        if self.banks < 1 or self.banks > self.capacity_bytes // 64:
+        check_limits(self)
+        if self.banks > self.capacity_bytes // 64:
             raise ConfigurationError(
                 f"banks must be in [1, capacity/64], got {self.banks}"
             )
@@ -185,17 +184,13 @@ class HBMChannel:
     energy_per_bit_pj: float = 4.0
     channels: int = 8
 
-    def __post_init__(self) -> None:
-        if self.bandwidth_gbps <= 0.0:
-            raise ConfigurationError(
-                f"bandwidth must be > 0 Gb/s, got {self.bandwidth_gbps}"
-            )
-        if self.energy_per_bit_pj <= 0.0:
-            raise ConfigurationError(
-                f"energy/bit must be > 0 pJ, got {self.energy_per_bit_pj}"
-            )
-        if self.channels < 1:
-            raise ConfigurationError(f"need >= 1 channel, got {self.channels}")
+    LIMITS = {
+        "bandwidth_gbps": "> 0",
+        "energy_per_bit_pj": "> 0",
+        "channels": ">= 1",
+    }
+
+    __post_init__ = check_limits
 
     @property
     def total_bandwidth_gbps(self) -> float:

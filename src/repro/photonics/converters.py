@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 
 
@@ -36,20 +37,13 @@ class DAC:
     sample_rate_gsps: float = 5.0
     energy_per_conversion_pj: float = 5.2
 
-    def __post_init__(self) -> None:
-        if self.resolution_bits < 1:
-            raise ConfigurationError(
-                f"resolution must be >= 1 bit, got {self.resolution_bits}"
-            )
-        if self.sample_rate_gsps <= 0.0:
-            raise ConfigurationError(
-                f"sample rate must be > 0 GS/s, got {self.sample_rate_gsps}"
-            )
-        if self.energy_per_conversion_pj <= 0.0:
-            raise ConfigurationError(
-                f"conversion energy must be > 0 pJ, got "
-                f"{self.energy_per_conversion_pj}"
-            )
+    LIMITS = {
+        "resolution_bits": ">= 1",
+        "sample_rate_gsps": "> 0",
+        "energy_per_conversion_pj": "> 0",
+    }
+
+    __post_init__ = check_limits
 
     @property
     def latency_ns(self) -> float:
@@ -97,20 +91,9 @@ class ADC:
     sample_rate_gsps: float = 5.0
     energy_per_conversion_pj: float = 5.8
 
-    def __post_init__(self) -> None:
-        if self.resolution_bits < 1:
-            raise ConfigurationError(
-                f"resolution must be >= 1 bit, got {self.resolution_bits}"
-            )
-        if self.sample_rate_gsps <= 0.0:
-            raise ConfigurationError(
-                f"sample rate must be > 0 GS/s, got {self.sample_rate_gsps}"
-            )
-        if self.energy_per_conversion_pj <= 0.0:
-            raise ConfigurationError(
-                f"conversion energy must be > 0 pJ, got "
-                f"{self.energy_per_conversion_pj}"
-            )
+    LIMITS = DAC.LIMITS
+
+    __post_init__ = check_limits
 
     @property
     def latency_ns(self) -> float:

@@ -23,6 +23,7 @@ from enum import Enum
 
 import numpy as np
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 from repro.units import dbm_to_mw
 
@@ -190,15 +191,9 @@ class SOA:
     bias_power_mw: float = 2.2
     latency_ns: float = 0.1
 
-    def __post_init__(self) -> None:
-        if self.saturation_power_mw <= 0.0:
-            raise ConfigurationError(
-                f"saturation power must be > 0 mW, got {self.saturation_power_mw}"
-            )
-        if self.bias_power_mw < 0.0:
-            raise ConfigurationError(
-                f"bias power must be >= 0 mW, got {self.bias_power_mw}"
-            )
+    LIMITS = {"saturation_power_mw": "> 0", "bias_power_mw": ">= 0"}
+
+    __post_init__ = check_limits
 
     def gain_linear(self, input_power_mw):
         """Saturated power gain for a given input power (scalar or array)."""

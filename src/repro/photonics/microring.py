@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 from repro.units import linear_to_db
 
@@ -314,25 +315,15 @@ class MicroringDesign:
     loss_db_per_cm: float = 2.0
     coupling_gap_nm: float = 200.0
 
-    def __post_init__(self) -> None:
-        if self.radius_um <= 0.0:
-            raise ConfigurationError(f"radius must be > 0 um, got {self.radius_um}")
-        if not 0.0 < self.self_coupling < 1.0:
-            raise ConfigurationError(
-                f"self_coupling must be in (0, 1), got {self.self_coupling}"
-            )
-        if not 0.0 < self.drop_coupling <= 1.0:
-            raise ConfigurationError(
-                f"drop_coupling must be in (0, 1], got {self.drop_coupling}"
-            )
-        if self.loss_db_per_cm < 0.0:
-            raise ConfigurationError(
-                f"loss must be >= 0 dB/cm, got {self.loss_db_per_cm}"
-            )
-        if self.coupling_gap_nm <= 0.0:
-            raise ConfigurationError(
-                f"coupling gap must be > 0 nm, got {self.coupling_gap_nm}"
-            )
+    LIMITS = {
+        "radius_um": "> 0",
+        "self_coupling": "(0, 1)",
+        "drop_coupling": "(0, 1]",
+        "loss_db_per_cm": ">= 0",
+        "coupling_gap_nm": "> 0",
+    }
+
+    __post_init__ = check_limits
 
     @property
     def circumference_cm(self) -> float:

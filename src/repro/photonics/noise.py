@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 from repro.units import BOLTZMANN_J_PER_K, ELEMENTARY_CHARGE_C
 
@@ -43,20 +44,13 @@ class AnalogNoiseModel:
         default_factory=lambda: np.random.default_rng(0)
     )
 
-    def __post_init__(self) -> None:
-        if self.relative_sigma < 0.0:
-            raise ConfigurationError(
-                f"relative sigma must be >= 0, got {self.relative_sigma}"
-            )
-        if self.crosstalk_fraction_scale < 0.0:
-            raise ConfigurationError(
-                "crosstalk fraction scale must be >= 0, got "
-                f"{self.crosstalk_fraction_scale}"
-            )
-        if self.adc_bits is not None and self.adc_bits < 1:
-            raise ConfigurationError(
-                f"ADC bits must be >= 1, got {self.adc_bits}"
-            )
+    LIMITS = {
+        "relative_sigma": ">= 0",
+        "crosstalk_fraction_scale": ">= 0",
+        "adc_bits": ">= 1",
+    }
+
+    __post_init__ = check_limits
 
     def apply_dot_products(
         self, values: np.ndarray, fan_in: int, crosstalk: float = 0.0

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 
 
@@ -39,17 +40,15 @@ class PCMCell:
     endurance_writes: int = 10**9
     read_excess_loss_db: float = 0.05
 
-    def __post_init__(self) -> None:
-        if self.levels < 2:
-            raise ConfigurationError(f"need >= 2 levels, got {self.levels}")
-        if self.write_energy_pj <= 0.0 or self.write_latency_ns <= 0.0:
-            raise ConfigurationError("write energy and latency must be > 0")
-        if self.endurance_writes < 1:
-            raise ConfigurationError(
-                f"endurance must be >= 1 write, got {self.endurance_writes}"
-            )
-        if self.read_excess_loss_db < 0.0:
-            raise ConfigurationError("read loss must be >= 0 dB")
+    LIMITS = {
+        "levels": ">= 2",
+        "write_energy_pj": "> 0",
+        "write_latency_ns": "> 0",
+        "endurance_writes": ">= 1",
+        "read_excess_loss_db": ">= 0",
+    }
+
+    __post_init__ = check_limits
 
     @property
     def bits(self) -> float:

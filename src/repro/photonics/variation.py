@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.core.serialization import check_limits
 from repro.errors import ConfigurationError
 from repro.photonics.microring import Microring, MicroringDesign
 from repro.photonics.tuning import HybridTuner, TOTuner
@@ -49,14 +50,13 @@ class ProcessVariationModel:
     thickness_sensitivity: float = 2.0
     intra_die_correlation: float = 0.7
 
-    def __post_init__(self) -> None:
-        if self.width_sigma_nm < 0.0 or self.thickness_sigma_nm < 0.0:
-            raise ConfigurationError("variation sigmas must be >= 0")
-        if not 0.0 <= self.intra_die_correlation <= 1.0:
-            raise ConfigurationError(
-                "intra-die correlation must be in [0, 1], got "
-                f"{self.intra_die_correlation}"
-            )
+    LIMITS = {
+        "width_sigma_nm": ">= 0",
+        "thickness_sigma_nm": ">= 0",
+        "intra_die_correlation": "[0, 1]",
+    }
+
+    __post_init__ = check_limits
 
     @property
     def resonance_sigma_nm(self) -> float:

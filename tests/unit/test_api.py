@@ -177,20 +177,37 @@ class TestNonFiniteConfigRejected:
             timeout=120,
         )
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
-    def test_cli_run_spec_exits_nonzero(self, tmp_path, literal):
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            pytest.param(
+                '{"clock_ghz": %s}' % literal,
+                "tron.overrides.clock_ghz: expected a finite number",
+                id=literal,
+            )
+            for literal in ("NaN", "Infinity", "-Infinity")
+        ]
+        + [
+            pytest.param(
+                '{"memory": {"hbm": {"bandwidth_gbps": 0}}}',
+                "tron.overrides.memory.hbm: bandwidth_gbps must be > 0, "
+                "got 0.0",
+                id="nested-out-of-range",
+            )
+        ],
+    )
+    def test_cli_run_spec_exits_nonzero(self, tmp_path, overrides, message):
         path = tmp_path / "run.json"
         path.write_text(
             '{"schema": "repro.spec/1", "workload": "MLP-mnist", '
-            '"platform": {"name": "tron", "overrides": {"clock_ghz": %s}}}'
-            % literal
+            '"platform": {"name": "tron", "overrides": %s}}' % overrides
         )
         proc = self._repro("run", "--spec", str(path), "--json")
-        assert proc.returncode != 0
+        assert proc.returncode == 1
         assert proc.stdout == ""
-        assert "tron.overrides.clock_ghz: expected a finite number" in (
-            proc.stderr
-        )
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith(f"repro: error: {message}")
+        assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_session_run_tuner_range(self, value):

@@ -10,8 +10,9 @@ What it checks (this is what the CI ``schemas`` job runs):
 1. Every JSON-emitting subcommand's actual output parses and validates
    against its ``repro.<cmd>/1`` schema (:mod:`repro.api.schemas`).
 2. Every spec shipped under ``examples/specs/`` loads, validates
-   against ``repro.spec/1``, and round-trips (file → spec → dict →
-   spec) without loss.
+   against ``repro.spec/1``, round-trips (file → spec → dict → spec)
+   without loss, builds its platform(s) and resolves its context — so
+   its overrides pass the config classes' ``LIMITS`` tables.
 3. A generated trace validates against ``repro.trace/1``.
 
 Every document is parsed strictly: ``NaN``/``Infinity`` (which Python's
@@ -37,7 +38,12 @@ sys.path.insert(0, str(REPO / "src"))
 # Stay hermetic: never touch (or create) the user's persistent cache.
 os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-"))
 
-from repro.api import load_spec, validate_payload  # noqa: E402
+from repro.api import (  # noqa: E402
+    get_platform,
+    load_spec,
+    resolve_platform,
+    validate_payload,
+)
 from repro.api.schemas import schema_for  # noqa: E402
 from repro.cli import main  # noqa: E402
 
@@ -59,6 +65,22 @@ def run_cli_json(argv: list) -> dict:
     if code != 0:
         raise RuntimeError(f"{argv} exited {code}")
     return strict_loads(buffer.getvalue())
+
+
+def spec_platforms(spec) -> tuple:
+    """The registry names a spec's platform block builds: both targets
+    for a ``sweep all``, the routed platform for ``auto`` plus a
+    workload, none for a workload-free ``auto``."""
+    name = spec.platform.name
+    if name == "all":
+        return ("tron", "ghost")
+    if name != "auto":
+        return (name,)
+    if spec.workload is None:
+        return ()
+    from repro.core.base import get_workload
+
+    return (resolve_platform(name, get_workload(spec.workload).kind),)
 
 
 def check(label: str, fn) -> bool:
@@ -172,6 +194,9 @@ def main_check() -> int:
             spec = load_spec(path)
             jsonschema.validate(spec.to_dict(), schema_for("repro.spec/1"))
             assert type(spec).from_dict(spec.to_dict()) == spec
+            for name in spec_platforms(spec):
+                get_platform(name, overrides=dict(spec.platform.overrides))
+            spec.context.resolve()
             return spec.fingerprint()
 
         if not check(f"spec {path.name}", check_spec):
