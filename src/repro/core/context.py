@@ -67,7 +67,11 @@ class ThermalCorner:
     drift_nm_per_k: float = 0.08
     hbm_derate: float = 1.0
 
-    LIMITS = {"drift_nm_per_k": "> 0", "hbm_derate": "(0, 1]"}
+    LIMITS = {
+        "ambient_delta_k": "(-inf, inf)",
+        "drift_nm_per_k": "> 0",
+        "hbm_derate": "(0, 1]",
+    }
 
     __post_init__ = check_limits
 

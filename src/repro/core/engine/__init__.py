@@ -70,10 +70,7 @@ from repro.core.engine.pipeline import (
 
 
 #: The ``engine.*`` memos, in ``physics_cache`` envelope order.
-_PHYSICS_MEMOS = (
-    "breakdown", "context_physics", "batch_physics",
-    "coupling_inverse", "design_fsr", "movement",
-)
+_PHYSICS_MEMOS = ("breakdown", "context_physics", "design_fsr", "movement")
 
 
 def physics_cache_stats() -> dict:
@@ -93,23 +90,6 @@ def clear_physics_cache() -> None:
     unmemoized path).  The graph memo and the persistent disk cache are
     deliberately untouched — ``repro cache --clear`` owns the latter."""
     memo.clear("engine.")
-
-
-# Per-memo names from before the registry, kept as aliases.
-def breakdown_cache_stats() -> dict:
-    return physics_cache_stats()["breakdown"]
-
-
-def context_physics_cache_stats() -> dict:
-    return dict(list(physics_cache_stats().items())[1:5])
-
-
-def movement_cache_stats() -> dict:
-    return physics_cache_stats()["movement"]
-
-
-def clear_movement_cache() -> None:
-    memo.clear("engine.movement")
 
 
 __all__ = [
@@ -132,19 +112,15 @@ __all__ = [
     "active_disk_cache",
     "batch_context_physics",
     "batch_context_physics_for",
-    "breakdown_cache_stats",
     "build_memory_backend",
-    "clear_movement_cache",
     "clear_physics_cache",
     "configure_disk_cache",
     "context_physics",
-    "context_physics_cache_stats",
     "default_cache_dir",
     "disk_cache_stats",
     "fingerprint",
     "list_memory_backends",
     "memo",
-    "movement_cache_stats",
     "nominal_breakdown_pj",
     "overlapped_stage_latency_ns",
     "pareto_mask",

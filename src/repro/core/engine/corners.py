@@ -17,22 +17,21 @@ this module answers the three questions the cost model needs:
 3. **Is the die functional at all?**  Zero usable rows or columns means
    the sample cannot execute anything.
 
-Physics is memoized per ``(geometry, context)`` — one die — and
-batched physics also per ``(geometry, die list)``.  Monte-Carlo
-populations hit the list memo as a whole; explicit die lists (serving
-groups) assemble from the per-die memo and draw only unseen dies, so
-sweeps, Monte-Carlo runs and serving traffic that revisit a corner, a
-population or a die never recompute it.
-:func:`batch_context_physics` evaluates all the folding / masking / TED
-math for N samples in one batched numpy pass (each sample draws from
-its own seeded generator, so scalar and batched evaluation see exactly
-the same dies).
+Physics is memoized per ``(geometry, context)`` — one die — and the
+batched entry points (Monte-Carlo populations, serving die lists)
+assemble from that one memo, drawing only the dies it has not seen in
+one :func:`_evaluate_batch` pass.  Sweeps, Monte-Carlo runs and serving
+traffic that revisit a corner, a population or a die never recompute it.
+Every die draws from its own seeded generator and the TED solve is a
+3-point stencil of element-wise float32 operations (no BLAS), so a die's
+physics is the same bytes whichever batch draws it and on whichever CPU.
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Optional, Tuple
 
 import numpy as np
@@ -116,16 +115,14 @@ class BatchContextPhysics:
         )
 
 
-#: (rows, cols, design, context) -> scalar physics record.  LRU-bounded
-#: (with eviction counters) so per-die loops (a fresh context per seed)
-#: churn through it instead of growing it.
+#: (rows, cols, design, context) -> scalar physics record of one die.
+#: LRU-bounded (with eviction counters) so per-die loops (a fresh context
+#: per seed) churn through it instead of growing it; one 256-die
+#: Monte-Carlo population fits.
 _PHYSICS_CACHE = LRUMemo("engine.context_physics", 256)
-#: (rows, cols, design, contexts) -> read-only batched physics, shared by
-#: Monte-Carlo runs and serving groups over one die population.
-BATCH_PHYSICS_ENTRIES = 16
-_BATCH_CACHE = LRUMemo("engine.batch_physics", BATCH_PHYSICS_ENTRIES)
-#: cols -> inverse thermal coupling matrix of a bank of heaters.
-_COUPLING_INVERSE_CACHE = LRUMemo("engine.coupling_inverse", 64)
+#: The per-die record's fields, in BatchContextPhysics order.
+_FIELDS = fields(ArrayContextPhysics)
+_field_values = attrgetter(*(field.name for field in _FIELDS))
 #: design -> FSR at 1550 nm.
 _FSR_CACHE = LRUMemo("engine.design_fsr", 64)
 #: Per-thread scratch of the batched passes.  Their temporaries run to
@@ -151,21 +148,6 @@ def _design_fsr_nm(design: MicroringDesign) -> float:
         fsr = float(design_working_point(design).fsr_nm)
         _FSR_CACHE.put(design, fsr)
     return fsr
-
-
-def _coupling_inverse(cols: int) -> np.ndarray:
-    """Inverse thermal coupling matrix of a bank of ``cols`` heaters
-    (float32, matching the batched physics pipeline)."""
-    inverse = _COUPLING_INVERSE_CACHE.get(cols)
-    if inverse is None:
-        grid = ThermalGrid(num_heaters=cols)
-        inverse = np.linalg.inv(grid.coupling_matrix()).astype(np.float32)
-        # The exponential distance decay leaves far-neighbour entries in
-        # the float32 subnormal range; flush them to zero — physically
-        # negligible, and subnormal operands stall the batched matmul.
-        inverse[np.abs(inverse) < np.finfo(np.float32).tiny] = 0.0
-        _COUPLING_INVERSE_CACHE.put(cols, inverse)
-    return inverse
 
 
 def _fold_errors_nm_inplace(
@@ -258,29 +240,44 @@ def _physics_from_folded(
         out=np.zeros(samples),
         where=correctable_counts > 0,
     )
-    # Heater temperature targets of the correctable rings.
-    targets_k = magnitude
-    targets_k /= ctx.thermal.drift_nm_per_k
+    # Heater temperature targets of the correctable rings are
+    # magnitude / drift; the TED solve folds the division into its
+    # coefficients, saving a pass.
+    drift = ctx.thermal.drift_nm_per_k
     if ctx.use_ted:
-        # TED: P = K^-1 T per bank, batched over samples x banks; negative
-        # solutions clip to zero (a heater cannot cool).  This one-shot
-        # clipped projection is a deliberate approximation of the exact
+        # TED: P = K^-1 T per bank.  K^-1 is tridiagonal
+        # (ThermalGrid.inverse_bands), so the solve is a 3-point stencil
+        # of element-wise float32 ops: no BLAS, and each bank's powers
+        # round the same in any batch on any CPU.  Negative solutions
+        # clip to zero (a heater cannot cool).  This one-shot clipped
+        # projection is a deliberate approximation of the exact
         # nonnegative solve (ThermalGrid.ted_powers_mw re-solves on the
         # active set, which cannot batch across thousands of sample-bank
         # systems): it biases total power slightly high (~10% on typical
         # draws), i.e. the Monte-Carlo tuning-power numbers are
         # conservative relative to the canonical scalar TED model.
-        powers = _scratch("powers", (samples * banks, cols))
-        targets = targets_k.reshape(-1, cols)
-        np.matmul(targets, _coupling_inverse(cols).T, out=powers)
-        np.clip(powers, 0.0, None, out=powers)
-        correction_power = powers.reshape(samples, -1).sum(
-            axis=1, dtype=np.float64
-        )
+        diagonal, off = ThermalGrid(num_heaters=cols).inverse_bands()
+        powers = magnitude
+        if cols > 1:
+            # One contiguous pass sums both neighbours of every ring; it
+            # sums the end columns across bank boundaries, so those are
+            # then reset to their one in-bank neighbour.
+            neighbours = _scratch("neighbours", powers.shape)
+            flat = powers.reshape(-1)
+            np.add(flat[:-2], flat[2:], out=neighbours.reshape(-1)[1:-1])
+            neighbours[..., 0] = powers[..., 1]
+            neighbours[..., -1] = powers[..., -2]
+            neighbours *= np.float32(off / drift)
+        powers *= (diagonal / drift).astype(np.float32)
+        if cols > 1:
+            powers += neighbours
+        np.maximum(powers, 0.0, out=powers)
+        correction_power = powers.sum(axis=(1, 2), dtype=np.float64)
     else:
         # Naive per-ring control: P_i = T_i / K_ii.
+        magnitude /= drift
         correction_power = (
-            targets_k.sum(axis=(1, 2), dtype=np.float64) / _NAIVE_KELVIN_PER_MW
+            magnitude.sum(axis=(1, 2), dtype=np.float64) / _NAIVE_KELVIN_PER_MW
         )
     return usable_rows, usable_cols, correction_power, ring_yield, mean_correction
 
@@ -332,6 +329,7 @@ def context_physics(
             )
             _PHYSICS_CACHE.put(key, physics)
             return physics
+    _check_batch([ctx])
     physics = _evaluate_batch(spec, [ctx]).sample(0)
     _PHYSICS_CACHE.put(key, physics)
     if disk is not None:
@@ -373,11 +371,11 @@ def batch_context_physics(
     if samples is not None and samples < 1:
         raise ConfigurationError(f"need >= 1 sample, got {samples}")
     contexts = (
-        (ctx,)
+        [ctx]
         if samples is None
-        else tuple(ctx.for_sample(i) for i in range(samples))
+        else [ctx.for_sample(i) for i in range(samples)]
     )
-    return _memoized_batch(spec, contexts, _evaluate_batch)
+    return _assemble_from_dies(spec, contexts)
 
 
 def batch_context_physics_for(
@@ -391,10 +389,8 @@ def batch_context_physics_for(
     a request group at once instead of running N scalar physics solves.
     Entry ``i`` of the result is the physics of ``contexts[i]``,
     identical to what :func:`context_physics` computes for that context
-    alone.  Results are memoized per ``(geometry, contexts)`` and shared,
-    so their arrays are read-only; on a list miss, dies already in the
-    per-die memo are reused and only the unseen ones are drawn, in one
-    batched pass.
+    alone: dies already in the per-die memo are reused and only the
+    unseen ones are drawn, in one batched pass.
 
     Args:
         spec: the array geometry (``rows``, ``cols``, ``design``).
@@ -406,19 +402,7 @@ def batch_context_physics_for(
         ConfigurationError: on an empty batch, a pinned context, or
             contexts drawn from different die populations.
     """
-    return _memoized_batch(spec, tuple(contexts), _assemble_from_dies)
-
-
-def _memoized_batch(spec, contexts, evaluate) -> BatchContextPhysics:
-    """``evaluate(spec, contexts)``, memoized per die list, read-only."""
-    key = (spec.rows, spec.cols, spec.design, contexts)
-    physics = _BATCH_CACHE.get(key)
-    if physics is None:
-        physics = evaluate(spec, contexts)
-        for field in fields(physics):
-            getattr(physics, field.name).flags.writeable = False
-        _BATCH_CACHE.put(key, physics)
-    return physics
+    return _assemble_from_dies(spec, list(contexts))
 
 
 def _assemble_from_dies(spec, contexts) -> BatchContextPhysics:
@@ -431,16 +415,15 @@ def _assemble_from_dies(spec, contexts) -> BatchContextPhysics:
     unseen = [i for i, die in enumerate(dies) if die is None]
     if unseen:
         drawn = _evaluate_batch(spec, [contexts[i] for i in unseen])
-        for j, i in enumerate(unseen):
-            dies[i] = drawn.sample(j)
+        columns = [getattr(drawn, field.name).tolist() for field in _FIELDS]
+        for i, values in zip(unseen, zip(*columns)):
+            dies[i] = ArrayContextPhysics(*values)
             _PHYSICS_CACHE.put(keys[i], dies[i])
     # Field types are the strings "int" / "float": numpy's default
     # integer and float64, the dtypes of an _evaluate_batch pass.
     return BatchContextPhysics(**{
-        field.name: np.array(
-            [getattr(die, field.name) for die in dies], dtype=field.type
-        )
-        for field in fields(ArrayContextPhysics)
+        field.name: np.array(column, dtype=field.type)
+        for field, column in zip(_FIELDS, zip(*map(_field_values, dies)))
     })
 
 
@@ -468,9 +451,8 @@ def _check_batch(contexts) -> None:
 
 
 def _evaluate_batch(spec, contexts) -> BatchContextPhysics:
-    """One unmemoized batched physics pass over ``contexts``."""
-    contexts = list(contexts)
-    _check_batch(contexts)
+    """One unmemoized batched physics pass over the list ``contexts``,
+    which the caller has checked with :func:`_check_batch`."""
     ctx = contexts[0]
     rows, cols = spec.rows, spec.cols
     fsr = _design_fsr_nm(spec.design)

@@ -64,6 +64,8 @@ class MemoStats:
         return {**asdict(self), "hit_rate": self.hit_rate}
 
 
+#: Sentinel for "no entry" (``None`` can be a memoized value).
+_MISSING = object()
 #: name -> the live memos registered under it (weakly held).
 _REGISTRY: Dict[str, "weakref.WeakSet[LRUMemo]"] = {}
 _REGISTRY_LOCK = threading.Lock()
@@ -98,20 +100,22 @@ class LRUMemo:
 
     def get(self, key: Any, default: Optional[Any] = None) -> Optional[Any]:
         """The memoized value for ``key`` (counted, recency-refreshing)."""
+        # Keys can be costly to hash (nested configs), so a hit hashes
+        # the key twice and a miss once.
         with self._lock:
-            if key not in self._entries:
+            value = self._entries.get(key, _MISSING)
+            if value is _MISSING:
                 self.stats.misses += 1
                 return default
             self._entries.move_to_end(key)
             self.stats.hits += 1
-            return self._entries[key]
+            return value
 
     def put(self, key: Any, value: Any) -> None:
         """Insert (or refresh) an entry, evicting LRU past the bound."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
             self._entries[key] = value
+            self._entries.move_to_end(key)
             self.stats.insertions += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)

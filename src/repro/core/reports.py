@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -334,7 +334,3 @@ class StackedRunReports:
             energy=energy,
             bits_per_value=int(self.bits_per_value[index]),
         )
-
-    def materialize_all(self) -> List[RunReport]:
-        """Scalar reports for every point (the compatibility boundary)."""
-        return [self.materialize(i) for i in range(len(self))]

@@ -82,8 +82,9 @@ def check_limits(obj: Any) -> None:
 
     ``LIMITS`` maps a field name to an interval rule — ``"> 0"``,
     ``">= 1"``, ``"(0, 1)"``, ``"(0, 1]"`` or ``"[0, 1]"``. Every rule
-    implies a finite value, ``None`` (an unset Optional field) is
-    skipped, and each class's table is compiled once.
+    implies a finite value (so ``"(-inf, inf)"`` reads "finite"),
+    ``None`` (an unset Optional field) is skipped, and each class's
+    table is compiled once.
 
     Example:
         >>> from repro.photonics.converters import DAC

@@ -42,7 +42,14 @@ class SoftmaxLUT:
     clock_ghz: float = 2.0
     lanes: int = 16
 
-    LIMITS = {"entries": ">= 2", "clock_ghz": "> 0", "lanes": ">= 1"}
+    LIMITS = {
+        "entries": ">= 2",
+        "lookup_energy_pj": ">= 0",
+        "add_energy_pj": ">= 0",
+        "mul_energy_pj": ">= 0",
+        "clock_ghz": "> 0",
+        "lanes": ">= 1",
+    }
 
     __post_init__ = check_limits
 

@@ -317,6 +317,8 @@ class MicroringDesign:
 
     LIMITS = {
         "radius_um": "> 0",
+        "n_eff": "> 0",
+        "n_group": "> 0",
         "self_coupling": "(0, 1)",
         "drop_coupling": "(0, 1]",
         "loss_db_per_cm": ">= 0",

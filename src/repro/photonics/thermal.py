@@ -16,6 +16,7 @@ thermal spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -59,6 +60,28 @@ class ThermalGrid:
         positions = np.arange(self.num_heaters) * self.pitch_um
         distance = np.abs(positions[:, None] - positions[None, :])
         return self.kelvin_per_mw * np.exp(-distance / self.decay_length_um)
+
+    def inverse_bands(self) -> Tuple[np.ndarray, float]:
+        """The nonzero bands of ``inv(coupling_matrix())``.
+
+        With ``rho = exp(-pitch / decay_length)`` the coupling matrix is
+        ``k * rho^|i-j|``, whose inverse is exactly tridiagonal:
+        ``tridiag(-rho, 1 + rho^2, -rho) / (k (1 - rho^2))``, with ``1``
+        in place of ``1 + rho^2`` at both ends (``1 / k`` for one
+        heater).  So ``P = K^-1 T`` is the 3-point stencil
+        ``diagonal[j] * T[j] + off_diagonal * (T[j-1] + T[j+1])``.
+
+        Returns:
+            ``(diagonal, off_diagonal)``: the ``(num_heaters,)`` main
+            diagonal and the scalar entry of both neighbour bands.
+        """
+        rho = float(np.exp(-self.pitch_um / self.decay_length_um))
+        scale = 1.0 / (self.kelvin_per_mw * (1.0 - rho * rho))
+        diagonal = np.full(self.num_heaters, (1.0 + rho * rho) * scale)
+        diagonal[[0, -1]] = scale
+        if self.num_heaters == 1:
+            diagonal[0] = 1.0 / self.kelvin_per_mw
+        return diagonal, -rho * scale
 
     def naive_powers_mw(self, target_temps_k: np.ndarray) -> np.ndarray:
         """Heater powers ignoring crosstalk: P_i = T_i / K_ii.

@@ -1,12 +1,16 @@
 """Tests for the ExecutionContext threading through the run path."""
 
 import dataclasses
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
     ExecutionContext,
     GHOST,
@@ -26,14 +30,10 @@ from repro.core.engine import (
     context_physics,
 )
 from repro.core.engine import corners
-from repro.core.engine.corners import (
-    _BATCH_CACHE,
-    _PHYSICS_CACHE,
-    BATCH_PHYSICS_ENTRIES,
-    _evaluate_batch,
-)
+from repro.core.engine.corners import _PHYSICS_CACHE, _evaluate_batch
 from repro.errors import ConfigurationError, YieldError
 from repro.photonics.microring import MicroringDesign
+from repro.photonics.thermal import ThermalGrid
 from repro.photonics.variation import ProcessVariationModel
 
 VARIED = ExecutionContext(variation=ProcessVariationModel(), seed=3)
@@ -323,8 +323,8 @@ class TestBatchedPhysicsScratch:
             np.testing.assert_array_equal(got, want)
 
 
-class TestBatchPhysicsMemo:
-    """``batch_context_physics_for`` memoizes per (geometry, die list)."""
+class TestPerDieMemo:
+    """Both batched entry points serve each die from the per-die memo."""
 
     SPEC = ArraySpec(rows=32, cols=32)
 
@@ -339,72 +339,89 @@ class TestBatchPhysicsMemo:
             for field in dataclasses.fields(physics)
         }
 
-    def test_repeat_returns_same_object_and_counts_hit(self):
-        first = batch_context_physics_for(self.SPEC, self.dies())
-        hits = _BATCH_CACHE.stats.hits
-        again = batch_context_physics_for(self.SPEC, tuple(self.dies()))
-        assert again is first
-        assert _BATCH_CACHE.stats.hits == hits + 1
-
-    def test_arrays_are_read_only(self):
-        physics = batch_context_physics_for(self.SPEC, self.dies())
-        for name, array in self.arrays(physics).items():
-            assert not array.flags.writeable, name
-        with pytest.raises(ValueError):
-            physics.correction_power_mw[0] = 0.0
-
-    def test_clear_physics_cache_empties_memo(self):
-        first = batch_context_physics_for(self.SPEC, self.dies())
-        assert len(_BATCH_CACHE) >= 1
+    @pytest.fixture
+    def drawn(self, monkeypatch):
+        """Count the dies every ``_evaluate_batch`` pass draws."""
         clear_physics_cache()
-        assert len(_BATCH_CACHE) == 0
-        misses = _BATCH_CACHE.stats.misses
-        again = batch_context_physics_for(self.SPEC, self.dies())
-        assert again is not first
-        assert _BATCH_CACHE.stats.misses == misses + 1
+        counts = []
+        evaluate = corners._evaluate_batch
 
-    def test_bound_evicts_least_recent(self):
-        _BATCH_CACHE.clear()
-        evictions = _BATCH_CACHE.stats.evictions
-        for i in range(BATCH_PHYSICS_ENTRIES + 1):
-            batch_context_physics_for(self.SPEC, self.dies([100 + i]))
-        assert len(_BATCH_CACHE) == BATCH_PHYSICS_ENTRIES
-        assert _BATCH_CACHE.stats.evictions == evictions + 1
-        hits, misses = _BATCH_CACHE.stats.hits, _BATCH_CACHE.stats.misses
-        batch_context_physics_for(self.SPEC, self.dies([101]))
-        assert _BATCH_CACHE.stats.hits == hits + 1
-        batch_context_physics_for(self.SPEC, self.dies([100]))
-        assert _BATCH_CACHE.stats.misses == misses + 1
+        def counting(spec, contexts):
+            contexts = list(contexts)
+            counts.append(len(contexts))
+            return evaluate(spec, contexts)
+
+        monkeypatch.setattr(corners, "_evaluate_batch", counting)
+        return counts
+
+    def test_repeat_counts_one_hit_per_die(self, drawn):
+        first = batch_context_physics_for(self.SPEC, self.dies())
+        hits = _PHYSICS_CACHE.stats.hits
+        again = batch_context_physics_for(self.SPEC, tuple(self.dies()))
+        assert _PHYSICS_CACHE.stats.hits == hits + 8
+        assert drawn == [8]
+        for name, array in self.arrays(first).items():
+            assert array.tobytes() == getattr(again, name).tobytes(), name
+
+    def test_results_are_private_copies(self):
+        first = batch_context_physics_for(self.SPEC, self.dies())
+        want = first.correction_power_mw.copy()
+        first.correction_power_mw[:] = -1.0
+        again = batch_context_physics_for(self.SPEC, self.dies())
+        np.testing.assert_array_equal(again.correction_power_mw, want)
+
+    def test_clear_physics_cache_empties_memo(self, drawn):
+        batch_context_physics_for(self.SPEC, self.dies())
+        assert len(_PHYSICS_CACHE) >= 8
+        clear_physics_cache()
+        assert len(_PHYSICS_CACHE) == 0
+        misses = _PHYSICS_CACHE.stats.misses
+        batch_context_physics_for(self.SPEC, self.dies())
+        assert _PHYSICS_CACHE.stats.misses == misses + 8
+        assert drawn == [8, 8]
+
+    def test_bound_evicts_least_recent_die(self, drawn):
+        bound = _PHYSICS_CACHE.max_entries
+        evictions = _PHYSICS_CACHE.stats.evictions
+        batch_context_physics_for(self.SPEC, self.dies(range(bound + 1)))
+        assert len(_PHYSICS_CACHE) == bound
+        assert _PHYSICS_CACHE.stats.evictions == evictions + 1
+        batch_context_physics_for(self.SPEC, self.dies([1]))
+        batch_context_physics_for(self.SPEC, self.dies([0]))
+        assert drawn == [bound + 1, 1]
 
     @pytest.mark.parametrize(
-        "spec, seeds, base",
+        "spec, seeds, base, unseen",
         [
             (
                 ArraySpec(rows=32, cols=32, design=MicroringDesign(radius_um=7.0)),
                 range(8),
                 VARIED,
+                8,
             ),
-            (ArraySpec(rows=32, cols=16), range(8), VARIED),
-            (SPEC, range(1, 9), VARIED),
-            (SPEC, range(7, -1, -1), VARIED),
-            (SPEC, range(7), VARIED),
+            (ArraySpec(rows=32, cols=16), range(8), VARIED, 8),
+            (SPEC, range(1, 9), VARIED, 1),
+            (SPEC, range(7, -1, -1), VARIED, 0),
+            (SPEC, range(7), VARIED, 0),
             (
                 SPEC,
                 range(8),
                 dataclasses.replace(VARIED, thermal=ThermalCorner("hot", 30.0)),
+                8,
             ),
-            (SPEC, range(8), dataclasses.replace(VARIED, use_ted=False)),
+            (SPEC, range(8), dataclasses.replace(VARIED, use_ted=False), 8),
         ],
         ids=["design", "geometry", "seeds", "order", "subset", "corner", "ted"],
     )
-    def test_different_key_misses(self, spec, seeds, base):
-        first = batch_context_physics_for(self.SPEC, self.dies())
-        misses = _BATCH_CACHE.stats.misses
+    def test_only_unseen_dies_are_drawn(self, drawn, spec, seeds, base, unseen):
+        batch_context_physics_for(self.SPEC, self.dies())
         other = batch_context_physics_for(spec, self.dies(seeds, base))
-        assert other is not first
-        assert _BATCH_CACHE.stats.misses == misses + 1
+        assert sum(drawn) == 8 + unseen
+        fresh = _evaluate_batch(spec, self.dies(seeds, base))
+        for name, array in self.arrays(other).items():
+            assert array.tobytes() == getattr(fresh, name).tobytes(), name
 
-    def test_memoized_batch_survives_scratch_reuse(self):
+    def test_results_survive_scratch_reuse(self):
         physics = batch_context_physics_for(self.SPEC, self.dies())
         snapshot = {k: v.copy() for k, v in self.arrays(physics).items()}
         # Same shape (reuses the scratch views) and larger (regrows them).
@@ -433,13 +450,12 @@ class TestBatchPhysicsMemo:
 
 
 class TestPerDiePhysics:
-    """Explicit die lists draw only dies the per-die memo has not seen.
+    """A die's physics does not depend on the batch that draws it.
 
-    Bit-identity between per-die assembly and a whole-list pass needs a
-    float32 TED matmul whose rows do not depend on the batch's row count.
-    That holds for the 64x64 arrays of TRON and GHOST (all serving
-    traffic); for some smaller arrays the BLAS kernel choice depends on
-    the batch size (see ``test_small_array_rows_depend_on_batch_size``).
+    Every die draws from its own seeded generator and the TED solve is
+    an element-wise stencil, so per-die assembly and a whole-list pass
+    agree bit for bit at every array size, whatever BLAS kernel NumPy's
+    OpenBLAS would pick for the CPU.
     """
 
     SPEC = ArraySpec(rows=64, cols=64)
@@ -448,20 +464,7 @@ class TestPerDiePhysics:
     def dies(seeds, base=VARIED):
         return [dataclasses.replace(base, seed=seed) for seed in seeds]
 
-    @pytest.fixture
-    def drawn(self, monkeypatch):
-        """Count the dies every ``_evaluate_batch`` pass draws."""
-        clear_physics_cache()
-        counts = []
-        evaluate = corners._evaluate_batch
-
-        def counting(spec, contexts):
-            contexts = list(contexts)
-            counts.append(len(contexts))
-            return evaluate(spec, contexts)
-
-        monkeypatch.setattr(corners, "_evaluate_batch", counting)
-        return counts
+    drawn = TestPerDieMemo.drawn
 
     def test_overlapping_lists_draw_unseen_dies_only(self, drawn):
         lists = [self.dies([0, 1]), self.dies([1, 2]), self.dies(range(4))]
@@ -474,7 +477,6 @@ class TestPerDiePhysics:
                 want = getattr(fresh, field.name)
                 assert got.dtype == want.dtype, field.name
                 assert got.tobytes() == want.tobytes(), field.name
-                assert not got.flags.writeable, field.name
 
     def test_memo_hits_are_still_validated(self, drawn):
         batch_context_physics_for(self.SPEC, self.dies([0, 1]))
@@ -492,23 +494,77 @@ class TestPerDiePhysics:
                 batch_context_physics_for(self.SPEC, dies)
         assert sum(drawn) == 3
 
-    def test_monte_carlo_skips_per_die_memo(self, drawn):
-        before = _PHYSICS_CACHE.stats.to_dict()
-        batch_context_physics(self.SPEC, VARIED, 16)
-        assert _PHYSICS_CACHE.stats.to_dict() == before
-        assert len(_PHYSICS_CACHE) == 0
+    def test_monte_carlo_reuses_per_die_memo(self, drawn):
+        first = batch_context_physics(self.SPEC, VARIED, 16)
+        assert len(_PHYSICS_CACHE) == 16
+        again = batch_context_physics(self.SPEC, VARIED, 16)
+        listed = batch_context_physics_for(
+            self.SPEC, [VARIED.for_sample(i) for i in range(16)]
+        )
+        assert context_physics(self.SPEC, VARIED.for_sample(3)) == first.sample(3)
         assert drawn == [16]
+        for field in dataclasses.fields(first):
+            want = getattr(first, field.name).tobytes()
+            assert getattr(again, field.name).tobytes() == want, field.name
+            assert getattr(listed, field.name).tobytes() == want, field.name
 
-    @pytest.mark.xfail(
-        reason="known defect: the float32 TED matmul of small arrays "
-        "rounds differently for one die than inside a larger batch "
-        "(BLAS picks its kernel by matrix shape), so per-die memo "
-        "entries of such arrays depend on which batch drew them",
-        strict=False,
-    )
-    def test_small_array_rows_depend_on_batch_size(self):
-        spec = ArraySpec(rows=32, cols=32)
+    @pytest.mark.parametrize("cols", [1, 2, 3, 64, 128])
+    def test_stencil_matches_float64_inverse(self, cols):
+        """The float32 stencil solve agrees with ``K^-1 T`` in float64
+        to float32 precision (negative powers clipped in both)."""
+        folded = np.random.default_rng(cols).normal(
+            0.0, 0.5, size=(4, 9, cols)
+        ).astype(np.float32)
+        ctx = dataclasses.replace(VARIED, tuner_range_nm=100.0)
+        targets = np.abs(folded.astype(np.float64)) / ctx.thermal.drift_nm_per_k
+        inverse = np.linalg.inv(ThermalGrid(num_heaters=cols).coupling_matrix())
+        want = np.clip(targets @ inverse.T, 0.0, None).sum(axis=(1, 2))
+        got = corners._physics_from_folded(folded, ctx, 100.0)[2]
+        np.testing.assert_allclose(got, want, rtol=1e-5)
+
+    @pytest.mark.parametrize("size", [8, 32, 64, 128])
+    def test_rows_do_not_depend_on_batch_size(self, size):
+        spec = ArraySpec(rows=size, cols=size)
         dies = self.dies(range(8))
-        whole = _evaluate_batch(spec, dies).correction_power_mw.copy()
-        alone = [_evaluate_batch(spec, [ctx]).correction_power_mw[0] for ctx in dies]
-        assert whole.tobytes() == np.array(alone).tobytes()
+        whole = _evaluate_batch(spec, dies)
+        for i, ctx in enumerate(dies):
+            alone = _evaluate_batch(spec, [ctx])
+            for field in dataclasses.fields(whole):
+                got = getattr(alone, field.name)
+                want = getattr(whole, field.name)[i : i + 1]
+                assert got.tobytes() == want.tobytes(), (field.name, i)
+
+    @pytest.mark.skipif(
+        "DYNAMIC_ARCH" not in str(np.show_config(mode="dicts")),
+        reason="NumPy's OpenBLAS cannot switch core types at run time",
+    )
+    def test_bytes_do_not_depend_on_blas_core_type(self):
+        """The same dies under two OpenBLAS kernels give the same bytes."""
+        script = (
+            "import dataclasses, hashlib\n"
+            "from repro.core import ExecutionContext\n"
+            "from repro.core.engine import ArraySpec\n"
+            "from repro.core.engine.corners import _evaluate_batch\n"
+            "from repro.photonics.variation import ProcessVariationModel\n"
+            "ctx = ExecutionContext(variation=ProcessVariationModel(), seed=3)\n"
+            "digest = hashlib.sha256()\n"
+            "for size in (8, 32, 64, 128):\n"
+            "    physics = _evaluate_batch(ArraySpec(rows=size, cols=size),\n"
+            "                              [ctx.for_sample(i) for i in range(4)])\n"
+            "    for field in dataclasses.fields(physics):\n"
+            "        digest.update(getattr(physics, field.name).tobytes())\n"
+            "print(digest.hexdigest())\n"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        digests = {
+            core: subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                check=True,
+                env=dict(os.environ, PYTHONPATH=src, OPENBLAS_CORETYPE=core),
+                timeout=120,
+            ).stdout
+            for core in ("Haswell", "Prescott")
+        }
+        assert digests["Haswell"] == digests["Prescott"] != ""

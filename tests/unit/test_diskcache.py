@@ -179,4 +179,4 @@ class TestEndToEnd:
         assert main(["sweep", "tron", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "physics_cache" in payload
-        assert set(payload["physics_cache"]) >= {"breakdown", "batch_physics", "disk"}
+        assert set(payload["physics_cache"]) >= {"breakdown", "context_physics", "disk"}

@@ -11,11 +11,7 @@ views.
 import numpy as np
 import pytest
 
-from repro.core.engine import (
-    breakdown_cache_stats,
-    clear_physics_cache,
-    prime_breakdown_cache,
-)
+from repro.core.engine import clear_physics_cache, memo, prime_breakdown_cache
 from repro.core.engine.matmul import ArrayExecutor, ArraySpec
 from repro.photonics.crosstalk import (
     heterodyne_crosstalk_kernel,
@@ -288,7 +284,7 @@ class TestPrimeBreakdownCache:
         spec = ArraySpec(rows=16, cols=16)
         assert prime_breakdown_cache([(spec, 0.5, 1)]) == 1
         assert prime_breakdown_cache([(spec, 0.5, 1)]) == 0
-        stats = breakdown_cache_stats()
+        stats = memo.stats("engine.breakdown")["engine.breakdown"]
         assert stats["insertions"] >= 1
 
 

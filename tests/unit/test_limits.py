@@ -27,7 +27,7 @@ from repro.core.context import (
 from repro.core.engine.hbm.geometry import HBMGeometry
 from repro.core.ghost import GHOST, GHOSTConfig
 from repro.core.reports import EnergyReport, LatencyReport
-from repro.core.tron import TRONConfig
+from repro.core.tron import TRON, TRONConfig
 from repro.electronics.digital import ControlUnit, SoftmaxLUT
 from repro.electronics.memory import HBMChannel, SRAMBuffer
 from repro.errors import ConfigurationError
@@ -165,6 +165,22 @@ def test_nan_penalty_never_reaches_a_report():
     ):
         GHOST(GHOSTConfig(random_access_penalty=math.nan)).run(
             get_workload("GCN-cora")
+        )
+
+
+def test_nan_ambient_never_reaches_the_physics():
+    """A NaN ambient used to surface from a varied run as a YieldError
+    that did not name the field."""
+    with pytest.raises(
+        ConfigurationError,
+        match=r"^ambient_delta_k must be in \(-inf, inf\), got nan",
+    ):
+        TRON().run(
+            get_workload("BERT-base"),
+            ctx=ExecutionContext(
+                variation=ProcessVariationModel(),
+                thermal=ThermalCorner(name="nan", ambient_delta_k=math.nan),
+            ),
         )
 
 

@@ -20,10 +20,8 @@ SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 #: Every memo name constructed in ``src/``.
 SRC_MEMOS = {
     "accelerator.context_clones",
-    "engine.batch_physics",
     "engine.breakdown",
     "engine.context_physics",
-    "engine.coupling_inverse",
     "engine.design_fsr",
     "engine.movement",
     "ghost.stage",
@@ -146,8 +144,6 @@ def test_physics_cache_stats_keys_pinned():
     assert list(physics_cache_stats()) == [
         "breakdown",
         "context_physics",
-        "batch_physics",
-        "coupling_inverse",
         "design_fsr",
         "movement",
         "disk",

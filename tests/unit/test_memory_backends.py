@@ -53,6 +53,7 @@ from repro.core.engine import (
     MemoryModel,
     build_memory_backend,
     list_memory_backends,
+    memo,
 )
 from repro.core.engine.hbm import (
     OffloadScenario,
@@ -426,6 +427,10 @@ class TestGoldenTrace:
 # ----------------------------------------------------------------------
 
 
+def movement_stats():
+    return memo.stats("engine.movement")["engine.movement"]
+
+
 class TestMovementMemo:
     """The LRU memo in front of the HBM(-PIM) costing primitives."""
 
@@ -435,76 +440,66 @@ class TestMovementMemo:
         clear_physics_cache()
 
     def test_repeat_calls_hit(self):
-        from repro.core.engine import movement_cache_stats
-
         model = HBMMemoryModel(TRONConfig().memory)
-        before = movement_cache_stats()
+        before = movement_stats()
         first = model.burst_offchip(1 << 20)
         second = model.burst_offchip(1 << 20)
-        after = movement_cache_stats()
+        after = movement_stats()
         assert second == first
         assert after["misses"] == before["misses"] + 1
         assert after["hits"] == before["hits"] + 1
 
     def test_key_separates_patterns_sizes_and_derate(self):
         from repro.core.context import resolve_corner
-        from repro.core.engine import movement_cache_stats
 
         nominal = HBMMemoryModel(TRONConfig().memory)
         hot = HBMMemoryModel(
             TRONConfig().memory, context=resolve_corner("slow-hot", 0)
         )
-        before = movement_cache_stats()["misses"]
+        before = movement_stats()["misses"]
         nominal.burst_offchip(4096)
         nominal.burst_offchip(8192)       # different bytes
         nominal.random_offchip(4096, 4.0)  # different pattern
         hot.burst_offchip(4096)            # different derate
-        assert movement_cache_stats()["misses"] == before + 4
+        assert movement_stats()["misses"] == before + 4
 
     def test_store_and_burst_use_distinct_patterns(self):
         """Same numbers, different op — a WR trace must never be served
         from a RD entry, so the patterns key separately."""
-        from repro.core.engine import movement_cache_stats
-
         model = HBMMemoryModel(TRONConfig().memory)
-        before = movement_cache_stats()["misses"]
+        before = movement_stats()["misses"]
         assert model.burst_offchip(2048) == model.store_offchip(2048)
-        assert movement_cache_stats()["misses"] == before + 2
+        assert movement_stats()["misses"] == before + 2
 
     def test_tracing_models_bypass_the_memo(self):
         """A cache hit would skip the command-recording side effect."""
-        from repro.core.engine import movement_cache_stats
-
         model = HBMMemoryModel(
             TRONConfig().memory, geometry=HBMGeometry(op_trace=True)
         )
-        before = movement_cache_stats()
+        before = movement_stats()
         model.burst_offchip(4096)
         model.burst_offchip(4096)
-        after = movement_cache_stats()
+        after = movement_stats()
         assert after["hits"] == before["hits"]
         assert after["misses"] == before["misses"]
         assert model.trace.op_counts()["RD"] == 256
 
     def test_clear_physics_cache_drops_movement_entries(self):
-        from repro.core.engine import (
-            clear_physics_cache,
-            movement_cache_stats,
-        )
+        from repro.core.engine import clear_physics_cache
 
         model = HBMMemoryModel(TRONConfig().memory)
         model.burst_offchip(1 << 16)
         clear_physics_cache()
-        misses = movement_cache_stats()["misses"]
+        misses = movement_stats()["misses"]
         model.burst_offchip(1 << 16)
-        assert movement_cache_stats()["misses"] == misses + 1
+        assert movement_stats()["misses"] == misses + 1
 
     def test_stats_surface_in_physics_cache_stats(self):
         from repro.core.engine import physics_cache_stats
 
         stats = physics_cache_stats()
         assert {"hits", "misses", "evictions"} <= set(stats["movement"])
-        assert {"hits", "misses", "evictions"} <= set(stats["batch_physics"])
+        assert {"hits", "misses", "evictions"} <= set(stats["context_physics"])
 
     def test_invalid_penalty_rejected_before_the_memo(self):
         """Validation must not depend on cache state: a bad penalty

@@ -212,15 +212,15 @@ class TestSweepStrategies:
         assert points[0].report.to_dict() == points[1].report.to_dict()
 
     def test_soa_primes_physics_before_running(self):
-        from repro.core.engine import breakdown_cache_stats, clear_physics_cache
+        from repro.core.engine import clear_physics_cache, memo
 
         clear_physics_cache()
         space = tron_sweep_space(
             head_units=(4,), array_sizes=(32, 64), clocks_ghz=(2.5, 5.0)
         )
-        before = breakdown_cache_stats()["insertions"]
+        before = memo.stats("engine.breakdown")["engine.breakdown"]["insertions"]
         run_sweep(space)
-        stats = breakdown_cache_stats()
+        stats = memo.stats("engine.breakdown")["engine.breakdown"]
         # All four geometries were inserted by the vectorized primer.
         assert stats["insertions"] - before >= 4
 

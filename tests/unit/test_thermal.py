@@ -29,6 +29,17 @@ class TestCouplingMatrix:
         k = grid.coupling_matrix()
         assert k[0, 1] > k[0, 2] > k[0, 7]
 
+    @pytest.mark.parametrize("heaters", range(1, 131))
+    def test_inverse_bands_equal_numerical_inverse(self, heaters):
+        grid = ThermalGrid(num_heaters=heaters)
+        diagonal, off = grid.inverse_bands()
+        bands = np.diag(diagonal) + off * (
+            np.eye(heaters, k=1) + np.eye(heaters, k=-1)
+        )
+        np.testing.assert_allclose(
+            bands, np.linalg.inv(grid.coupling_matrix()), rtol=0, atol=1e-15
+        )
+
     def test_rejects_bad_config(self):
         with pytest.raises(ConfigurationError):
             ThermalGrid(num_heaters=0)
