@@ -362,7 +362,7 @@ class TestGoldenEnvelopes:
         ],
     )
     def test_default_envelope_bit_identical(self, workload, fixture):
-        golden = json.loads((GOLDEN / fixture).read_text())
+        golden = json.loads((GOLDEN / "envelopes" / fixture).read_text())
         envelope = Session().run(workload).envelope()
         assert envelope == golden
 
