@@ -1,4 +1,4 @@
-"""Vectorized vs. naive Monte-Carlo robustness, and yield-aware Pareto.
+"""Batched vs. naive Monte-Carlo robustness, and yield-aware Pareto.
 
 Two scenarios mirror how the MC engine is used:
 
@@ -7,14 +7,15 @@ Two scenarios mirror how the MC engine is used:
   scalar context-physics evaluation per die.
 - **GHOST / GCN-cora** — GNN robustness; the naive baseline additionally
   re-materializes the workload (graph synthesis) per die, which the
-  engine strategies memoize once.
+  engine memoizes once.
 
-Two arms per scenario: the vectorized engine (every yield signature's
-affine replay evaluates in one stacked array-resident pass) and the
-naive baseline (N cold scalar runs).  The engine must match naive to
-float tolerance, and the combined wall-clock speedup at N=256 samples
-is the number ``run_mc_bench.py`` records in BENCH_montecarlo.json,
-with a >= 10x bar.
+Two arms per scenario: ``run_monte_carlo``, the library's one
+Monte-Carlo path (every yield signature's affine replay evaluates in
+one stacked array-resident pass), and the naive baseline — the
+N-cold-scalar-runs reference ``_run_naive``, called directly.  The
+engine must match naive to float tolerance, and the combined
+wall-clock speedup at N=256 samples is the number ``run_mc_bench.py``
+records in BENCH_montecarlo.json, with a >= 10x bar.
 
 The yield-aware Pareto bench sweeps array geometry under a tight tuner
 range, where big arrays are fast but rarely fab fully functional — the
@@ -26,6 +27,7 @@ import time
 import numpy as np
 
 from repro.analysis.robustness import (
+    _run_naive,
     monte_carlo_sweep,
     run_monte_carlo,
     yield_aware_pareto,
@@ -78,7 +80,7 @@ def _scenarios():
 
 
 def measure_mc_speedup(samples: int = 256):
-    """(records, speedup) of the vectorized engine vs. the naive baseline.
+    """(records, speedup) of the batched engine vs. the naive baseline.
 
     Each record holds both wall times, the per-scenario speedup and the
     yield; ``speedup`` is combined over every scenario.  The engine is
@@ -105,13 +107,7 @@ def measure_mc_speedup(samples: int = 256):
         )
         soa_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        naive = run_monte_carlo(
-            make_accelerator,
-            make_workload,
-            context,
-            samples=samples,
-            vectorized=False,
-        )
+        naive = _run_naive(make_accelerator, make_workload, context, samples)
         naive_s = time.perf_counter() - t0
         # The affine reconstruction rounds differently from a direct run
         # in the last ulp, so the engine matches naive to tolerance.

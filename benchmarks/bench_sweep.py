@@ -1,11 +1,13 @@
-"""The sweep engine's production path and scalar oracle vs. naive.
+"""The sweep engine's evaluation path and scalar oracle vs. naive.
 
 A >= 500 point combined TRON + GHOST knob grid evaluated through the
-``soa`` production path (the whole grid as stacked NumPy columns,
-scalar reports materialized from the stack) and the ``serial`` scalar
-oracle (one workload materialization, one ``Accelerator.run`` per
-point) against the naive sequential baseline (per-point workload
-rebuild + physics recompute).  Both must be **bit-identical** to scalar
+``soa`` arm — ``run_sweep``, the library's one sweep path (the whole
+grid as stacked NumPy columns, scalar reports materialized from the
+stack) — and the ``serial`` scalar oracle (one workload
+materialization, one ``Accelerator.run`` per point) against the naive
+sequential baseline (per-point workload rebuild + physics recompute).
+The library offers no way to pick the two scalar arms, so they are
+built here.  Both must be **bit-identical** to scalar
 runs — every Pareto-frontier point of the serial sweep is re-evaluated
 naively and compared exactly, and every soa point is compared against
 its serial twin — and the speedups must hold the bars
@@ -15,6 +17,8 @@ its serial twin — and the speedups must hold the bars
 import time
 
 from repro.analysis.sweep import (
+    SweepPoint,
+    _run_serial,
     ghost_sweep_space,
     pareto_frontier,
     run_sweep,
@@ -45,22 +49,43 @@ def production_spaces(quick: bool = False):
     ]
 
 
-def _evaluate_point_naively(space, point):
-    """One fresh scalar evaluation of a sweep point (cold caches)."""
+def _cold_run(space, knobs, ctx=None):
+    """One scalar evaluation from cold caches, its workload rebuilt."""
     memo.clear("engine.")
     memo.clear("workloads.graph")
     workload = space.build_workload()
+    return space.build_accelerator(knobs).run(workload, ctx=ctx)
+
+
+def _evaluate_point_naively(space, point):
+    """One fresh scalar evaluation of a nominal sweep point."""
     knobs = {k: v for k, v in point.knobs.items() if k != "corner"}
-    return space.build_accelerator(knobs).run(workload, ctx=None)
+    return _cold_run(space, knobs)
 
 
-def _timed_sweeps(spaces, strategy):
+def _naive_sweep(space):
+    """The naive baseline: every point from cold caches."""
+    return [
+        SweepPoint(
+            label=label, knobs=knobs, report=_cold_run(space, knobs, ctx)
+        )
+        for knobs, label, ctx in space.evaluations()
+    ]
+
+
+#: The timed arms: the library's sweep path and the two scalar loops.
+ARMS = {
+    "soa": run_sweep,
+    "serial": lambda space: _run_serial(space, space.evaluations()),
+    "naive": _naive_sweep,
+}
+
+
+def _timed_sweeps(spaces, arm):
     """``({space name: points}, wall seconds)`` from cold physics caches."""
     memo.clear("engine.")
     t0 = time.perf_counter()
-    points = {
-        space.name: run_sweep(space, strategy=strategy) for space in spaces
-    }
+    points = {space.name: ARMS[arm](space) for space in spaces}
     return points, time.perf_counter() - t0
 
 
@@ -143,7 +168,7 @@ def measure_perf_smoke():
     The 8-point quick grid is dominated by one-time physics setup, so a
     throughput ratio there is noise; this 128-point grid is big enough
     for the per-point cost to dominate while staying CI-fast.  Returns
-    both strategies' wall times and points/sec plus the point-for-point
+    both arms' wall times and points/sec plus the point-for-point
     mismatch count (must be 0).
     """
     spaces = [

@@ -32,17 +32,25 @@ import numpy as np  # noqa: E402
 
 from repro.core.base import get_workload  # noqa: E402
 from repro.core.ghost import GHOST  # noqa: E402
+from repro.core.reports import EnergyReport, LatencyReport  # noqa: E402
 from repro.core.tron import TRON, TRONConfig  # noqa: E402
+from repro.core.tron.generation import (  # noqa: E402
+    GenerationReport,
+    decode_step_reports,
+    prefill_report,
+    static_power_mw,
+)
+from repro.nn.counting import OpCount  # noqa: E402
 from repro.nn.models import gpt2_small  # noqa: E402
 from repro.serving.fleet import ServingFleet  # noqa: E402
 from repro.serving.trace import record_tenant, record_to_request  # noqa: E402
 from repro.streaming import (  # noqa: E402
     TrafficModel,
-    decode_series,
     decode_series_batch,
     parse_shaped_arrivals,
     run_temporal,
 )
+from repro.streaming.decode import ENERGY_FIELDS  # noqa: E402
 
 DECODE_BATCH = 8
 DECODE_GENERATED = 32
@@ -51,6 +59,33 @@ TEMPORAL_WORKLOAD = "GCN-ba-temporal"
 FLEET_TENANTS = 3
 FLEET_SEED = 0
 WINDOW = 64
+
+
+def scalar_episode(tron, model, prompt_tokens, generated_tokens):
+    """The scalar reference of one episode: the per-step loop folded to
+    ``(per_token_ns, per_token_pj, GenerationReport)`` in the order the
+    stacked series sums."""
+    prefill = prefill_report(tron, model, prompt_tokens)
+    steps = decode_step_reports(tron, model, prompt_tokens, generated_tokens)
+    latency, energy, ops = LatencyReport(), EnergyReport(), OpCount()
+    for step in steps:
+        latency = latency + step.latency
+        energy = energy + step.energy
+        ops = ops + step.ops
+    static_pj = static_power_mw(tron) * latency.total_ns
+    report = GenerationReport(
+        prefill=prefill,
+        decode_latency=latency,
+        decode_energy=energy + EnergyReport(static_pj=static_pj),
+        decode_ops=ops,
+        prompt_tokens=prompt_tokens,
+        generated_tokens=generated_tokens,
+    )
+    per_token_ns = np.array([s.latency.total_ns for s in steps])
+    per_token_pj = np.array(
+        [sum(getattr(s.energy, name) for name in ENERGY_FIELDS) for s in steps]
+    )
+    return per_token_ns, per_token_pj, report
 
 
 def measure_decode(prompts=DECODE_PROMPTS, generated=DECODE_GENERATED):
@@ -62,16 +97,14 @@ def measure_decode(prompts=DECODE_PROMPTS, generated=DECODE_GENERATED):
     stacked = decode_series_batch(tron, model, episodes)
     stacked_wall = time.perf_counter() - t0
     t0 = time.perf_counter()
-    scalar = [
-        decode_series(tron, model, p, g, stacked=False) for p, g in episodes
-    ]
+    scalar = [scalar_episode(tron, model, p, g) for p, g in episodes]
     scalar_wall = time.perf_counter() - t0
 
     bit_identical = all(
-        np.array_equal(s.per_token_ns, r.per_token_ns)
-        and np.array_equal(s.per_token_pj, r.per_token_pj)
-        and s.to_generation_report() == r.to_generation_report()
-        for s, r in zip(stacked, scalar)
+        np.array_equal(s.per_token_ns, per_token_ns)
+        and np.array_equal(s.per_token_pj, per_token_pj)
+        and s.to_generation_report() == report
+        for s, (per_token_ns, per_token_pj, report) in zip(stacked, scalar)
     )
     series = []
     for s in stacked:

@@ -6,7 +6,7 @@ Usage::
         [output.json] [--quick] [--perf-smoke]
 
 Records the >= 500 point combined TRON + GHOST design-space sweep
-through the array-resident ``soa`` production path (the whole grid
+through the array-resident ``soa`` path (``run_sweep``: the whole grid
 evaluated as stacked NumPy columns) and the ``serial`` scalar oracle
 (one workload materialization, one ``Accelerator.run`` per point)
 against the naive sequential per-point baseline.  Every

@@ -10,29 +10,27 @@ energy, throughput and tuning-power distributions**;
 actually ship (yield above threshold) before computing the
 latency-energy frontier.
 
-Two evaluation paths produce the same numbers:
+The workload materializes once, every die's ring errors / TED heater
+solves / yield gating evaluate in one batched numpy pass per array
+geometry (:func:`repro.core.engine.batch_context_physics`), and samples
+collapse into groups sharing a yield signature.  Each group has one
+unknown per pinned context: a zero-correction base plus one
+unit-correction context per geometry.  Report energy is linear in the
+standing correction power, so every sample in the group is an exact
+affine combination of those unknowns.
 
-- **naive** (``vectorized=False``): N scalar runs — per sample, rebuild
-  the workload and accelerator, clear the physics caches, and cost the
-  die through ``Accelerator.run(workload, ctx=ctx.for_sample(i))``.
-  This is the baseline a user would write today, and what the
-  ``BENCH_montecarlo.json`` bench compares against.
-- **vectorized** (the default): the workload materializes once, every
-  die's ring errors / TED heater solves / yield gating evaluate in one
-  batched numpy pass per array geometry
-  (:func:`repro.core.engine.batch_context_physics`), and samples
-  collapse into groups sharing a yield signature.  Each group has one
-  unknown per pinned context: a zero-correction base plus one
-  unit-correction context per geometry.  Report energy is linear in the
-  standing correction power, so every sample in the group is an exact
-  affine combination of those unknowns.
-
-The vectorized path evaluates every signature's unknowns in one stacked
-call of the platform's array-resident evaluator
+Every signature's unknowns evaluate in one stacked call of the
+platform's array-resident evaluator
 (:func:`repro.core.engine.soa_evaluator`).  Where none is registered
 (and for probes without a ``config``), the same contexts run through a
 plain loop of scalar ``Accelerator.run`` calls, recorded as
 ``fallback_points``.  One affine reconstruction then serves both.
+
+``_run_naive`` is the reference the tests and the Monte-Carlo bench
+compare against: N scalar runs, each rebuilding the workload and
+accelerator from cold physics caches and costing its die through
+``Accelerator.run(workload, ctx=ctx.for_sample(i))``.  It produces the
+same distributions.
 """
 
 from __future__ import annotations
@@ -49,7 +47,6 @@ from repro.core.engine import (
     batch_context_physics,
     context_physics,
     memo,
-    soa_config_supported,
     soa_evaluator,
 )
 from repro.core.reports import RunReport
@@ -218,20 +215,16 @@ def run_monte_carlo(
     make_workload: Callable[[], Workload],
     context: ExecutionContext,
     samples: int = 256,
-    vectorized: bool = True,
 ) -> MonteCarloResult:
     """Evaluate one configuration over ``samples`` sampled dies.
 
     Args:
         make_accelerator: factory for the configuration under test.
-        make_workload: factory for the workload (materialized once on
-            the vectorized path, per sample on the naive path).
+        make_workload: factory for the workload (materialized once).
         context: the sampling corner — its variation model, thermal
             corner and tuner range define the die population; its seed
             picks the population's first die.
         samples: number of dies (N).
-        vectorized: batched engine (default) vs. the naive N-scalar-runs
-            baseline; both produce the same distributions.
 
     Example:
         >>> from repro.core import TRON, get_workload
@@ -253,113 +246,6 @@ def run_monte_carlo(
         raise ConfigurationError(
             "Monte-Carlo needs a sampling context (no pinned overrides)"
         )
-    if not vectorized:
-        return _run_naive(make_accelerator, make_workload, context, samples)
-    return _run_vectorized(make_accelerator, make_workload, context, samples)
-
-
-def _result(
-    accelerator: Accelerator,
-    workload: Workload,
-    nominal: RunReport,
-    context: ExecutionContext,
-    operational: np.ndarray,
-    fully_functional: np.ndarray,
-    latency_ns: np.ndarray,
-    energy_pj: np.ndarray,
-    tuning_power_mw: np.ndarray,
-    evaluation: Optional[SoAStats] = None,
-) -> MonteCarloResult:
-    return MonteCarloResult(
-        platform=accelerator.name,
-        workload=workload.name,
-        nominal=nominal,
-        operational=operational,
-        fully_functional=fully_functional,
-        latency_ns=latency_ns,
-        energy_pj=energy_pj,
-        tuning_power_mw=tuning_power_mw,
-        samples=len(operational),
-        seed=context.seed,
-        evaluation=evaluation.to_dict() if evaluation else None,
-    )
-
-
-def _run_naive(
-    make_accelerator, make_workload, context, samples
-) -> MonteCarloResult:
-    """The baseline: N scalar runs, nothing shared between samples."""
-    operational = np.zeros(samples, dtype=bool)
-    fully_functional = np.zeros(samples, dtype=bool)
-    latency_ns = np.full(samples, np.nan)
-    energy_pj = np.full(samples, np.nan)
-    tuning_power_mw = np.full(samples, np.nan)
-    for i in range(samples):
-        memo.clear("engine.")
-        memo.clear("workloads.graph")
-        workload = make_workload()
-        accelerator = make_accelerator()
-        ctx = context.for_sample(i)
-        geometries = _unique_geometries(accelerator)
-        try:
-            report = accelerator.run(workload, ctx=ctx)
-        except YieldError:
-            continue
-        operational[i] = True
-        latency_ns[i] = report.latency_ns
-        energy_pj[i] = report.energy_pj
-        physics = [context_physics(spec, ctx) for spec in geometries]
-        fully_functional[i] = all(
-            p is None or p.ring_yield >= 1.0 for p in physics
-        )
-        tuning_power_mw[i] = sum(
-            p.correction_power_mw for p in physics if p is not None
-        )
-    memo.clear("engine.")
-    workload = make_workload()
-    accelerator = make_accelerator()
-    nominal = accelerator.run(workload)
-    return _result(
-        accelerator,
-        workload,
-        nominal,
-        context,
-        operational,
-        fully_functional,
-        latency_ns,
-        energy_pj,
-        tuning_power_mw,
-        evaluation=SoAStats(strategy="naive", points=samples),
-    )
-
-
-def _evaluate_unknowns(
-    probe: Accelerator, workload: Workload, contexts: List[ExecutionContext]
-) -> Tuple[Sequence[float], Sequence[float], bool]:
-    """``(latency_ns, energy_pj, fell_back)`` of every pinned context.
-
-    One stacked call of the probe's array-resident evaluator, or — where
-    none is registered — one scalar run per context.
-    """
-    config = getattr(probe, "config", None)
-    evaluator = None
-    if config is not None and soa_config_supported(config):
-        evaluator = soa_evaluator(probe.name, workload.kind)
-    if evaluator is None:
-        reports = [probe.run(workload, ctx=ctx) for ctx in contexts]
-        latency = [report.latency_ns for report in reports]
-        energy = [report.energy_pj for report in reports]
-        return latency, energy, True
-    if not contexts:  # no operational dies: nothing to evaluate
-        return [], [], False
-    stacked = evaluator([config] * len(contexts), contexts, workload)
-    return stacked.latency_ns, stacked.energy_pj, False
-
-
-def _run_vectorized(
-    make_accelerator, make_workload, context, samples
-) -> MonteCarloResult:
-    """One batched physics pass + one evaluation per unknown."""
     workload = make_workload()
     workload.materialize()  # once, shared by every sample
     probe = make_accelerator()
@@ -441,6 +327,108 @@ def _run_vectorized(
             fallback_points=samples if fell_back else 0,
         ),
     )
+
+
+def _result(
+    accelerator: Accelerator,
+    workload: Workload,
+    nominal: RunReport,
+    context: ExecutionContext,
+    operational: np.ndarray,
+    fully_functional: np.ndarray,
+    latency_ns: np.ndarray,
+    energy_pj: np.ndarray,
+    tuning_power_mw: np.ndarray,
+    evaluation: Optional[SoAStats] = None,
+) -> MonteCarloResult:
+    return MonteCarloResult(
+        platform=accelerator.name,
+        workload=workload.name,
+        nominal=nominal,
+        operational=operational,
+        fully_functional=fully_functional,
+        latency_ns=latency_ns,
+        energy_pj=energy_pj,
+        tuning_power_mw=tuning_power_mw,
+        samples=len(operational),
+        seed=context.seed,
+        evaluation=evaluation.to_dict() if evaluation else None,
+    )
+
+
+def _run_naive(
+    make_accelerator, make_workload, context, samples
+) -> MonteCarloResult:
+    """The reference: N scalar runs, nothing shared between samples.
+
+    Takes :func:`run_monte_carlo`'s arguments and returns the same
+    distributions; tests and the Monte-Carlo bench call it directly.
+    """
+    operational = np.zeros(samples, dtype=bool)
+    fully_functional = np.zeros(samples, dtype=bool)
+    latency_ns = np.full(samples, np.nan)
+    energy_pj = np.full(samples, np.nan)
+    tuning_power_mw = np.full(samples, np.nan)
+    for i in range(samples):
+        memo.clear("engine.")
+        memo.clear("workloads.graph")
+        workload = make_workload()
+        accelerator = make_accelerator()
+        ctx = context.for_sample(i)
+        geometries = _unique_geometries(accelerator)
+        try:
+            report = accelerator.run(workload, ctx=ctx)
+        except YieldError:
+            continue
+        operational[i] = True
+        latency_ns[i] = report.latency_ns
+        energy_pj[i] = report.energy_pj
+        physics = [context_physics(spec, ctx) for spec in geometries]
+        fully_functional[i] = all(
+            p is None or p.ring_yield >= 1.0 for p in physics
+        )
+        tuning_power_mw[i] = sum(
+            p.correction_power_mw for p in physics if p is not None
+        )
+    memo.clear("engine.")
+    workload = make_workload()
+    accelerator = make_accelerator()
+    nominal = accelerator.run(workload)
+    return _result(
+        accelerator,
+        workload,
+        nominal,
+        context,
+        operational,
+        fully_functional,
+        latency_ns,
+        energy_pj,
+        tuning_power_mw,
+        evaluation=SoAStats(strategy="naive", points=samples),
+    )
+
+
+def _evaluate_unknowns(
+    probe: Accelerator, workload: Workload, contexts: List[ExecutionContext]
+) -> Tuple[Sequence[float], Sequence[float], bool]:
+    """``(latency_ns, energy_pj, fell_back)`` of every pinned context.
+
+    One stacked call of the probe's array-resident evaluator, or — where
+    none is registered — one scalar run per context.
+    """
+    config = getattr(probe, "config", None)
+    evaluator = None
+    if config is not None:
+        evaluator = soa_evaluator(probe.name, workload.kind)
+    if evaluator is None:
+        reports = [probe.run(workload, ctx=ctx) for ctx in contexts]
+        latency = [report.latency_ns for report in reports]
+        energy = [report.energy_pj for report in reports]
+        return latency, energy, True
+    if not contexts:  # no operational dies: nothing to evaluate
+        return [], [], False
+    stacked = evaluator([config] * len(contexts), contexts, workload)
+    return stacked.latency_ns, stacked.energy_pj, False
 
 
 # ----------------------------------------------------------------------
@@ -543,7 +531,7 @@ def monte_carlo_sweep(
     """Monte-Carlo every knob setting of a sweep space at one corner.
 
     The workload materializes once and is shared by every point and
-    every sample; each point runs the vectorized engine.
+    every sample; each point runs :func:`run_monte_carlo`.
 
     Example:
         >>> from repro.analysis.sweep import tron_sweep_space
@@ -567,7 +555,6 @@ def monte_carlo_sweep(
             make_workload=lambda: workload,
             context=context,
             samples=samples,
-            vectorized=True,
         )
         points.append(
             RobustPoint(label=space.label(knobs), knobs=knobs, result=result)

@@ -7,17 +7,16 @@ This module replays that analysis with a single sweep engine: a
 a point, and which workload to evaluate — the engine enumerates the
 cartesian product and evaluates every point through :func:`run_sweep`.
 
-There is one production path and one scalar oracle.  The default
-``soa`` strategy is array-resident: the whole grid becomes
+There is one evaluation path.  The whole grid becomes
 structure-of-arrays columns and a registered platform evaluator
 (:func:`repro.core.engine.soa_evaluator`) computes every point's energy
 / latency breakdown as a handful of NumPy ops, with scalar
 :class:`SweepPoint` reports materialized from the stacked columns
-afterwards (lazily, in :func:`run_sweep_soa`).  The ``serial`` strategy
-is the oracle: one ``Accelerator.run`` per point over a workload
-materialized once.  Spaces without an evaluator run the serial loop
-under ``soa`` too.  The two are bit-identical because the evaluators
-replicate the scalar operation order.
+afterwards (lazily, in :func:`run_sweep_soa`).  Spaces without an
+evaluator run one ``Accelerator.run`` per point over a workload
+materialized once, which is also the scalar oracle the parity tests
+compare the columns against.  The two are bit-identical because the
+evaluators replicate the scalar operation order.
 
 The classic TRON and GHOST sweeps are thin wrappers
 (:func:`sweep_tron` / :func:`sweep_ghost`); any registered workload and
@@ -34,13 +33,7 @@ import numpy as np
 
 from repro.core.base import Accelerator, Workload
 from repro.core.context import ExecutionContext
-from repro.core.engine import (
-    SoAStats,
-    memo,
-    pareto_mask,
-    soa_config_supported,
-    soa_evaluator,
-)
+from repro.core.engine import SoAStats, pareto_mask, soa_evaluator
 from repro.core.ghost import GHOST, GHOSTConfig
 from repro.core.reports import RunReport, StackedRunReports
 from repro.core.tron import TRON, TRONConfig
@@ -48,9 +41,6 @@ from repro.errors import ConfigurationError
 from repro.nn.gnn import GNNKind
 from repro.nn.models import bert_base
 from repro.workloads import TransformerWorkload, make_gnn_workload
-
-#: The sweep evaluation strategies of :func:`run_sweep`.
-STRATEGIES = ("soa", "serial", "naive")
 
 
 @dataclass(frozen=True)
@@ -111,7 +101,7 @@ class SweepSpace:
         knobs: ordered knob name -> candidate values.
         build_accelerator: knob values -> configured accelerator.
         build_workload: materializes the reference workload (called once
-            per sweep; per point in the naive baseline).
+            per sweep).
         label: knob values -> human-readable point label.
         corners: optional corner axis — named execution contexts every
             knob setting is additionally evaluated at (see
@@ -119,8 +109,7 @@ class SweepSpace:
             sweep.
         platform: platform name of the accelerators this space builds
             (e.g. ``"TRON"``), keying the array-resident evaluator
-            registry.  ``None`` keeps the space on the scalar loop (the
-            ``soa`` strategy then falls back to ``serial``).
+            registry.  ``None`` keeps the space on the scalar loop.
         build_config: knob values -> bare platform configuration, the
             cheap counterpart of ``build_accelerator`` the array-resident
             path uses (no executor / block construction per point).
@@ -214,8 +203,9 @@ def _normalized_context(
 def _run_serial(
     space: SweepSpace, evaluations: List[Tuple]
 ) -> List[SweepPoint]:
-    """The scalar oracle: one ``Accelerator.run`` per point over a
-    workload materialized once."""
+    """One ``Accelerator.run`` per point over a workload materialized
+    once: the path of spaces without an evaluator, and the scalar oracle
+    the parity tests compare the columns against."""
     workload = space.build_workload()
     workload.materialize()
     return [
@@ -226,21 +216,6 @@ def _run_serial(
         )
         for knobs, label, ctx in evaluations
     ]
-
-
-def _run_naive(
-    space: SweepSpace, evaluations: List[Tuple]
-) -> List[SweepPoint]:
-    """The benchmark baseline: every point rebuilds its workload and
-    recomputes its physics from cold caches."""
-    points = []
-    for knobs, label, ctx in evaluations:
-        memo.clear("engine.")
-        memo.clear("workloads.graph")
-        workload = space.build_workload()
-        report = space.build_accelerator(knobs).run(workload, ctx=ctx)
-        points.append(SweepPoint(label=label, knobs=knobs, report=report))
-    return points
 
 
 def _soa_stack(
@@ -260,40 +235,12 @@ def _soa_stack(
     if evaluator is None:
         return None
     configs = [space.build_config(knobs) for knobs, _, _ in evaluations]
-    if not all(soa_config_supported(cfg) for cfg in configs):
-        # All registry backends (analytic, hbm, hbm-pim) are covered
-        # today; the guard stays for third-party configs that opt out.
-        return None
     contexts = [_normalized_context(ctx) for _, _, ctx in evaluations]
     stacked = evaluator(configs, contexts, workload)
     stats = SoAStats(
         strategy="soa", points=len(evaluations), groups=stacked.groups
     )
     return stacked, stats
-
-
-def _run_soa(
-    space: SweepSpace, evaluations: List[Tuple]
-) -> Tuple[List[SweepPoint], SoAStats]:
-    """The array-resident sweep path (see :func:`run_sweep`), with its
-    evaluation stats.  Falls back to :func:`_run_serial` (recorded as
-    ``fallback_points``) when the space has no registered evaluator."""
-    stack = _soa_stack(space, evaluations)
-    if stack is None:
-        points = _run_serial(space, evaluations)
-        stats = SoAStats(
-            strategy="soa",
-            points=len(points),
-            fallback_points=len(points),
-        )
-        return points, stats
-    stacked, stats = stack
-    points = [
-        SweepPoint(label=label, knobs=knobs, report=stacked.materialize(i))
-        for i, (knobs, label, _) in enumerate(evaluations)
-    ]
-    stats.materialized_reports = len(points)
-    return points, stats
 
 
 @dataclass
@@ -378,51 +325,45 @@ def run_sweep_soa(space: SweepSpace) -> SoASweepResult:
     )
 
 
-def run_sweep(space: SweepSpace, strategy: str = "soa") -> List[SweepPoint]:
+def run_sweep(space: SweepSpace) -> List[SweepPoint]:
     """Evaluate every point of a sweep space.
 
-    Strategies (``strategy``):
-
-    - ``"soa"`` — the default and the production path: the whole grid
-      evaluates as structure-of-arrays NumPy columns through the
-      platform's registered evaluator (no per-point accelerator or
-      executor construction), and scalar reports materialize from the
-      stacked columns afterwards.  Spaces without an evaluator (no
-      ``platform`` / ``build_config``, or an unregistered workload
-      kind) run the ``"serial"`` loop instead.  Use
-      :func:`run_sweep_soa` to keep the columns resident and skip
-      materialization entirely.
-    - ``"serial"`` — the scalar oracle: one ``Accelerator.run`` per
-      point over a workload materialized once.
-    - ``"naive"`` — the benchmark baseline: every point re-materializes
-      its workload and recomputes its physics from cold caches.
-
-    All three produce bit-identical reports.
+    The whole grid evaluates as structure-of-arrays NumPy columns
+    through the platform's registered evaluator (no per-point
+    accelerator or executor construction), and scalar reports
+    materialize from the stacked columns afterwards.  Spaces without an
+    evaluator (no ``platform`` / ``build_config``, or an unregistered
+    workload kind) run one ``Accelerator.run`` per point instead, with
+    bit-identical reports.  Use :func:`run_sweep_soa` to keep the
+    columns resident and skip materialization entirely.
     """
-    points, _ = run_sweep_with_stats(space, strategy=strategy)
+    points, _ = run_sweep_with_stats(space)
     return points
 
 
 def run_sweep_with_stats(
-    space: SweepSpace, strategy: str = "soa"
+    space: SweepSpace,
 ) -> Tuple[List[SweepPoint], SoAStats]:
-    """:func:`run_sweep` plus the evaluation stats of the strategy that
-    ran (what the ``--json`` envelopes surface).
-
-    For the scalar strategies the stats record the strategy name and
-    point count; ``soa`` additionally reports its group collapse,
-    materialization count and any scalar fallback.
-    """
-    if strategy not in STRATEGIES:
-        raise ConfigurationError(
-            f"unknown sweep strategy {strategy!r}; pick one of {STRATEGIES}"
-        )
+    """:func:`run_sweep` plus its evaluation stats (what the ``--json``
+    envelopes surface): group collapse, materialization count and any
+    scalar fallback (recorded as ``fallback_points``)."""
     evaluations = space.evaluations()
-    if strategy == "soa":
-        return _run_soa(space, evaluations)
-    run = _run_serial if strategy == "serial" else _run_naive
-    points = run(space, evaluations)
-    return points, SoAStats(strategy=strategy, points=len(points))
+    stack = _soa_stack(space, evaluations)
+    if stack is None:
+        points = _run_serial(space, evaluations)
+        stats = SoAStats(
+            strategy="soa",
+            points=len(points),
+            fallback_points=len(points),
+        )
+        return points, stats
+    stacked, stats = stack
+    points = [
+        SweepPoint(label=label, knobs=knobs, report=stacked.materialize(i))
+        for i, (knobs, label, _) in enumerate(evaluations)
+    ]
+    stats.materialized_reports = len(points)
+    return points, stats
 
 
 # ----------------------------------------------------------------------

@@ -338,7 +338,6 @@ _SPEC_SCHEMA = {
                     "enum": ["run", "sweep", "mc", "corners", "serve"]
                 },
                 "samples": _POSITIVE_INT,
-                "vectorized": _BOOL,
                 "corners_axis": _BOOL,
                 "trace": {"type": ["string", "null"]},
                 "repeat": _POSITIVE_INT,

@@ -193,8 +193,7 @@ class Session:
                     memory["trace_path"] = str(trace_dump)
         decode: Optional[Dict[str, Any]] = None
         if workload.kind is WorkloadKind.DECODE:
-            # Surface the per-token series next to the episode totals
-            # (the stacked pass; bit-identical to the scalar loop).
+            # Surface the per-token series next to the episode totals.
             series = accelerator.decode_series(workload, ctx=ctx)
             generation = series.to_generation_report()
             decode = {
@@ -221,7 +220,6 @@ class Session:
         target: str = "all",
         corners: bool = False,
         seed: int = 0,
-        strategy: str = "soa",
     ) -> SweepResult:
         """Run the classic design-space sweep(s) with Pareto marking.
 
@@ -229,8 +227,6 @@ class Session:
             target: ``"tron"``, ``"ghost"``, or ``"all"``.
             corners: add the standard execution-corner axis.
             seed: die-selection seed of the corner axis.
-            strategy: ``"soa"`` (the production path) or one of the
-                scalar oracles (see :func:`repro.analysis.sweep.run_sweep`).
         """
         from repro.analysis.sweep import (
             ghost_sweep_space,
@@ -263,9 +259,7 @@ class Session:
                     for name in standard_corners()
                 }
                 space = with_corners(space, corner_map)
-            space_points, stats = run_sweep_with_stats(
-                space, strategy=strategy
-            )
+            space_points, stats = run_sweep_with_stats(space)
             points[space.name] = space_points
             frontiers[space.name] = pareto_frontier(space_points)
             evaluation[space.name] = stats.to_dict()
@@ -290,7 +284,6 @@ class Session:
         corner: str = "typical",
         seed: int = 0,
         tuner_range_nm: Optional[float] = None,
-        vectorized: bool = True,
         overrides: Optional[Mapping[str, Any]] = None,
     ) -> MonteCarloRunResult:
         """Monte-Carlo variation analysis over ``samples`` sampled dies.
@@ -298,8 +291,6 @@ class Session:
         The sampling population is the named corner's variation
         statistics; the nominal corner falls back to the typical
         statistics (a die population must exist to sample from).
-        ``vectorized=False`` runs the naive N-scalar-runs baseline (see
-        :func:`repro.analysis.robustness.run_monte_carlo`).
         """
         from dataclasses import replace
 
@@ -331,7 +322,6 @@ class Session:
             make_workload=lambda: workload,
             context=ctx,
             samples=samples,
-            vectorized=vectorized,
         )
         return MonteCarloRunResult(result=result, corner=corner, seed=seed)
 
@@ -689,7 +679,6 @@ class Session:
                 corner=spec.context.corner,
                 seed=spec.context.seed,
                 tuner_range_nm=spec.context.tuner_range_nm,
-                vectorized=spec.analysis.vectorized,
                 overrides=spec.platform.overrides,
             )
         if kind == "corners":

@@ -203,8 +203,6 @@ class AnalysisSpec:
     Attributes:
         kind: one of :data:`ANALYSIS_KINDS`.
         samples: Monte-Carlo die count (``mc``).
-        vectorized: batched Monte-Carlo engine vs. the N-scalar-runs
-            baseline — same numbers either way (``mc``).
         corners_axis: add the standard-corner axis to the sweep grid
             (``sweep``).
         trace: request-trace path to replay (``serve``).
@@ -229,7 +227,6 @@ class AnalysisSpec:
 
     kind: str = "run"
     samples: int = 128
-    vectorized: bool = True
     corners_axis: bool = False
     trace: Optional[str] = None
     repeat: int = 1

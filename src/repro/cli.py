@@ -135,7 +135,6 @@ def _cmd_sweep(args) -> int:
                 target=None,
                 corners=False,
                 seed=0,
-                strategy="soa",
             )
         )
     else:
@@ -145,7 +144,6 @@ def _cmd_sweep(args) -> int:
             target=args.target,
             corners=args.corners,
             seed=args.seed,
-            strategy=args.strategy,
         )
     _emit(result, args)
     return 0
@@ -196,7 +194,6 @@ def _cmd_mc(args) -> int:
                 corner="typical",
                 seed=0,
                 tuner_range=None,
-                naive=False,
             )
         )
     else:
@@ -209,7 +206,6 @@ def _cmd_mc(args) -> int:
             corner=args.corner,
             seed=args.seed,
             tuner_range_nm=args.tuner_range,
-            vectorized=not args.naive,
         )
     _emit(result, args)
     return 0
@@ -340,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="add the standard execution-corner axis to the sweep",
     )
-    sweep.add_argument(
-        "--strategy",
-        choices=("soa", "serial"),
-        default="soa",
-        help="sweep evaluation strategy (default: soa, the "
-        "array-resident path; serial is the scalar oracle)",
-    )
     sweep.add_argument("--json", action="store_true")
     _add_seed(sweep)
     _add_spec(sweep)
@@ -414,12 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="TO tuner correction range in nm (dead rings beyond it); "
         "default 0.55 x FSR",
-    )
-    mc.add_argument(
-        "--naive",
-        action="store_true",
-        help="run the N-scalar-runs baseline instead of the vectorized "
-        "engine (same numbers, benchmarking aid)",
     )
     mc.add_argument("--json", action="store_true")
     _add_seed(mc)

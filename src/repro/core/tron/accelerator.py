@@ -119,7 +119,7 @@ class TRON(ContextBoundAccelerator):
         workload: Workload,
         ctx: Optional[ExecutionContext] = None,
     ):
-        """Per-token decode series of a DECODE workload (stacked path).
+        """Per-token decode series of a DECODE workload.
 
         Returns a :class:`repro.streaming.decode.DecodeSeries`; the
         streaming CLI/session layers read token-level columns from it.
@@ -139,8 +139,8 @@ class TRON(ContextBoundAccelerator):
         """Whole prompt + generate episode as one RunReport.
 
         Latency/energy/ops are the prefill pass plus the decode totals
-        of the stacked per-token series (bit-identical to the scalar
-        :func:`repro.core.tron.generation.run_generation` loop).
+        of the stacked per-token series (what
+        :func:`repro.core.tron.generation.run_generation` returns).
         """
         series = self.decode_series(workload)
         report = series.to_generation_report()

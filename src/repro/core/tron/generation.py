@@ -21,11 +21,17 @@ clock matter most.  The model accounts:
   weight banks, so every decode step re-imprints L context columns —
   charged as memory reads plus weight-DAC conversions at the array's
   refresh granularity.
+
+:func:`decode_step_reports` is the per-token model as a scalar step
+loop — the reference.  Episodes are costed through the stacked
+per-token series of :mod:`repro.streaming.decode`, which is
+bit-identical to it; :func:`run_generation` collapses that series to
+episode totals.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 from repro.core.reports import EnergyReport, LatencyReport, RunReport
@@ -116,9 +122,8 @@ def decode_step_ops(config: TransformerConfig, context_len: int) -> OpCount:
 class DecodeStepCost:
     """Cost of generating ONE token at a given KV-cache context length.
 
-    The scalar unit of the decode-phase model: :func:`run_generation`
-    folds a list of these into episode totals, and the streaming
-    subsystem (:mod:`repro.streaming.decode`) exposes the same list as
+    The scalar unit of the decode-phase model: the streaming subsystem
+    (:mod:`repro.streaming.decode`) computes the same costs as
     per-token series columns.
     """
 
@@ -255,26 +260,9 @@ def run_generation(
         prompt_tokens: prompt length for the prefill pass.
         generated_tokens: tokens generated autoregressively.
     """
-    _validate_episode(model, prompt_tokens, generated_tokens)
-    prefill = prefill_report(tron, model, prompt_tokens)
+    # Local import: the streaming package layers on top of the core.
+    from repro.streaming.decode import decode_series
 
-    total_latency = LatencyReport()
-    total_energy = EnergyReport()
-    total_ops = OpCount()
-    for step in decode_step_reports(
+    return decode_series(
         tron, model, prompt_tokens, generated_tokens
-    ):
-        total_latency = total_latency + step.latency
-        total_energy = total_energy + step.energy
-        total_ops = total_ops + step.ops
-
-    static_pj = static_power_mw(tron) * total_latency.total_ns
-    total_energy = total_energy + EnergyReport(static_pj=static_pj)
-    return GenerationReport(
-        prefill=prefill,
-        decode_latency=total_latency,
-        decode_energy=total_energy,
-        decode_ops=total_ops,
-        prompt_tokens=prompt_tokens,
-        generated_tokens=generated_tokens,
-    )
+    ).to_generation_report()

@@ -1,34 +1,28 @@
-"""Autoregressive decode as a per-token *series*, with a stacked SoA path.
+"""Autoregressive decode as a per-token *series* of stacked SoA columns.
 
-:func:`repro.core.tron.generation.run_generation` costs a decode episode
-as totals; streaming serving needs the per-token shape — each generated
-token attends over one more cached position, so latency, energy and the
-op/byte mix drift token by token.  This module produces that series two
-ways:
-
-- the **scalar step loop** (``stacked=False``) folds
-  :func:`repro.core.tron.generation.decode_step_reports` into columns —
-  the reference semantics;
-- the **stacked SoA pass** (``stacked=True``, the default) evaluates the
-  whole episode — or a batch of episodes — as column-resident NumPy
-  arrays in one pass, mirroring the scalar expression tree exactly
-  (integer ceil-divisions as ``-(-a // b)``, float ceils as the same
-  float64 operations), so the series is *bit-identical* to the loop.
+Streaming serving needs the per-token shape of a decode episode — each
+generated token attends over one more cached position, so latency,
+energy and the op/byte mix drift token by token.  :func:`decode_series`
+evaluates the whole episode — and :func:`decode_series_batch` a batch of
+episodes — as column-resident NumPy arrays in one pass, mirroring the
+scalar expression tree exactly (integer ceil-divisions as
+``-(-a // b)``, float ceils as the same float64 operations), so the
+series is *bit-identical* to the scalar step loop
+:func:`repro.core.tron.generation.decode_step_reports`, its reference.
+:func:`repro.core.tron.generation.run_generation` collapses the series
+to episode totals.
 
 Example:
     >>> from repro.core import TRON
+    >>> from repro.core.tron.generation import decode_step_reports
     >>> from repro.nn.models import gpt2_small
     >>> series = decode_series(
     ...     TRON(), gpt2_small(), prompt_tokens=8, generated_tokens=4)
     >>> series.context.tolist()        # KV context per generated token
     [9, 10, 11, 12]
-    >>> scalar = decode_series(
-    ...     TRON(), gpt2_small(), prompt_tokens=8, generated_tokens=4,
-    ...     stacked=False)
-    >>> bool((series.per_token_ns == scalar.per_token_ns).all())
-    True
-    >>> series.to_generation_report().summary() == \
-        scalar.to_generation_report().summary()
+    >>> steps = decode_step_reports(
+    ...     TRON(), gpt2_small(), prompt_tokens=8, generated_tokens=4)
+    >>> series.per_token_ns.tolist() == [s.latency.total_ns for s in steps]
     True
 """
 
@@ -44,7 +38,6 @@ from repro.core.reports import EnergyReport, LatencyReport, RunReport
 from repro.core.tron.generation import (
     GenerationReport,
     _validate_episode,
-    decode_step_reports,
     prefill_report,
     static_power_mw,
 )
@@ -310,7 +303,6 @@ def decode_series(
     model: TransformerConfig,
     prompt_tokens: int = 128,
     generated_tokens: int = 128,
-    stacked: bool = True,
 ) -> DecodeSeries:
     """Per-token decode series for one episode on a TRON instance.
 
@@ -318,31 +310,11 @@ def decode_series(
         tron: a (possibly context-bound) :class:`repro.core.TRON`.
         model: decoder-only transformer config.
         prompt_tokens / generated_tokens: episode shape.
-        stacked: evaluate as one column-resident SoA pass (default) or
-            through the scalar step loop; the two are bit-identical.
     """
     _validate_episode(model, prompt_tokens, generated_tokens)
     prefill = prefill_report(tron, model, prompt_tokens)
-    if not stacked:
-        steps = decode_step_reports(
-            tron, model, prompt_tokens, generated_tokens
-        )
-        context = np.asarray([s.context for s in steps], dtype=np.int64)
-        compute_ns = np.asarray(
-            [s.latency.compute_ns for s in steps], dtype=float
-        )
-        memory_ns = np.asarray(
-            [s.latency.memory_ns for s in steps], dtype=float
-        )
-        energy = {
-            name: np.asarray(
-                [getattr(s.energy, name) for s in steps], dtype=float
-            )
-            for name in ENERGY_FIELDS
-        }
-    else:
-        context = _context_column(prompt_tokens, generated_tokens)
-        compute_ns, memory_ns, energy = _stacked_columns(tron, model, context)
+    context = _context_column(prompt_tokens, generated_tokens)
+    compute_ns, memory_ns, energy = _stacked_columns(tron, model, context)
     return _series_from_columns(
         tron, model, prompt_tokens, generated_tokens, prefill,
         context, compute_ns, memory_ns, energy,

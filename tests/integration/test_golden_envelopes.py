@@ -15,7 +15,8 @@ import pathlib
 
 import pytest
 
-TOOL = pathlib.Path(__file__).resolve().parents[2] / "tools" / "regen_golden_traces.py"
+REPO = pathlib.Path(__file__).resolve().parents[2]
+TOOL = REPO / "tools" / "regen_golden_traces.py"
 
 
 def _load_tool():

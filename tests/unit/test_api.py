@@ -233,6 +233,59 @@ class TestNonFiniteConfigRejected:
         assert "tuner_range_nm" in proc.stderr
 
 
+class TestNoEvaluationPathSelector:
+    """Each analysis has one evaluation path; the old selectors are
+    rejected at every boundary instead of silently ignored."""
+
+    VECTORIZED_DOC = (
+        '{"schema": "repro.spec/1", "workload": "MLP-mnist", '
+        '"analysis": {"kind": "mc", "samples": 4, "vectorized": true}}'
+    )
+    UNKNOWN_VECTORIZED = r"analysis: unknown field\(s\) \['vectorized'\]"
+
+    def test_load_spec_rejects_vectorized(self, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text(self.VECTORIZED_DOC)
+        with pytest.raises(ConfigurationError, match=self.UNKNOWN_VECTORIZED):
+            load_spec(path)
+
+    def test_cli_mc_spec_with_vectorized_is_one_error_line(self, tmp_path):
+        path = tmp_path / "mc.json"
+        path.write_text(self.VECTORIZED_DOC)
+        proc = TestNonFiniteConfigRejected._repro(
+            "mc", "--spec", str(path), "--json"
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("repro: error: analysis: unknown field")
+        assert "'vectorized'" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "name, removed",
+        [
+            ("repro.analysis.sweep.run_sweep", "strategy"),
+            ("repro.analysis.sweep.run_sweep_with_stats", "strategy"),
+            ("repro.analysis.robustness.run_monte_carlo", "vectorized"),
+            ("repro.streaming.decode.decode_series", "stacked"),
+            ("repro.api.session.Session.sweep", "strategy"),
+            ("repro.api.session.Session.monte_carlo", "vectorized"),
+        ],
+    )
+    def test_entry_point_takes_no_selector(self, name, removed):
+        import importlib
+        import inspect
+
+        module_name, _, attr = name.rpartition(".")
+        try:
+            target = getattr(importlib.import_module(module_name), attr)
+        except ModuleNotFoundError:  # a method: module.Class.method
+            module_name, _, cls = module_name.rpartition(".")
+            owner = getattr(importlib.import_module(module_name), cls)
+            target = getattr(owner, attr)
+        assert removed not in inspect.signature(target).parameters
+
+
 # ----------------------------------------------------------------------
 # ExperimentSpec round-trips
 # ----------------------------------------------------------------------

@@ -297,15 +297,19 @@ class TestGoldenFrontier:
 
     def test_default_spaces_reproduce_recorded_frontier(self):
         from repro.analysis.sweep import (
+            _run_serial,
             ghost_sweep_space,
             pareto_frontier,
             run_sweep,
             tron_sweep_space,
         )
 
-        for strategy in ("soa", "serial"):
-            tron = run_sweep(tron_sweep_space(), strategy=strategy)
-            ghost = run_sweep(ghost_sweep_space(), strategy=strategy)
+        def serial(space):
+            return _run_serial(space, space.evaluations())
+
+        for sweep in (run_sweep, serial):
+            tron = sweep(tron_sweep_space())
+            ghost = sweep(ghost_sweep_space())
             assert len(tron) + len(ghost) == 27
             assert [p.label for p in pareto_frontier(tron)] == (
                 self.TRON_FRONTIER

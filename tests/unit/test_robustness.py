@@ -1,4 +1,4 @@
-"""Tests for the vectorized Monte-Carlo robustness subsystem."""
+"""Tests for the Monte-Carlo robustness subsystem."""
 
 import dataclasses
 
@@ -8,6 +8,7 @@ import pytest
 from repro.analysis.robustness import (
     MonteCarloResult,
     RobustPoint,
+    _run_naive,
     monte_carlo_sweep,
     run_monte_carlo,
     yield_aware_pareto,
@@ -20,21 +21,26 @@ from repro.photonics.variation import ProcessVariationModel
 CTX = ExecutionContext(variation=ProcessVariationModel(), seed=11)
 
 
-def _mc(samples=8, vectorized=True, ctx=CTX, **kwargs):
+def _mc(samples=8, ctx=CTX):
     return run_monte_carlo(
         make_accelerator=lambda: TRON(),
         make_workload=lambda: get_workload("MLP-mnist"),
         context=ctx,
         samples=samples,
-        vectorized=vectorized,
-        **kwargs,
+    )
+
+
+def _naive(samples=8, ctx=CTX):
+    """The N-scalar-runs reference over the same population."""
+    return _run_naive(
+        lambda: TRON(), lambda: get_workload("MLP-mnist"), ctx, samples
     )
 
 
 class TestMonteCarloEngine:
     def test_vectorized_matches_naive(self):
-        vectorized = _mc(samples=8, vectorized=True)
-        naive = _mc(samples=8, vectorized=False)
+        vectorized = _mc(samples=8)
+        naive = _naive(samples=8)
         assert np.array_equal(vectorized.operational, naive.operational)
         assert np.array_equal(
             vectorized.fully_functional, naive.fully_functional
@@ -51,8 +57,8 @@ class TestMonteCarloEngine:
 
     def test_vectorized_matches_naive_with_dead_dies(self):
         ctx = dataclasses.replace(CTX, tuner_range_nm=6.0)
-        vectorized = _mc(samples=16, vectorized=True, ctx=ctx)
-        naive = _mc(samples=16, vectorized=False, ctx=ctx)
+        vectorized = _mc(samples=16, ctx=ctx)
+        naive = _naive(samples=16, ctx=ctx)
         assert np.array_equal(vectorized.operational, naive.operational)
         assert np.array_equal(
             vectorized.fully_functional, naive.fully_functional

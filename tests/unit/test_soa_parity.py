@@ -19,8 +19,9 @@ import pytest
 
 import repro.workloads  # noqa: F401  (registers the default workloads)
 import repro.analysis.robustness as robustness
-from repro.analysis.robustness import run_monte_carlo
+from repro.analysis.robustness import _run_naive, run_monte_carlo
 from repro.analysis.sweep import (
+    _run_serial,
     ghost_sweep_space,
     pareto_frontier,
     run_sweep,
@@ -164,9 +165,9 @@ def test_sweep_soa_matches_serial_oracle(corners_axis):
             }
             space = with_corners(space, corner_map)
         clear_physics_cache()
-        soa_points = run_sweep(space, strategy="soa")
+        soa_points = run_sweep(space)
         clear_physics_cache()
-        serial_points = run_sweep(space, strategy="serial")
+        serial_points = _run_serial(space, space.evaluations())
         _assert_same_points(soa_points, serial_points)
         soa_frontier = pareto_frontier(soa_points)
         serial_frontier = pareto_frontier(serial_points)
@@ -179,7 +180,7 @@ def test_lazy_frontier_matches_and_materializes_only_frontier():
     )
     result = run_sweep_soa(space)
     frontier = result.frontier()
-    oracle = pareto_frontier(run_sweep(space, strategy="serial"))
+    oracle = pareto_frontier(_run_serial(space, space.evaluations()))
     _assert_same_points(frontier, oracle)
     # Laziness: only the frontier (plus nothing else) materialized.
     assert result.stats.materialized_reports == len(frontier)
@@ -245,9 +246,8 @@ def test_mc_kinds_without_evaluator_match_naive(platform, workload_name):
         platform, lambda: get_workload(workload_name), context,
         samples=samples,
     )
-    naive = run_monte_carlo(
-        platform, lambda: get_workload(workload_name), context,
-        samples=samples, vectorized=False,
+    naive = _run_naive(
+        platform, lambda: get_workload(workload_name), context, samples
     )
     assert vectorized.evaluation["fallback_points"] == samples
     assert vectorized.evaluation["groups"] > 1
@@ -274,9 +274,8 @@ def test_mc_all_yield_gated_population():
         TRON, lambda: get_workload("MLP-mnist"), context,
         samples=16,
     )
-    naive = run_monte_carlo(
-        TRON, lambda: get_workload("MLP-mnist"), context,
-        samples=16, vectorized=False,
+    naive = _run_naive(
+        TRON, lambda: get_workload("MLP-mnist"), context, 16
     )
     assert not soa.operational.any()
     assert soa.yield_fraction == 0.0

@@ -1,4 +1,5 @@
-"""The stacked decode series: bit-identity, batching, workload dispatch."""
+"""The stacked decode series: bit-identity against the scalar step loop,
+batching, workload dispatch."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,15 @@ import pytest
 from repro.api import Session
 from repro.core.base import get_workload
 from repro.core.context import resolve_corner
+from repro.core.reports import EnergyReport, LatencyReport
 from repro.core.tron import TRON, TRONConfig, run_generation
+from repro.core.tron.generation import (
+    decode_step_reports,
+    prefill_report,
+    static_power_mw,
+)
 from repro.errors import ConfigurationError, MappingError
+from repro.nn.counting import OpCount
 from repro.nn.models import MODEL_ZOO, bert_base, gpt2_small
 from repro.streaming import (
     DecodeWorkload,
@@ -15,7 +23,7 @@ from repro.streaming import (
     decode_series_batch,
     episode_decode_ops,
 )
-from repro.streaming.decode import _context_column
+from repro.streaming.decode import ENERGY_FIELDS, _context_column
 
 
 @pytest.fixture(scope="module")
@@ -23,35 +31,61 @@ def tron():
     return TRON()
 
 
+def _scalar_columns(tron, model, prompt_tokens, generated_tokens):
+    """The scalar step loop as per-token columns — the reference."""
+    steps = decode_step_reports(tron, model, prompt_tokens, generated_tokens)
+    energy = {
+        name: np.asarray([getattr(s.energy, name) for s in steps])
+        for name in ENERGY_FIELDS
+    }
+    return (
+        np.asarray([s.context for s in steps], dtype=np.int64),
+        np.asarray([s.latency.compute_ns for s in steps]),
+        np.asarray([s.latency.memory_ns for s in steps]),
+        energy,
+    )
+
+
+def _folded_steps(tron, model, prompt_tokens, generated_tokens):
+    """Episode decode totals folded from the scalar step loop, static
+    energy charged on the total latency."""
+    latency, energy, ops = LatencyReport(), EnergyReport(), OpCount()
+    for step in decode_step_reports(
+        tron, model, prompt_tokens, generated_tokens
+    ):
+        latency = latency + step.latency
+        energy = energy + step.energy
+        ops = ops + step.ops
+    static_pj = static_power_mw(tron) * latency.total_ns
+    return latency, energy + EnergyReport(static_pj=static_pj), ops
+
+
 def test_stacked_series_bit_identical_to_scalar_loop(tron):
     stacked = decode_series(
         tron, gpt2_small(), prompt_tokens=96, generated_tokens=32
     )
-    scalar = decode_series(
-        tron, gpt2_small(), prompt_tokens=96, generated_tokens=32,
-        stacked=False,
+    context, compute_ns, memory_ns, energy = _scalar_columns(
+        tron, gpt2_small(), 96, 32
     )
-    assert np.array_equal(stacked.context, scalar.context)
-    assert np.array_equal(stacked.compute_ns, scalar.compute_ns)
-    assert np.array_equal(stacked.memory_ns, scalar.memory_ns)
+    assert np.array_equal(stacked.context, context)
+    assert np.array_equal(stacked.compute_ns, compute_ns)
+    assert np.array_equal(stacked.memory_ns, memory_ns)
     for name, column in stacked.energy_pj.items():
-        assert np.array_equal(column, scalar.energy_pj[name]), name
+        assert np.array_equal(column, energy[name]), name
 
 
 def test_series_totals_match_run_generation_exactly(tron):
-    series = decode_series(
+    report = run_generation(
         tron, gpt2_small(), prompt_tokens=64, generated_tokens=16
     )
-    reference = run_generation(
-        tron, gpt2_small(), prompt_tokens=64, generated_tokens=16
-    )
-    collapsed = series.to_generation_report()
-    assert collapsed.decode_latency == reference.decode_latency
-    assert collapsed.decode_energy == reference.decode_energy
-    assert collapsed.decode_ops == reference.decode_ops
-    assert collapsed.prefill.latency == reference.prefill.latency
-    assert collapsed.prefill.energy == reference.prefill.energy
-    assert collapsed.tokens_per_second == reference.tokens_per_second
+    latency, energy, ops = _folded_steps(tron, gpt2_small(), 64, 16)
+    assert report.decode_latency == latency
+    assert report.decode_energy == energy
+    assert report.decode_ops == ops
+    prefill = prefill_report(tron, gpt2_small(), 64)
+    assert report.prefill.latency == prefill.latency
+    assert report.prefill.energy == prefill.energy
+    assert report.tokens_per_second == 1e9 / (latency.total_ns / 16)
 
 
 def test_bit_identity_holds_under_batch_and_corner():
@@ -61,12 +95,14 @@ def test_bit_identity_holds_under_batch_and_corner():
     stacked = decode_series(
         bound, gpt2_small(), prompt_tokens=32, generated_tokens=8
     )
-    scalar = decode_series(
-        bound, gpt2_small(), prompt_tokens=32, generated_tokens=8,
-        stacked=False,
+    _, compute_ns, memory_ns, energy = _scalar_columns(
+        bound, gpt2_small(), 32, 8
     )
-    assert np.array_equal(stacked.per_token_ns, scalar.per_token_ns)
-    assert np.array_equal(stacked.per_token_pj, scalar.per_token_pj)
+    per_token_pj = np.zeros_like(compute_ns)
+    for name in ENERGY_FIELDS:
+        per_token_pj = per_token_pj + energy[name]
+    assert np.array_equal(stacked.per_token_ns, compute_ns + memory_ns)
+    assert np.array_equal(stacked.per_token_pj, per_token_pj)
 
 
 def test_batch_pass_matches_per_episode_series(tron):

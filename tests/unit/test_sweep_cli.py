@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.analysis.sweep import (
+    _run_serial,
     SweepPoint,
     SweepSpace,
     format_sweep,
@@ -19,10 +20,23 @@ from repro.analysis.sweep import (
 )
 from repro.cli import build_parser, main
 from repro.core.context import ExecutionContext, standard_corners
+from repro.core.engine import memo
 from repro.core.reports import EnergyReport, LatencyReport, RunReport
 from repro.errors import ConfigurationError
 from repro.nn.counting import OpCount
 from repro.photonics.variation import ProcessVariationModel
+
+
+def _serial(space):
+    """The scalar oracle: one ``Accelerator.run`` per point."""
+    return _run_serial(space, space.evaluations())
+
+
+def _cold_serial(space):
+    """The scalar oracle from cold physics and graph memos."""
+    memo.clear("engine.")
+    memo.clear("workloads.graph")
+    return _serial(space)
 
 
 def _point(label, latency, energy):
@@ -129,7 +143,7 @@ class TestSweepEngine:
     def test_memoized_matches_naive(self):
         space = ghost_sweep_space(lanes=(8, 16), edge_units=(32,))
         fast = run_sweep(space)
-        naive = run_sweep(space, strategy="naive")
+        naive = _cold_serial(space)
         assert [p.label for p in fast] == [p.label for p in naive]
         for a, b in zip(fast, naive):
             assert a.latency_ns == pytest.approx(b.latency_ns)
@@ -155,7 +169,7 @@ class TestSweepEngine:
         assert all(p.report.workload == "MLP-mnist" for p in points)
         assert stats.strategy == "soa"
         assert stats.fallback_points == stats.points == 2
-        serial = run_sweep(space, strategy="serial")
+        serial = _serial(space)
         for a, b in zip(points, serial):
             assert a.report.to_dict() == b.report.to_dict()
 
@@ -173,9 +187,9 @@ class TestSweepStrategies:
 
     def test_soa_is_bit_identical_to_serial_and_naive(self):
         for space in self._spaces():
-            soa = run_sweep(space, strategy="soa")
-            serial = run_sweep(space, strategy="serial")
-            naive = run_sweep(space, strategy="naive")
+            soa = run_sweep(space)
+            serial = _serial(space)
+            naive = _cold_serial(space)
             assert [p.label for p in soa] == [p.label for p in serial]
             for a, b, c in zip(soa, serial, naive):
                 assert a.report.to_dict() == b.report.to_dict()
@@ -188,16 +202,8 @@ class TestSweepStrategies:
         )
         default, stats = run_sweep_with_stats(space)
         assert stats.strategy == "soa" and stats.fallback_points == 0
-        serial = run_sweep(space, strategy="serial")
+        serial = _serial(space)
         assert default[0].report.energy_pj == serial[0].report.energy_pj
-
-    def test_unknown_strategy_rejected(self):
-        space = tron_sweep_space(
-            head_units=(4,), array_sizes=(32,), clocks_ghz=(5.0,)
-        )
-        for strategy in ("gpu", "batched", "threads"):
-            with pytest.raises(ConfigurationError, match=strategy):
-                run_sweep(space, strategy=strategy)
 
     def test_soa_groups_duplicate_signatures(self):
         """None and a nominal context share one evaluation group."""
@@ -232,7 +238,7 @@ class TestSweepStrategies:
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
         soa = run_sweep(space)
-        naive = run_sweep(space, strategy="naive")
+        naive = _cold_serial(space)
         for a, b in zip(soa, naive):
             assert a.report.latency_ns == b.report.latency_ns
             assert a.report.energy_pj == b.report.energy_pj
@@ -275,7 +281,7 @@ class TestCornerAxis:
             {"typical": ExecutionContext(variation=ProcessVariationModel())},
         )
         fast = run_sweep(space)
-        naive = run_sweep(space, strategy="naive")
+        naive = _cold_serial(space)
         assert [p.label for p in fast] == [p.label for p in naive]
         for a, b in zip(fast, naive):
             assert a.energy_pj == pytest.approx(b.energy_pj)
@@ -423,17 +429,6 @@ class TestCLI:
         assert 0.0 <= payload["yield"] <= 1.0
         assert payload["energy_pj"]["mean"] > 0.0
 
-    def test_mc_naive_flag_matches_vectorized(self, capsys):
-        args = ["mc", "MLP-mnist", "--samples", "4", "--json"]
-        assert main(args) == 0
-        vectorized = json.loads(capsys.readouterr().out)
-        assert main(args + ["--naive"]) == 0
-        naive = json.loads(capsys.readouterr().out)
-        assert naive["yield"] == vectorized["yield"]
-        assert naive["energy_pj"]["mean"] == pytest.approx(
-            vectorized["energy_pj"]["mean"]
-        )
-
     def test_corners_command(self, capsys):
         assert main(["corners"]) == 0
         out = capsys.readouterr().out
@@ -452,14 +447,20 @@ class TestCLI:
         assert main(["run", "GCN-cora", "--seed", "3"]) == 0
         assert "GCN-cora" in capsys.readouterr().out
 
-    def test_sweep_strategy_flag_keeps_soa_and_serial(self):
-        parser = build_parser()
-        for strategy in ("soa", "serial"):
-            args = parser.parse_args(["sweep", "ghost", "--strategy", strategy])
-            assert args.strategy == strategy
-        for strategy in ("batched", "threads"):
-            with pytest.raises(SystemExit):
-                parser.parse_args(["sweep", "ghost", "--strategy", strategy])
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["sweep", "all", "--strategy", "serial"], "--strategy serial"),
+            (["mc", "MLP-mnist", "--naive"], "--naive"),
+        ],
+    )
+    def test_evaluation_path_flags_are_usage_errors(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro")
+        assert f"repro: error: unrecognized arguments: {flag}" in err
 
     def test_mc_has_no_strategy_flag(self):
         with pytest.raises(SystemExit):

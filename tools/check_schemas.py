@@ -146,17 +146,9 @@ def main_check() -> int:
              "--trace-dump", str(tmp / "mlp.dramtrace"), "--json"],
         ),
         ("mc --json", ["mc", "MLP-mnist", "--samples", "4", "--json"]),
-        (
-            "mc --naive --json",
-            ["mc", "MLP-mnist", "--samples", "4", "--naive", "--json"],
-        ),
         ("corners --json", ["corners", "--json"]),
         ("cache --json", ["cache", "--json"]),
         ("sweep ghost --json", ["sweep", "ghost", "--json"]),
-        (
-            "sweep ghost --strategy serial --json",
-            ["sweep", "ghost", "--strategy", "serial", "--json"],
-        ),
         (
             "serve --json",
             ["serve", "--trace", str(trace_path), "--repeat", "2", "--json"],

@@ -2,14 +2,13 @@
 
 Usage::
 
-    PYTHONPATH=src python tools/profile_hotpaths.py [--naive] [--top N]
+    PYTHONPATH=src python tools/profile_hotpaths.py [--top N]
     PYTHONPATH=src python tools/profile_hotpaths.py --target serving-dispatch
 
 Targets:
 
 - ``sweep`` (default) — a small combined TRON + GHOST sweep through the
-  array-resident soa path (or the naive sequential baseline with
-  ``--naive``).
+  array-resident soa path.
   This is the first tool to reach for when a sweep regression lands:
   the historical GHOST per-vertex aggregation loop, for example, showed
   up here as ~50k ``node_cycles`` calls before it was vectorized (see
@@ -45,7 +44,7 @@ sys.path.insert(
 TARGETS = ("sweep", "serving-dispatch", "hbm-costing")
 
 
-def profile_sweep(naive: bool = False, top: int = 20) -> pstats.Stats:
+def profile_sweep(top: int = 20) -> pstats.Stats:
     """Profile a small combined sweep; returns the collected stats."""
     from repro.analysis.sweep import (
         ghost_sweep_space,
@@ -64,7 +63,7 @@ def profile_sweep(naive: bool = False, top: int = 20) -> pstats.Stats:
     profiler = cProfile.Profile()
     profiler.enable()
     for space in spaces:
-        run_sweep(space, strategy="naive" if naive else "soa")
+        run_sweep(space)
     profiler.disable()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
@@ -132,11 +131,6 @@ def main() -> int:
         help="which hot path to profile",
     )
     parser.add_argument(
-        "--naive",
-        action="store_true",
-        help="profile the naive sequential baseline instead (sweep only)",
-    )
-    parser.add_argument(
         "--top", type=int, default=20, help="how many rows to print"
     )
     args = parser.parse_args()
@@ -145,7 +139,7 @@ def main() -> int:
     elif args.target == "hbm-costing":
         profile_hbm_costing(top=args.top)
     else:
-        profile_sweep(naive=args.naive, top=args.top)
+        profile_sweep(top=args.top)
     return 0
 
 
