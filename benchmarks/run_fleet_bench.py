@@ -79,7 +79,7 @@ def check_identity(requests, workers=1):
     """Gate 1: the sharded tier is bit-identical to in-process serving."""
     with ServingEngine(max_pending=WINDOW) as engine:
         reference = engine.serve(requests)
-    with ServingFleet(workers=workers, window=WINDOW) as fleet:
+    with ServingFleet(workers=workers) as fleet:
         responses = fleet.serve(requests)
     return count_mismatches(reference, responses)
 
@@ -181,7 +181,7 @@ def main() -> int:
 
     baseline_rps, baseline_source = single_process_rps(num_requests)
 
-    fleet = ServingFleet(workers=workers, window=WINDOW, max_queue=max_queue)
+    fleet = ServingFleet(workers=workers, max_queue=max_queue)
     with fleet:
         print(
             f"measuring warm aggregate throughput ({workers} workers) ...",

@@ -58,7 +58,6 @@ DECODE_PROMPTS = (64, 256, 768)
 TEMPORAL_WORKLOAD = "GCN-ba-temporal"
 FLEET_TENANTS = 3
 FLEET_SEED = 0
-WINDOW = 64
 
 
 def scalar_episode(tron, model, prompt_tokens, generated_tokens):
@@ -192,7 +191,7 @@ def measure_fleet(num_requests, workers, rate_rps):
         get_workload(request.workload).materialize()
     arrivals = f"diurnal:poisson:{rate_rps:g}"
     process = parse_shaped_arrivals(arrivals)
-    with ServingFleet(workers=workers, window=WINDOW) as fleet:
+    with ServingFleet(workers=workers) as fleet:
         fleet.serve(requests, tenants=tenants)  # warm the shard caches
         result = fleet.run_open_loop(
             requests, process, tenants=tenants, seed=FLEET_SEED

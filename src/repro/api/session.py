@@ -388,7 +388,7 @@ class Session:
                 :class:`~repro.serving.request.ServeRequest`, a trace
                 record dict, or a run-kind :class:`ExperimentSpec`.
             repeat: replay the stream N times (the cache stays warm).
-            window: micro-batch window (requests coalesced per flush).
+            window: in-process micro-batch window (requests per flush).
             cache_entries: report-cache bound (LRU beyond it).
             batched_physics: batched corner-physics path (disable for
                 the scalar benchmarking baseline; same numbers).
@@ -527,7 +527,6 @@ class Session:
         process = parse_shaped_arrivals(arrivals) if arrivals else None
         fleet = ServingFleet(
             workers=workers,
-            window=window,
             cache_entries=cache_entries,
             use_batched_physics=batched_physics,
             max_queue=max_queue,

@@ -448,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--window",
         type=int,
         default=64,
-        help="micro-batch window: requests coalesced per flush",
+        help="in-process micro-batch window: requests coalesced per flush",
     )
     serve.add_argument(
         "--cache-entries",

@@ -219,7 +219,7 @@ class ExecutionContext:
             >>> ExecutionContext.from_dict({"seeed": 3})
             Traceback (most recent call last):
                 ...
-            repro.errors.ConfigurationError: ExecutionContext: unknown field(s) ['seeed']; valid fields: ['noise', 'pinned', 'seed', 'thermal', 'tuner_range_nm', 'use_ted', 'variation']
+            repro.errors.ConfigurationError: ExecutionContext.seeed: unknown field; valid fields: ['noise', 'pinned', 'seed', 'thermal', 'tuner_range_nm', 'use_ted', 'variation']
         """
         return config_from_dict(cls, data)
 

@@ -36,7 +36,7 @@ Example:
     >>> TRONConfig.from_dict({"batsh": 8})
     Traceback (most recent call last):
         ...
-    repro.errors.ConfigurationError: TRONConfig: unknown field(s) ['batsh']; valid fields: ['activation', 'adc', 'array_cols', 'array_rows', 'batch', 'bits', 'clock_ghz', 'control', 'dac', 'design', 'hbm', 'memory', 'memory_backend', 'noise', 'num_ff_arrays', 'num_head_units', 'num_linear_arrays', 'pcm', 'softmax', 'weight_refresh_cycles']
+    repro.errors.ConfigurationError: TRONConfig.batsh: unknown field; valid fields: ['activation', 'adc', 'array_cols', 'array_rows', 'batch', 'bits', 'clock_ghz', 'control', 'dac', 'design', 'hbm', 'memory', 'memory_backend', 'noise', 'num_ff_arrays', 'num_head_units', 'num_linear_arrays', 'pcm', 'softmax', 'weight_refresh_cycles']
 """
 
 from __future__ import annotations
@@ -157,7 +157,8 @@ def config_from_dict(cls: type, data: Mapping, path: str = "") -> Any:
     unknown = sorted(set(data) - set(valid))
     if unknown:
         raise ConfigurationError(
-            f"{path}: unknown field(s) {unknown}; "
+            ", ".join(f"{path}.{name}" for name in unknown)
+            + f": unknown field{'s' if len(unknown) > 1 else ''}; "
             f"valid fields: {sorted(valid)}"
         )
     hints = typing.get_type_hints(cls)

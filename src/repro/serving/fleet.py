@@ -22,9 +22,11 @@ fleet tier scales it out:
   stamping every response with its *arrival-to-completion* latency —
   the honest percentile basis (no coordinated omission).
 
-Requests and responses batch across the queues (``dispatch_batch`` per
-queue item), which amortizes pickling to a few microseconds per request
-— the IPC overhead `tools/profile_hotpaths.py --serving` makes visible.
+``submit`` only buffers: a shard's buffer goes to its worker as one
+queue item on :meth:`~ServingFleet.flush`/:meth:`~ServingFleet.drain` or
+once the shard reaches its admission bound.  The worker runs everything
+queued as one scheduler pass, so its micro-batch is what the client
+batched, and pickling stays a few microseconds per request.
 
 A one-worker fleet produces responses whose report payloads are
 bit-identical to the in-process engine on the same request stream (the
@@ -57,12 +59,6 @@ from repro.serving.arrivals import ArrivalProcess, latency_quantiles
 from repro.serving.engine import LATENCY_WINDOW, ServingEngine
 from repro.serving.request import ServeRequest
 from repro.serving.shard import ShardRouter, request_to_wire, wire_to_request
-
-#: Requests buffered per shard before a queue item is dispatched.
-DISPATCH_BATCH = 64
-
-#: Upper bound on requests a worker coalesces into one scheduler call.
-WORKER_COALESCE = 256
 
 #: Distinct request types whose routing + wire encoding the front door
 #: memoizes (beyond it, routing still works — just uncached).
@@ -202,13 +198,15 @@ def _worker_main(
     inbox,
     outbox,
     engine_kwargs: Dict[str, Any],
+    max_queue: int,
 ) -> None:
     """One shard: a private engine fed by wire documents.
 
-    Reads ``("batch", [(id, wire_record), ...])`` items, greedily
-    coalescing everything already queued (up to
-    :data:`WORKER_COALESCE`) into one scheduler micro-batch, and
-    replies with ``("batch", worker_id, [(id, response_dict), ...])``.
+    Reads ``("batch", [(id, wire_record), ...])`` items, coalescing
+    everything already queued into one scheduler micro-batch (the
+    parent's admission bound keeps at most ``max_queue`` requests in
+    flight, so it bounds a pass), and replies with
+    ``("batch", worker_id, [(id, response_dict), ...])``.
     A ``("stop", None)`` item drains the inbox, emits the engine's
     accounting as ``("stats", worker_id, {...})`` and exits.
     """
@@ -235,7 +233,7 @@ def _worker_main(
     # stable for as long as the memo entry lives.  Bounded at the report
     # cache plus one coalesced batch: every cached report stays memoized.
     report_payloads = LRUMemo(
-        "serving.report_payloads", engine.cache.max_entries + WORKER_COALESCE
+        "serving.report_payloads", engine.cache.max_entries + max_queue
     )
 
     def encode(response):
@@ -265,7 +263,7 @@ def _worker_main(
         if kind == "stop":
             break
         batch = list(payload)
-        while len(batch) < WORKER_COALESCE:
+        while True:
             try:
                 kind, payload = inbox.get_nowait()
             except queue_module.Empty:
@@ -309,16 +307,14 @@ class ServingFleet:
 
     Args:
         workers: worker-process count (= shard count).
-        window: each worker engine's micro-batch window.
         cache_entries: each worker's report-cache bound.
         use_batched_physics: worker scheduler batched-physics path.
         max_queue: per-shard in-flight bound; submissions beyond it
             shed with an explicit response (see
-            :mod:`repro.serving.admission`).
+            :mod:`repro.serving.admission`).  A shard that reaches it
+            dispatches its buffer without waiting for :meth:`flush`.
         tenant_rate_rps / tenant_burst: optional per-tenant quota.
         granularity: shard-key granularity (:class:`ShardRouter`).
-        dispatch_batch: requests buffered per shard before a queue
-            item is sent (IPC amortization).
         start_method: multiprocessing start method (default: ``fork``
             where available — workers inherit warmed module state —
             else the platform default).
@@ -327,22 +323,16 @@ class ServingFleet:
     def __init__(
         self,
         workers: int = 4,
-        window: int = 64,
         cache_entries: int = 1024,
         use_batched_physics: bool = True,
         max_queue: int = 256,
         tenant_rate_rps: Optional[float] = None,
         tenant_burst: Optional[float] = None,
         granularity: str = "type",
-        dispatch_batch: int = DISPATCH_BATCH,
         start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {workers}")
-        if dispatch_batch < 1:
-            raise ConfigurationError(
-                f"dispatch_batch must be >= 1, got {dispatch_batch}"
-            )
         self.workers = workers
         self.router = ShardRouter(num_shards=workers, granularity=granularity)
         self.admission = AdmissionController(
@@ -350,7 +340,6 @@ class ServingFleet:
             tenant_rate_rps=tenant_rate_rps,
             tenant_burst=tenant_burst,
         )
-        self.dispatch_batch = dispatch_batch
         self.worker_stats: Dict[int, Dict[str, Any]] = {}
         if start_method is None:
             methods = multiprocessing.get_all_start_methods()
@@ -360,13 +349,15 @@ class ServingFleet:
         self._inboxes = [ctx.Queue() for _ in range(workers)]
         engine_kwargs = dict(
             cache_entries=cache_entries,
-            max_pending=window,
             use_batched_physics=use_batched_physics,
         )
         self._processes = [
             ctx.Process(
                 target=_worker_main,
-                args=(i, self._inboxes[i], self._outbox, engine_kwargs),
+                args=(
+                    i, self._inboxes[i], self._outbox, engine_kwargs,
+                    max_queue,
+                ),
                 daemon=True,
                 name=f"repro-fleet-{i}",
             )
@@ -494,7 +485,8 @@ class ServingFleet:
                 self._first_submit_s = arrival_s
             buffer = self._buffers[shard]
             buffer.append((request_id, record))
-            ready = len(buffer) >= self.dispatch_batch
+            # At the bound nothing more can join this shard's batch.
+            ready = self._in_flight[shard] >= self.admission.max_queue
             if ready:
                 self._buffers[shard] = []
         if ready:
@@ -507,7 +499,8 @@ class ServingFleet:
         tenant: Optional[str] = None,
         arrival_s: Optional[float] = None,
     ) -> "Future[FleetResponse]":
-        """Route one request through admission to its shard.
+        """Route one request through admission to its shard's buffer,
+        which :meth:`flush`/:meth:`drain` or the admission bound sends.
 
         ``arrival_s`` is the scheduled arrival on the fleet clock (open
         loop); it defaults to the submission instant (closed loop).
@@ -680,7 +673,7 @@ class ServingFleet:
                 backlog = self._in_flight[shard]
             if backlog < self.admission.max_queue:
                 return
-            self.flush()  # a buffered backlog cannot drain itself
+            # A shard at its bound has already dispatched its buffer.
             with self._done:
                 self._done.wait(timeout=0.05)
                 self._fail_dead_worker_pending()

@@ -127,6 +127,14 @@ class TestConfigSerialization:
         with pytest.raises(ConfigurationError, match="memory.hbm"):
             GHOSTConfig.from_dict({"memory": {"hbm": {"chanels": 4}}})
 
+    def test_each_unknown_field_named_by_dotted_path(self):
+        with pytest.raises(ConfigurationError) as exc:
+            GHOSTConfig.from_dict({"memory": {"hbm": {"zz": 1, "chanels": 4}}})
+        assert str(exc.value).startswith(
+            "GHOSTConfig.memory.hbm.chanels, GHOSTConfig.memory.hbm.zz: "
+            "unknown fields; valid fields: ["
+        )
+
     def test_type_mismatch_is_helpful(self):
         with pytest.raises(ConfigurationError, match="integer"):
             TRONConfig.from_dict({"batch": "eight"})
@@ -241,7 +249,7 @@ class TestNoEvaluationPathSelector:
         '{"schema": "repro.spec/1", "workload": "MLP-mnist", '
         '"analysis": {"kind": "mc", "samples": 4, "vectorized": true}}'
     )
-    UNKNOWN_VECTORIZED = r"analysis: unknown field\(s\) \['vectorized'\]"
+    UNKNOWN_VECTORIZED = r"analysis\.vectorized: unknown field; valid fields"
 
     def test_load_spec_rejects_vectorized(self, tmp_path):
         path = tmp_path / "mc.json"
@@ -257,8 +265,9 @@ class TestNoEvaluationPathSelector:
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
-        assert proc.stderr.startswith("repro: error: analysis: unknown field")
-        assert "'vectorized'" in proc.stderr
+        assert proc.stderr.startswith(
+            "repro: error: analysis.vectorized: unknown field; "
+        )
         assert proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(

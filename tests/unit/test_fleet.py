@@ -23,7 +23,6 @@ from repro.serving import (
     request_to_wire,
     wire_to_request,
 )
-from repro.serving import fleet as fleet_module
 from repro.serving.fleet import merge_counters
 from repro.serving.scheduler import PLATFORM_ENTRIES
 from repro.serving.shard import SHARD_ENTRIES
@@ -208,15 +207,60 @@ class TestServingFleet:
         requests = small_trace()
         with ServingEngine(max_pending=8) as engine:
             reference = engine.serve(requests)
-        with ServingFleet(workers=1, window=8) as fleet:
+        with ServingFleet(workers=1) as fleet:
             responses = fleet.serve(requests)
         for ref, response in zip(reference, responses):
             assert response.report == ref.to_dict()["report"]
             assert response.cached == ref.cached
 
+    def test_spawned_worker_matches_in_process_engine(self):
+        # The worker's arguments must survive pickling into a fresh
+        # interpreter, not just a fork of the parent.
+        requests = small_trace()
+        with ServingEngine() as engine:
+            reference = engine.serve(requests)
+        with ServingFleet(workers=1, start_method="spawn") as fleet:
+            responses = fleet.serve(requests)
+        assert [r.report for r in responses] == [
+            ref.to_dict()["report"] for ref in reference
+        ]
+        assert [(r.cached, r.deduped) for r in responses] == [
+            (ref.cached, ref.deduped) for ref in reference
+        ]
+
+    def test_drained_burst_is_one_worker_pass(self):
+        # A burst within the admission bound reaches the worker as one
+        # queue item and runs as one scheduler pass: dedup sees every
+        # repeat, exactly as one in-process serve() call.
+        requests = small_trace(num_requests=300)
+        with ServingEngine() as engine:
+            reference = engine.serve(requests)
+        fleet = ServingFleet(workers=1, max_queue=len(requests))
+        try:
+            futures = [fleet.submit(request) for request in requests]
+            assert fleet.drain(timeout=60)
+            responses = [future.result(timeout=60) for future in futures]
+        finally:
+            fleet.close()
+        assert fleet.worker_stats[0]["stats"]["flushes"] == 1
+        assert [r.report for r in responses] == [
+            ref.to_dict()["report"] for ref in reference
+        ]
+        assert [(r.cached, r.deduped) for r in responses] == [
+            (ref.cached, ref.deduped) for ref in reference
+        ]
+        assert any(r.deduped for r in responses)
+
+    def test_submits_at_admission_bound_resolve_without_drain(self):
+        request = ServeRequest(workload="MLP-mnist")
+        with ServingFleet(workers=1, max_queue=4) as fleet:
+            futures = [fleet.submit(request) for _ in range(4)]
+            responses = [future.result(timeout=60) for future in futures]
+        assert all(response.ok for response in responses)
+
     def test_multi_worker_replay_hits_shard_caches(self):
         requests = small_trace()
-        with ServingFleet(workers=2, window=8) as fleet:
+        with ServingFleet(workers=2) as fleet:
             cold = fleet.serve(requests)
             warm = fleet.serve(requests)
         assert all(response.ok for response in cold)
@@ -226,7 +270,7 @@ class TestServingFleet:
     def test_submit_futures_and_error_isolation(self):
         good = ServeRequest(workload="MLP-mnist")
         bad = ServeRequest(workload="no-such-workload")
-        with ServingFleet(workers=1, window=4) as fleet:
+        with ServingFleet(workers=1) as fleet:
             futures = [fleet.submit(good), fleet.submit(bad),
                        fleet.submit(good)]
             assert fleet.drain()
@@ -244,7 +288,7 @@ class TestServingFleet:
         threads, per_thread = 8, len(requests)
         futures_by_slot = [None] * threads
 
-        with ServingFleet(workers=2, window=8) as fleet:
+        with ServingFleet(workers=2) as fleet:
             fleet.serve(requests)  # warm, so races hit the cache path
 
             def submit_all(slot):
@@ -280,8 +324,7 @@ class TestServingFleet:
 
     def test_open_loop_past_saturation_sheds_and_completes(self):
         requests = small_trace()
-        with ServingFleet(workers=1, window=8, max_queue=2,
-                          dispatch_batch=1) as fleet:
+        with ServingFleet(workers=1, max_queue=2) as fleet:
             fleet.serve(requests)  # warm
             result = fleet.run_open_loop(
                 requests,
@@ -299,8 +342,7 @@ class TestServingFleet:
 
     def test_closed_loop_backpressure_never_sheds(self):
         requests = small_trace()
-        with ServingFleet(workers=1, window=4, max_queue=2,
-                          dispatch_batch=1) as fleet:
+        with ServingFleet(workers=1, max_queue=2) as fleet:
             responses = fleet.serve(requests)
             stats = fleet.fleet_stats()
         assert all(response.ok for response in responses)
@@ -318,11 +360,11 @@ class TestServingFleet:
         assert responses[1].shed and responses[1].error == SHED_QUOTA
         assert responses[2].shed
 
-    def test_report_payload_memo_bounded(self, monkeypatch):
-        # Forked workers inherit the patched coalesce bound.
-        monkeypatch.setattr(fleet_module, "WORKER_COALESCE", 4)
-        cache_entries = 2
-        bound = cache_entries + 4
+    def test_report_payload_memo_bounded(self):
+        # The admission bound caps a worker pass, so the payload memo
+        # holds the report cache plus one pass.
+        cache_entries, max_queue = 2, 4
+        bound = cache_entries + max_queue
         requests = [
             ServeRequest(workload="MLP-mnist", batch=batch)
             for batch in range(1, 5 * bound)
@@ -330,8 +372,7 @@ class TestServingFleet:
         with ServingEngine(max_pending=8) as engine:
             reference = [r.to_dict()["report"] for r in engine.serve(requests)]
         fleet = ServingFleet(
-            workers=1, window=8, cache_entries=cache_entries,
-            start_method="fork",
+            workers=1, cache_entries=cache_entries, max_queue=max_queue
         )
         try:
             first = fleet.serve(requests)
@@ -344,7 +385,7 @@ class TestServingFleet:
 
     def test_stats_blocks_have_envelope_shape(self):
         requests = small_trace()
-        fleet = ServingFleet(workers=2, window=8)
+        fleet = ServingFleet(workers=2)
         try:
             fleet.serve(requests)
         finally:

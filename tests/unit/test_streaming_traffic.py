@@ -181,7 +181,7 @@ def test_one_worker_fleet_replay_is_bit_identical(model):
     tenants = [record_tenant(r) for r in records]
     with ServingEngine(max_pending=16) as engine:
         reference = engine.serve(requests)
-    with ServingFleet(workers=1, window=16) as fleet:
+    with ServingFleet(workers=1) as fleet:
         responses = fleet.serve(requests, tenants=tenants)
     assert len(reference) == len(responses)
     for ref, response in zip(reference, responses):
