@@ -16,8 +16,10 @@ indistinguishable from one produced by the scalar oracle.  The property
 suite (``tests/unit/test_soa_parity.py``) enforces this.
 
 Platform evaluators register themselves per ``(platform, workload
-kind)``; :func:`soa_evaluator` is how the sweep and Monte-Carlo engines
-look them up (returning ``None`` triggers the scalar fallback).
+kind)``; :func:`soa_evaluator` is how the sweep, Monte-Carlo and serving
+engines look them up (returning ``None`` triggers the scalar fallback).
+Suites need no per-platform code: :func:`suite_evaluator` chains the
+columns of each member's registered evaluator.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.base import WorkloadKind
+from repro.core.base import WorkloadKind, check_kind_contract
 from repro.core.context import ExecutionContext
 from repro.core.engine.corners import context_physics
 from repro.core.engine.hbm.geometry import HBMGeometry
@@ -42,7 +44,7 @@ from repro.core.reports import (
     LATENCY_FIELDS,
     StackedRunReports,
 )
-from repro.errors import ConfigurationError, YieldError
+from repro.errors import ConfigurationError, MappingError, YieldError
 
 
 @dataclass
@@ -425,3 +427,58 @@ def soa_evaluator(
 
         _DEFAULTS_LOADED = True
     return _EVALUATORS.get((platform, kind))
+
+
+def suite_evaluator(platform: str) -> SoAEvaluator:
+    """The SUITE evaluator of ``platform``: each member through that
+    member's registered evaluator over the same configs and contexts,
+    the columns chained in member order exactly as
+    ``Accelerator._merge_reports`` chains reports (ops and per-field
+    latency / energy add left to right; precision is the first
+    member's).
+
+    Raises:
+        MappingError: if the suite has no parts or a member has no
+            registered evaluator (callers then run the scalar path,
+            which raises or costs exactly as it always did).
+    """
+
+    def evaluate_suite(configs, contexts, suite) -> StackedRunReports:
+        stacks = []
+        for part in suite.parts():
+            check_kind_contract(part)
+            evaluator = soa_evaluator(platform, part.kind)
+            if evaluator is None:
+                raise MappingError(
+                    f"{platform} has no array-resident evaluator for "
+                    f"{part.kind.value!r} member {part.name!r} of suite "
+                    f"{suite.name!r}"
+                )
+            stacks.append(evaluator(configs, contexts, part))
+        if not stacks:
+            raise MappingError(f"suite {suite.name!r} has no parts")
+        first = stacks[0]
+        ops = list(first.ops)
+        latency = dict(first.latency)
+        energy = dict(first.energy)
+        for stack in stacks[1:]:
+            ops = [a + b for a, b in zip(ops, stack.ops)]
+            latency = {k: v + stack.latency[k] for k, v in latency.items()}
+            energy = {k: v + stack.energy[k] for k, v in energy.items()}
+        return StackedRunReports(
+            platform=platform,
+            workload=suite.name,
+            ops=ops,
+            latency=latency,
+            energy=energy,
+            bits_per_value=first.bits_per_value,
+            groups=sum(stack.groups for stack in stacks),
+        )
+
+    return evaluate_suite
+
+
+for _platform in ("TRON", "GHOST"):
+    register_soa_evaluator(
+        _platform, WorkloadKind.SUITE, suite_evaluator(_platform)
+    )

@@ -12,16 +12,27 @@ the scheduler serves each one through the cheapest sufficient path:
    but the die seed.  All distinct dies of a group evaluate through one
    batched pass of the engine's corner physics
    (:func:`repro.core.engine.batch_context_physics_for`) instead of N
-   scalar draws + TED solves; each job then replays through the ordinary
-   run path with its die's physics pinned, which is bit-identical to a
-   direct scalar run (the cost model reads exactly the pinned fields).
+   scalar draws + TED solves, and each die's outcome is pinned onto its
+   job's context (the cost models read exactly the pinned fields).
+4. **Column costing** — every unique job of the pass then joins the
+   column of its ``(platform, workload)``, across all groups, and each
+   column costs in one call of the platform's registered SoA evaluator
+   (:func:`repro.core.engine.soa_evaluator`) over the jobs' configs and
+   pinned contexts; each point materializes bit-identical to a scalar
+   ``accelerator.run``.  Jobs with no evaluator (decode, temporal GNNs,
+   custom catalog platforms) and every job of a column whose call raises
+   (a dead die, an unmappable suite member) run scalar one by one, so
+   each keeps its own report or error text.  Cache insertions follow
+   the jobs' group order, so eviction order does not depend on how the
+   columns formed.
 
-Groups evaluate in order on the calling thread, through one long-lived
-accelerator per ``(platform, batch)``.  The cost models are pure Python,
-so under the GIL a thread pool could never overlap group evaluations;
-it only paid thread start-up per flush and let cache insertions race.
-The scheduler is synchronous and runs one micro-batch at a time; the
-asynchronous submission front-end lives in :mod:`repro.serving.engine`.
+Everything runs on the calling thread, through one long-lived
+accelerator per ``(platform, batch)``.  The cost models are pure
+Python, so under the GIL a thread pool could never overlap
+evaluations; it only paid thread start-up per flush and let cache
+insertions race.  The scheduler is synchronous and runs one micro-batch
+at a time; the asynchronous submission front-end lives in
+:mod:`repro.serving.engine`.
 """
 
 from __future__ import annotations
@@ -31,9 +42,18 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.base import Accelerator, Workload, get_workload
+from repro.core.base import (
+    Accelerator,
+    Workload,
+    check_kind_contract,
+    get_workload,
+)
 from repro.core.context import ExecutionContext, PinnedArrayPhysics
-from repro.core.engine import LRUMemo, batch_context_physics_for
+from repro.core.engine import (
+    LRUMemo,
+    batch_context_physics_for,
+    soa_evaluator,
+)
 from repro.core.ghost import GHOST
 from repro.core.reports import RunReport
 from repro.core.tron import TRON, TRONConfig
@@ -96,9 +116,10 @@ class _Job:
     platform: str
     accelerator: Accelerator
     indices: List[int] = field(default_factory=list)
+    #: The normalized request context, then its pinned-physics form.
+    run_ctx: Optional[ExecutionContext] = None
     report: Optional[RunReport] = None
     error: Optional[str] = None
-    finished_s: float = 0.0
 
 
 @dataclass
@@ -109,7 +130,7 @@ class SchedulerStats:
         requests: requests scheduled.
         cache_hits: requests served from the report cache.
         deduped: requests coalesced onto an identical in-batch request.
-        evaluated: unique jobs that went through the run path.
+        evaluated: unique jobs costed (in a column or a scalar run).
         errors: jobs that failed (dead die, unmappable workload).
         groups: per-(platform, batch, context-family) groups formed.
         physics_batches: batched corner-physics passes issued.
@@ -258,6 +279,7 @@ class BatchingScheduler:
                     workload=workload,
                     platform=platform,
                     accelerator=accelerator,
+                    run_ctx=key[2],  # the normalized request context
                 )
             else:
                 self.stats.deduped += 1
@@ -266,27 +288,49 @@ class BatchingScheduler:
         # Pass 2: group unique jobs by (platform, batch, context family).
         groups: Dict[Tuple, List[_Job]] = {}
         for job in jobs.values():
-            ctx = normalize_context(job.request.ctx)
-            family = self._family(ctx)
+            family = self._family(job.run_ctx)
             groups.setdefault(
                 (job.platform, job.request.batch, family), []
             ).append(job)
         self.stats.groups += len(groups)
 
-        # Pass 3: evaluate groups in order, on this thread.
+        # Pass 3: pin each group's dies onto its jobs' contexts.
+        ordered: List[_Job] = []
         for (_, _, family), group_jobs in groups.items():
-            self._evaluate_group(family, group_jobs)
+            pinned = self._pin_group_physics(
+                group_jobs[0].accelerator, family, group_jobs
+            )
+            for job in group_jobs:
+                job.run_ctx = pinned.get(job.run_ctx, job.run_ctx)
+            ordered += group_jobs
 
-        # Pass 4: fan reports back out to every request of each job.
+        # Pass 4: cost one column per (platform, workload), then account
+        # and cache every job in group order.
+        columns: Dict[Tuple[str, str], List[_Job]] = {}
+        for job in ordered:
+            columns.setdefault(
+                (job.accelerator.name, job.workload.name), []
+            ).append(job)
+        for column in columns.values():
+            self._cost_column(column)
+        finished = time.perf_counter()
+        for job in ordered:
+            if job.report is None:
+                self.stats.errors += 1
+                continue
+            self.stats.evaluated += 1
+            if self.cache is not None:
+                self.cache.put(job.key, job.report)
+
+        # Pass 5: fan reports back out to every request of each job.
         for job in jobs.values():
-            latency = job.finished_s - start
             for rank, i in enumerate(job.indices):
                 responses[i] = ServeResponse(
                     request=requests[i],
                     report=job.report,
                     deduped=rank > 0,
                     error=job.error,
-                    latency_s=latency,
+                    latency_s=finished - start,
                 )
         missing = [i for i, r in enumerate(responses) if r is None]
         if missing:  # pragma: no cover - scheduler invariant
@@ -302,28 +346,57 @@ class BatchingScheduler:
         """The group key of a context: everything but the die seed.
 
         Nominal (``None``) and pinned contexts form their own groups and
-        evaluate scalar; sampling contexts that differ only in seed land
-        in one family and share a batched physics pass.
+        skip the batched physics pass; sampling contexts that differ
+        only in seed land in one family and share one.
         """
         if ctx is None or ctx.pinned or not ctx.affects_arrays:
             return ctx
         return replace(ctx, seed=0)
 
-    def _evaluate_group(self, family, group_jobs: List[_Job]) -> None:
-        lead = group_jobs[0].accelerator
-        pinned_ctx = self._pin_group_physics(lead, family, group_jobs)
-        for job in group_jobs:
-            ctx = normalize_context(job.request.ctx)
-            run_ctx = pinned_ctx.get(ctx, ctx)
+    @staticmethod
+    def _cost_column(column: List[_Job]) -> None:
+        """Cost the jobs of one ``(platform, workload)`` column.
+
+        One registered SoA evaluator call covers the whole column when
+        every job's accelerator is an unbound configured platform (a
+        context-bound one would cost nominal runs at its own context).
+        Otherwise — no evaluator, or the call raised — each job runs
+        scalar, so it gets exactly its own report or error text.
+        """
+        lead = column[0]
+        evaluator = None
+        if all(
+            getattr(job.accelerator, "config", None) is not None
+            and getattr(job.accelerator, "ctx", None) is None
+            for job in column
+        ):
+            evaluator = soa_evaluator(
+                lead.accelerator.name, lead.workload.kind
+            )
+        if evaluator is not None:
             try:
-                job.report = job.accelerator.run(job.workload, ctx=run_ctx)
-                self.stats.evaluated += 1
+                check_kind_contract(lead.workload)
+                lead.workload.materialize()
+                stacked = evaluator(
+                    [job.accelerator.config for job in column],
+                    [job.run_ctx for job in column],
+                    lead.workload,
+                )
+            except (YieldError, MappingError, ConfigurationError):
+                pass
+            else:
+                for i, job in enumerate(column):
+                    job.report = job.accelerator._check_report(
+                        stacked.materialize(i)
+                    )
+                return
+        for job in column:
+            try:
+                job.report = job.accelerator.run(
+                    job.workload, ctx=job.run_ctx
+                )
             except (YieldError, MappingError, ConfigurationError) as exc:
                 job.error = str(exc)
-                self.stats.errors += 1
-            job.finished_s = time.perf_counter()
-            if job.report is not None and self.cache is not None:
-                self.cache.put(job.key, job.report)
 
     def _pin_group_physics(
         self,
@@ -335,9 +408,9 @@ class BatchingScheduler:
 
         One batched corner-physics pass per array geometry covers all
         the group's dies; each die's outcome (usable dims + correction
-        power) is pinned onto its context, so the subsequent run-path
-        evaluations skip the per-die draws and TED solves while
-        producing bit-identical reports.
+        power) is pinned onto its context, so the column costing skips
+        the per-die draws and TED solves while producing bit-identical
+        reports.
         """
         if (
             not self.use_batched_physics
@@ -353,8 +426,7 @@ class BatchingScheduler:
         for spec in specs():
             geometries.setdefault((spec.rows, spec.cols), spec)
         contexts = sorted(
-            {normalize_context(job.request.ctx) for job in group_jobs},
-            key=lambda c: c.seed,
+            {job.run_ctx for job in group_jobs}, key=lambda c: c.seed
         )
         pinned: Dict[ExecutionContext, Dict] = {c: {} for c in contexts}
         for (rows, cols), spec in geometries.items():

@@ -9,7 +9,7 @@ from repro.core.context import resolve_corner
 from repro.core.engine import clear_physics_cache
 from repro.core.reports import EnergyReport, LatencyReport, RunReport
 from repro.core.tron import TRONConfig
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, MappingError, YieldError
 from repro.nn.counting import OpCount
 from repro.serving import (
     BatchingScheduler,
@@ -327,14 +327,19 @@ class TestOneThreadScheduler:
         for _ in range(2):
             assert replay() == first
 
-    def test_serve_racing_submit_never_overlaps(self):
+    def test_serve_racing_submit_never_overlaps(self, monkeypatch):
         """Synchronous ``serve`` calls racing the async flush thread on
         one engine serialize: no two evaluations overlap on the shared
         accelerator, no stats update is lost, and every report matches
-        a fresh engine's."""
+        a fresh engine's.  The probe wraps both ways a job is costed:
+        the accelerator's scalar ``run`` and the registered TRON MLP
+        column evaluator."""
         import sys
         import threading
         import time
+
+        import repro.core.engine.soa as soa
+        from repro.core.base import WorkloadKind
 
         requests = [
             ServeRequest(workload="MLP-mnist", ctx=resolve_corner("typical", s))
@@ -346,23 +351,29 @@ class TestOneThreadScheduler:
         guard = threading.Lock()
         active, peak = [0], [0]
 
-        def probing_tron(batch):
-            accelerator = default_platform_catalog()["tron"](batch)
-            inner = accelerator.run
-
-            def run(workload, ctx=None):
+        def probed(inner):
+            def call(*args, **kwargs):
                 with guard:
                     active[0] += 1
                     peak[0] = max(peak[0], active[0])
                 try:
                     time.sleep(1e-4)  # invite another thread in
-                    return inner(workload, ctx=ctx)
+                    return inner(*args, **kwargs)
                 finally:
                     with guard:
                         active[0] -= 1
 
-            accelerator.run = run
+            return call
+
+        def probing_tron(batch):
+            accelerator = default_platform_catalog()["tron"](batch)
+            accelerator.run = probed(accelerator.run)
             return accelerator
+
+        key = ("TRON", WorkloadKind.MLP)
+        monkeypatch.setitem(
+            soa._EVALUATORS, key, probed(soa.soa_evaluator(*key))
+        )
 
         rounds, threads = 10, 6
         interval = sys.getswitchinterval()
@@ -405,6 +416,185 @@ class TestOneThreadScheduler:
                 if not isinstance(response, ServeResponse):
                     response = response.result(timeout=60)
                 assert response.report.to_dict() == expected[i % 4]
+
+
+def _zipf_stream(size, seed=1):
+    """``size`` requests drawn from a 256-type Zipf-skewed population."""
+    import numpy as np
+
+    population = generate_trace(20000, seed=0, catalog_size=256)
+    types = {}
+    kinds = [
+        types.setdefault(tuple(sorted(record.items())), len(types))
+        for record in population
+    ]
+    requests = [record_to_request(dict(key)) for key in types]
+    picks = np.random.default_rng(seed).integers(len(kinds), size=size)
+    return [requests[kinds[i]] for i in picks]
+
+
+class TestColumnPass:
+    """Pass 4 costs each (platform, workload) column in one registered
+    SoA evaluator call; every job still gets exactly its scalar report
+    or error text."""
+
+    @staticmethod
+    def _record_evaluator_calls(monkeypatch):
+        """Wrap every registered evaluator; returns the list of
+        ``(platform, kind, points)`` calls made."""
+        import repro.core.engine.soa as soa
+        from repro.core.base import WorkloadKind
+
+        soa.soa_evaluator("TRON", WorkloadKind.MLP)  # load the defaults
+        calls = []
+
+        def recording(key, inner):
+            def call(configs, contexts, workload):
+                calls.append(key + (len(configs),))
+                return inner(configs, contexts, workload)
+
+            return call
+
+        for key, evaluator in list(soa._EVALUATORS.items()):
+            monkeypatch.setitem(
+                soa._EVALUATORS, key, recording(key, evaluator)
+            )
+        return calls
+
+    def test_zipf_stream_matches_scalar_runs(self, monkeypatch):
+        """A 256-type Zipf stream against a 64-entry cache: every costed
+        job equals the scalar ``run`` under its own pinned context."""
+        costed = []
+        cost_column = BatchingScheduler._cost_column
+
+        def recording(column):
+            cost_column(column)
+            costed.append(list(column))
+
+        monkeypatch.setattr(
+            BatchingScheduler, "_cost_column", staticmethod(recording)
+        )
+        calls = self._record_evaluator_calls(monkeypatch)
+        stream = _zipf_stream(1024)
+        engine = ServingEngine(cache_entries=64)
+        responses = []
+        for start in range(0, len(stream), 256):
+            responses += engine.serve(stream[start:start + 256])
+        monkeypatch.undo()
+
+        jobs = [job for column in costed for job in column]
+        stats = engine.scheduler.stats
+        assert len(jobs) == stats.evaluated + stats.errors
+        assert any(len(column) > 1 for column in costed)
+        assert sum(points for *_, points in calls) > len(jobs) // 2
+        for job in jobs:
+            try:
+                want = job.accelerator.run(job.workload, ctx=job.run_ctx)
+            except (YieldError, MappingError, ConfigurationError) as exc:
+                assert job.report is None and job.error == str(exc)
+                continue
+            assert job.report == want
+            assert job.report.to_dict() == want.to_dict()
+        assert all(r.ok or r.error for r in responses)
+
+    def test_dead_die_fails_alone_in_its_column(self):
+        from repro.core.context import ExecutionContext
+        from repro.photonics.variation import ProcessVariationModel
+
+        workload = get_workload("MLP-mnist")
+        contexts = [None] + [
+            ExecutionContext(
+                variation=ProcessVariationModel(), seed=s, tuner_range_nm=6.0
+            )
+            for s in range(8)
+        ]
+        responses = BatchingScheduler().execute(
+            [ServeRequest(workload="MLP-mnist", ctx=ctx) for ctx in contexts]
+        )
+        dead = 0
+        for ctx, response in zip(contexts, responses):
+            try:
+                want = TRON().run(workload, ctx=ctx)
+            except YieldError as exc:
+                dead += 1
+                assert response.report is None
+                assert response.error == str(exc)
+                continue
+            assert response.ok and response.report == want
+        assert dead == 1
+
+    def test_decode_and_custom_platforms_run_scalar(self, monkeypatch):
+        """No evaluator covers DECODE, a catalog platform without a
+        config, or a context-bound accelerator: those jobs run scalar
+        and match a direct run, while column-mates of a DECODE job's
+        pass still use the evaluator."""
+        from repro.baselines.platforms import RooflinePlatform
+        from repro.core import GHOST
+        from repro.core.base import WorkloadKind
+
+        typical = resolve_corner("typical", 3)
+
+        def roofline(batch):
+            return RooflinePlatform(
+                platform_name="TRON",
+                peak_gops=1e3,
+                memory_bandwidth_gbps=100.0,
+                tdp_w=10.0,
+            )
+
+        def bound_ghost(batch):
+            return GHOST(ctx=typical)
+
+        calls = self._record_evaluator_calls(monkeypatch)
+        stock = BatchingScheduler().execute(
+            [
+                ServeRequest(workload="decode-gpt2-small"),
+                ServeRequest(workload="MLP-mnist"),
+                ServeRequest(workload="MLP-mnist", batch=2),
+            ]
+        )
+        assert calls == [("TRON", WorkloadKind.MLP, 2)]
+        custom = BatchingScheduler(
+            catalog={"tron": roofline, "ghost": bound_ghost}
+        ).execute(
+            [
+                ServeRequest(workload="MLP-mnist"),
+                ServeRequest(workload="GCN-cora"),
+            ]
+        )
+        assert len(calls) == 1
+        direct = [
+            TRON().run(get_workload("decode-gpt2-small")),
+            TRON().run(get_workload("MLP-mnist")),
+            TRON(TRONConfig(batch=2)).run(get_workload("MLP-mnist")),
+            roofline(1).run(get_workload("MLP-mnist")),
+            bound_ghost(1).run(get_workload("GCN-cora")),
+        ]
+        for response, want in zip(stock + custom, direct):
+            assert response.report == want
+        assert custom[1].report != GHOST().run(get_workload("GCN-cora"))
+
+    def test_cache_order_follows_first_seen_jobs(self):
+        """Cache insertion follows the jobs' first-seen (group) order,
+        not the order the columns were costed in."""
+        typical = [resolve_corner("typical", s) for s in (1, 2)]
+        requests = [
+            ServeRequest(workload="MLP-mnist"),
+            ServeRequest(workload="BERT-base"),
+            ServeRequest(workload="MLP-mnist"),  # duplicate
+            ServeRequest(workload="MLP-mnist", ctx=typical[0]),
+            ServeRequest(workload="BERT-base", ctx=typical[1]),
+            ServeRequest(workload="GCN-cora"),
+        ]
+        cache = ReportCache()
+        scheduler = BatchingScheduler(cache=cache)
+        keys = []
+        for request in requests:
+            key = scheduler.cache_key(request)
+            if key not in keys:
+                keys.append(key)
+        scheduler.execute(requests)
+        assert list(cache._entries) == keys
 
 
 class TestServingEngine:

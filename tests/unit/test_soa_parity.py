@@ -34,7 +34,9 @@ from repro.core.base import get_workload
 from repro.core.context import resolve_corner, standard_corners
 from repro.core.engine import clear_physics_cache, soa_evaluator
 from repro.core.reports import StackedRunReports
+from repro.errors import MappingError
 from repro.photonics.variation import ProcessVariationModel
+from repro.workloads import WorkloadSuite
 
 
 MEMORY_BACKENDS = ("analytic", "hbm", "hbm-pim")
@@ -101,6 +103,42 @@ def test_ghost_random_configs_bit_identical(seed):
     evaluator = soa_evaluator("GHOST", workload.kind)
     stacked = evaluator(configs, contexts, workload)
     _assert_stack_matches_scalar(stacked, configs, contexts, GHOST, workload)
+
+
+@pytest.mark.parametrize("seed", [6, 7, 8])
+def test_suite_random_configs_bit_identical(seed):
+    """The SUITE evaluator chains its members' columns exactly as
+    ``Accelerator._merge_reports`` chains their scalar reports."""
+    rng = random.Random(seed)
+    configs = _random_tron_configs(rng, 8)
+    contexts = _random_contexts(rng, 8)
+    workload = get_workload("LLM-serving-mix")
+    stacked = soa_evaluator("TRON", workload.kind)(configs, contexts, workload)
+    assert stacked.workload == "LLM-serving-mix"
+    for i, (config, ctx) in enumerate(zip(configs, contexts)):
+        assert stacked.materialize(i) == TRON(config).run(workload, ctx=ctx)
+    _assert_stack_matches_scalar(stacked, configs, contexts, TRON, workload)
+
+
+def test_ghost_suite_bit_identical_and_unmappable_member_raises():
+    rng = random.Random(9)
+    configs = _random_ghost_configs(rng, 6)
+    contexts = _random_contexts(rng, 6)
+    suite = WorkloadSuite(
+        suite_name="graph-mix",
+        members=(get_workload("GCN-cora"), get_workload("MLP-recsys")),
+    )
+    evaluator = soa_evaluator("GHOST", suite.kind)
+    stacked = evaluator(configs, contexts, suite)
+    _assert_stack_matches_scalar(stacked, configs, contexts, GHOST, suite)
+    # GHOST cannot run a transformer member: the evaluator raises
+    # MappingError (callers then take the scalar path, which raises its
+    # own MappingError).
+    mixed = get_workload("LLM-serving-mix")
+    with pytest.raises(MappingError, match="BERT-base"):
+        evaluator(configs, contexts, mixed)
+    with pytest.raises(MappingError, match="BERT-base"):
+        GHOST(configs[0]).run(mixed)
 
 
 def test_one_point_tensor_bit_identical():
@@ -198,7 +236,8 @@ def _assert_same_mc(a, b):
 
 
 @pytest.mark.parametrize(
-    "platform, workload_name", [(TRON, "BERT-base"), (GHOST, "GCN-cora")]
+    "platform, workload_name",
+    [(TRON, "BERT-base"), (GHOST, "GCN-cora"), (TRON, "LLM-serving-mix")],
 )
 def test_mc_evaluator_bit_identical_to_scalar_fallback(
     monkeypatch, platform, workload_name
@@ -230,14 +269,13 @@ def test_mc_evaluator_bit_identical_to_scalar_fallback(
     "platform, workload_name",
     [
         (TRON, "decode-gpt2-small"),
-        (TRON, "LLM-serving-mix"),
         (GHOST, "GCN-ba-temporal"),
     ],
 )
 def test_mc_kinds_without_evaluator_match_naive(platform, workload_name):
-    """DECODE, SUITE and TEMPORAL_GNN workloads have no registered
-    evaluator: every die runs the scalar fallback and still matches the
-    naive N-scalar-runs baseline."""
+    """DECODE and TEMPORAL_GNN workloads have no registered evaluator:
+    every die runs the scalar fallback and still matches the naive
+    N-scalar-runs baseline."""
     context = ExecutionContext(
         variation=ProcessVariationModel(), seed=7, tuner_range_nm=8.5
     )

@@ -4,6 +4,7 @@ Usage::
 
     PYTHONPATH=src python tools/profile_hotpaths.py [--top N]
     PYTHONPATH=src python tools/profile_hotpaths.py --target serving-dispatch
+    PYTHONPATH=src python tools/profile_hotpaths.py --target serving
 
 Targets:
 
@@ -20,6 +21,13 @@ Targets:
   a saturated box; worker processes are outside the profile).  The
   ``wire_to_request``/``ExecutionContext.from_dict`` decode cost that
   motivated the fleet's type-id decode memo was found exactly here.
+- ``serving`` — the worker side ``serving-dispatch`` cannot see: one
+  in-process ``ServingEngine(cache_entries=64)`` serving 1024-request
+  batches drawn from a 256-type Zipf-skewed ``generate_trace`` mix, one
+  scheduler pass per batch (what a fleet worker runs per flushed
+  batch).  Scalar ``accelerator.run`` calls here mean jobs missed the
+  column evaluators (see docs/performance.md, "Column-costed serving
+  passes").
 - ``hbm-costing`` — the HBM(-PIM) memory primitives over a mixed
   stream / burst / store / random workload at varied transfer sizes,
   with the movement memo cleared between rounds so the closed-form
@@ -41,7 +49,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-TARGETS = ("sweep", "serving-dispatch", "hbm-costing")
+TARGETS = ("sweep", "serving-dispatch", "serving", "hbm-costing")
 
 
 def profile_sweep(top: int = 20) -> pstats.Stats:
@@ -94,6 +102,42 @@ def profile_serving_dispatch(top: int = 20, replays: int = 5) -> pstats.Stats:
     return stats
 
 
+def profile_serving(
+    top: int = 20, batches: int = 8, batch_size: int = 1024
+) -> pstats.Stats:
+    """Profile steady-state in-process scheduler passes: one
+    ``ServingEngine.serve`` per 1024-request batch of a 256-type mix."""
+    import numpy as np
+
+    from repro.serving import ServingEngine, generate_trace, record_to_request
+
+    population = generate_trace(num_requests=20000, seed=0, catalog_size=256)
+    types: dict = {}
+    kinds = [
+        types.setdefault(tuple(sorted(record.items())), len(types))
+        for record in population
+    ]
+    requests = [record_to_request(dict(key)) for key in types]
+    picks = np.random.default_rng(1).integers(
+        len(kinds), size=(2 * batches, batch_size)
+    )
+    stream = [[requests[kinds[i]] for i in row] for row in picks]
+
+    engine = ServingEngine(cache_entries=64)
+    for batch in stream[:batches]:  # warm graphs, dies and the cache
+        engine.serve(batch)
+    profiler = cProfile.Profile()
+    profiler.enable()
+    for batch in stream[batches:]:
+        engine.serve(batch)
+    profiler.disable()
+    engine.close()
+    stats = pstats.Stats(profiler)
+    stats.sort_stats("cumulative")
+    stats.print_stats(top)
+    return stats
+
+
 def profile_hbm_costing(top: int = 20, rounds: int = 50) -> pstats.Stats:
     """Profile the HBM(-PIM) primitives over a mixed cold workload."""
     from repro.core.engine import memo
@@ -136,6 +180,8 @@ def main() -> int:
     args = parser.parse_args()
     if args.target == "serving-dispatch":
         profile_serving_dispatch(top=args.top)
+    elif args.target == "serving":
+        profile_serving(top=args.top)
     elif args.target == "hbm-costing":
         profile_hbm_costing(top=args.top)
     else:
