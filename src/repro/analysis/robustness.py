@@ -21,8 +21,8 @@ affine combination of those unknowns.
 
 Every signature's unknowns evaluate in one stacked call of the
 platform's array-resident evaluator
-(:func:`repro.core.engine.soa_evaluator`).  Where none is registered
-(and for probes without a ``config``), the same contexts run through a
+(:func:`repro.core.engine.workload_evaluator`).  Where none is
+registered (a suite needs one for every member; and for probes without a ``config``), the same contexts run through a
 plain loop of scalar ``Accelerator.run`` calls, recorded as
 ``fallback_points``.  One affine reconstruction then serves both.
 
@@ -47,7 +47,7 @@ from repro.core.engine import (
     batch_context_physics,
     context_physics,
     memo,
-    soa_evaluator,
+    workload_evaluator,
 )
 from repro.core.reports import RunReport
 from repro.errors import ConfigurationError, YieldError
@@ -419,7 +419,7 @@ def _evaluate_unknowns(
     config = getattr(probe, "config", None)
     evaluator = None
     if config is not None:
-        evaluator = soa_evaluator(probe.name, workload.kind)
+        evaluator = workload_evaluator(probe.name, workload)
     if evaluator is None:
         reports = [probe.run(workload, ctx=ctx) for ctx in contexts]
         latency = [report.latency_ns for report in reports]

@@ -9,7 +9,7 @@ cartesian product and evaluates every point through :func:`run_sweep`.
 
 There is one evaluation path.  The whole grid becomes
 structure-of-arrays columns and a registered platform evaluator
-(:func:`repro.core.engine.soa_evaluator`) computes every point's energy
+(:func:`repro.core.engine.workload_evaluator`) computes every point's energy
 / latency breakdown as a handful of NumPy ops, with scalar
 :class:`SweepPoint` reports materialized from the stacked columns
 afterwards (lazily, in :func:`run_sweep_soa`).  Spaces without an
@@ -33,7 +33,7 @@ import numpy as np
 
 from repro.core.base import Accelerator, Workload
 from repro.core.context import ExecutionContext
-from repro.core.engine import SoAStats, pareto_mask, soa_evaluator
+from repro.core.engine import SoAStats, pareto_mask, workload_evaluator
 from repro.core.ghost import GHOST, GHOSTConfig
 from repro.core.reports import RunReport, StackedRunReports
 from repro.core.tron import TRON, TRONConfig
@@ -224,14 +224,15 @@ def _soa_stack(
     """Evaluate a space through its array-resident evaluator.
 
     Returns ``None`` when the space carries no platform / bare-config
-    factory or no evaluator is registered for (platform, workload kind)
-    — the callers then fall back to the serial loop.
+    factory or no evaluator can cost the workload on the platform (a
+    suite needs one for every member) — the callers then fall back to
+    the serial loop.
     """
     if space.platform is None or space.build_config is None:
         return None
     workload = space.build_workload()
     workload.materialize()
-    evaluator = soa_evaluator(space.platform, workload.kind)
+    evaluator = workload_evaluator(space.platform, workload)
     if evaluator is None:
         return None
     configs = [space.build_config(knobs) for knobs, _, _ in evaluations]

@@ -50,6 +50,7 @@ from repro.core.engine.soa import (
     pareto_mask,
     register_soa_evaluator,
     soa_evaluator,
+    workload_evaluator,
 )
 from repro.core.engine.hbm import CommandTrace, HBMGeometry, HBMMemoryModel
 from repro.core.engine.membackend import (
@@ -131,4 +132,5 @@ __all__ = [
     "register_soa_evaluator",
     "serial_waves",
     "soa_evaluator",
+    "workload_evaluator",
 ]

@@ -16,10 +16,10 @@ indistinguishable from one produced by the scalar oracle.  The property
 suite (``tests/unit/test_soa_parity.py``) enforces this.
 
 Platform evaluators register themselves per ``(platform, workload
-kind)``; :func:`soa_evaluator` is how the sweep, Monte-Carlo and serving
-engines look them up (returning ``None`` triggers the scalar fallback).
-Suites need no per-platform code: :func:`suite_evaluator` chains the
-columns of each member's registered evaluator.
+kind)``; :func:`workload_evaluator` is how the sweep, Monte-Carlo and
+serving engines look them up (returning ``None`` triggers the scalar
+fallback).  Suites need no per-platform code: :func:`suite_evaluator`
+chains the columns of each member's registered evaluator.
 """
 
 from __future__ import annotations
@@ -429,18 +429,40 @@ def soa_evaluator(
     return _EVALUATORS.get((platform, kind))
 
 
+def workload_evaluator(
+    platform: str, workload
+) -> Optional[SoAEvaluator]:
+    """The registered evaluator that can cost ``workload`` on
+    ``platform``, or ``None`` (callers then run the scalar path, which
+    costs the workload or raises its own error text).
+
+    A suite has one only when every member has one, so a suite with a
+    DECODE member on TRON, or a TEMPORAL_GNN member on GHOST, stays on
+    the scalar path.
+    """
+    evaluator = soa_evaluator(platform, workload.kind)
+    if evaluator is not None and workload.kind is WorkloadKind.SUITE:
+        if any(
+            workload_evaluator(platform, part) is None
+            for part in workload.parts()
+        ):
+            return None
+    return evaluator
+
+
 def suite_evaluator(platform: str) -> SoAEvaluator:
     """The SUITE evaluator of ``platform``: each member through that
     member's registered evaluator over the same configs and contexts,
     the columns chained in member order exactly as
     ``Accelerator._merge_reports`` chains reports (ops and per-field
     latency / energy add left to right; precision is the first
-    member's).
+    member's).  Platform modules register it next to their leaf
+    evaluators; look it up through :func:`workload_evaluator`, which
+    declines suites with a member this platform has no evaluator for.
 
     Raises:
         MappingError: if the suite has no parts or a member has no
-            registered evaluator (callers then run the scalar path,
-            which raises or costs exactly as it always did).
+            registered evaluator.
     """
 
     def evaluate_suite(configs, contexts, suite) -> StackedRunReports:
@@ -476,9 +498,3 @@ def suite_evaluator(platform: str) -> SoAEvaluator:
         )
 
     return evaluate_suite
-
-
-for _platform in ("TRON", "GHOST"):
-    register_soa_evaluator(
-        _platform, WorkloadKind.SUITE, suite_evaluator(_platform)
-    )

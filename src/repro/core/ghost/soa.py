@@ -41,6 +41,7 @@ from repro.core.engine.soa import (
     memory_context_key,
     register_soa_evaluator,
     resolve_array_physics,
+    suite_evaluator,
     weight_stream_columns,
 )
 from repro.core.ghost.config import GHOSTConfig
@@ -490,3 +491,4 @@ def evaluate_mlp(
 
 register_soa_evaluator("GHOST", WorkloadKind.GNN, evaluate_gnn)
 register_soa_evaluator("GHOST", WorkloadKind.MLP, evaluate_mlp)
+register_soa_evaluator("GHOST", WorkloadKind.SUITE, suite_evaluator("GHOST"))

@@ -35,6 +35,7 @@ from repro.core.engine.soa import (
     memory_context_key,
     register_soa_evaluator,
     resolve_array_physics,
+    suite_evaluator,
     weight_stream_columns,
 )
 from repro.core.reports import StackedRunReports
@@ -450,3 +451,4 @@ def evaluate_mlp(
 
 register_soa_evaluator("TRON", WorkloadKind.TRANSFORMER, evaluate_transformer)
 register_soa_evaluator("TRON", WorkloadKind.MLP, evaluate_mlp)
+register_soa_evaluator("TRON", WorkloadKind.SUITE, suite_evaluator("TRON"))

@@ -17,12 +17,12 @@ the scheduler serves each one through the cheapest sufficient path:
 4. **Column costing** — every unique job of the pass then joins the
    column of its ``(platform, workload)``, across all groups, and each
    column costs in one call of the platform's registered SoA evaluator
-   (:func:`repro.core.engine.soa_evaluator`) over the jobs' configs and
-   pinned contexts; each point materializes bit-identical to a scalar
-   ``accelerator.run``.  Jobs with no evaluator (decode, temporal GNNs,
-   custom catalog platforms) and every job of a column whose call raises
-   (a dead die, an unmappable suite member) run scalar one by one, so
-   each keeps its own report or error text.  Cache insertions follow
+   (:func:`repro.core.engine.workload_evaluator`) over the jobs' configs
+   and pinned contexts; each point materializes bit-identical to a
+   scalar ``accelerator.run``.  Jobs with no evaluator (decode, temporal
+   GNNs, suites with such a member, custom catalog platforms) and every
+   job of a column whose call raises (a dead die) run scalar one by
+   one, so each keeps its own report or error text.  Cache insertions follow
    the jobs' group order, so eviction order does not depend on how the
    columns formed.
 
@@ -52,7 +52,7 @@ from repro.core.context import ExecutionContext, PinnedArrayPhysics
 from repro.core.engine import (
     LRUMemo,
     batch_context_physics_for,
-    soa_evaluator,
+    workload_evaluator,
 )
 from repro.core.ghost import GHOST
 from repro.core.reports import RunReport
@@ -370,8 +370,8 @@ class BatchingScheduler:
             and getattr(job.accelerator, "ctx", None) is None
             for job in column
         ):
-            evaluator = soa_evaluator(
-                lead.accelerator.name, lead.workload.kind
+            evaluator = workload_evaluator(
+                lead.accelerator.name, lead.workload
             )
         if evaluator is not None:
             try:

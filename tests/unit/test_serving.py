@@ -242,6 +242,21 @@ class TestBatchingScheduler:
         assert scheduler.stats.batched_dies == 2
 
 
+def _zipf_stream(size, seed=1):
+    """``size`` requests drawn from a 256-type Zipf-skewed population."""
+    import numpy as np
+
+    population = generate_trace(20000, seed=0, catalog_size=256)
+    types = {}
+    kinds = [
+        types.setdefault(tuple(sorted(record.items())), len(types))
+        for record in population
+    ]
+    requests = [record_to_request(dict(key)) for key in types]
+    picks = np.random.default_rng(seed).integers(len(kinds), size=size)
+    return [requests[kinds[i]] for i in picks]
+
+
 class TestOneThreadScheduler:
     """Each micro-batch evaluates on the calling thread, in group order,
     through one long-lived accelerator per (platform, batch)."""
@@ -301,17 +316,7 @@ class TestOneThreadScheduler:
         """Fresh engines replaying one stream agree on every response's
         ``(cached, deduped)`` flags: cache insertion (hence LRU eviction)
         order follows group order, not thread timing."""
-        import numpy as np
-
-        population = generate_trace(20000, seed=0, catalog_size=256)
-        types = {}
-        kinds = [
-            types.setdefault(tuple(sorted(record.items())), len(types))
-            for record in population
-        ]
-        requests = [record_to_request(dict(key)) for key in types]
-        picks = np.random.default_rng(1).integers(len(kinds), size=1024)
-        stream = [requests[kinds[i]] for i in picks]
+        stream = _zipf_stream(1024)
 
         def replay():
             engine = ServingEngine(cache_entries=64)
@@ -416,21 +421,6 @@ class TestOneThreadScheduler:
                 if not isinstance(response, ServeResponse):
                     response = response.result(timeout=60)
                 assert response.report.to_dict() == expected[i % 4]
-
-
-def _zipf_stream(size, seed=1):
-    """``size`` requests drawn from a 256-type Zipf-skewed population."""
-    import numpy as np
-
-    population = generate_trace(20000, seed=0, catalog_size=256)
-    types = {}
-    kinds = [
-        types.setdefault(tuple(sorted(record.items())), len(types))
-        for record in population
-    ]
-    requests = [record_to_request(dict(key)) for key in types]
-    picks = np.random.default_rng(seed).integers(len(kinds), size=size)
-    return [requests[kinds[i]] for i in picks]
 
 
 class TestColumnPass:

@@ -26,13 +26,18 @@ from repro.analysis.sweep import (
     pareto_frontier,
     run_sweep,
     run_sweep_soa,
+    run_sweep_with_stats,
     tron_sweep_space,
     with_corners,
 )
 from repro.core import ExecutionContext, GHOST, GHOSTConfig, TRON, TRONConfig
 from repro.core.base import get_workload
 from repro.core.context import resolve_corner, standard_corners
-from repro.core.engine import clear_physics_cache, soa_evaluator
+from repro.core.engine import (
+    clear_physics_cache,
+    soa_evaluator,
+    workload_evaluator,
+)
 from repro.core.reports import StackedRunReports
 from repro.errors import MappingError
 from repro.photonics.variation import ProcessVariationModel
@@ -40,6 +45,9 @@ from repro.workloads import WorkloadSuite
 
 
 MEMORY_BACKENDS = ("analytic", "hbm", "hbm-pim")
+
+#: The scalar ``run`` error of GHOST on ``LLM-serving-mix``.
+GHOST_BERT_ERROR = "GHOST cannot execute 'transformer' workload 'BERT-base'"
 
 
 def _random_tron_configs(rng, n):
@@ -128,17 +136,18 @@ def test_ghost_suite_bit_identical_and_unmappable_member_raises():
         suite_name="graph-mix",
         members=(get_workload("GCN-cora"), get_workload("MLP-recsys")),
     )
-    evaluator = soa_evaluator("GHOST", suite.kind)
+    evaluator = workload_evaluator("GHOST", suite)
     stacked = evaluator(configs, contexts, suite)
     _assert_stack_matches_scalar(stacked, configs, contexts, GHOST, suite)
-    # GHOST cannot run a transformer member: the evaluator raises
-    # MappingError (callers then take the scalar path, which raises its
-    # own MappingError).
+    # GHOST cannot run a transformer member: the lookup declines the
+    # suite, so callers take the scalar path and its own error text.
     mixed = get_workload("LLM-serving-mix")
-    with pytest.raises(MappingError, match="BERT-base"):
-        evaluator(configs, contexts, mixed)
-    with pytest.raises(MappingError, match="BERT-base"):
+    assert workload_evaluator("GHOST", mixed) is None
+    with pytest.raises(MappingError) as scalar:
         GHOST(configs[0]).run(mixed)
+    assert str(scalar.value) == GHOST_BERT_ERROR
+    with pytest.raises(MappingError, match="no array-resident evaluator"):
+        evaluator(configs, contexts, mixed)
 
 
 def test_one_point_tensor_bit_identical():
@@ -256,7 +265,7 @@ def test_mc_evaluator_bit_identical_to_scalar_fallback(
         )
 
     stacked = run()
-    monkeypatch.setattr(robustness, "soa_evaluator", lambda *_: None)
+    monkeypatch.setattr(robustness, "workload_evaluator", lambda *_: None)
     fallback = run()
     assert stacked.evaluation["groups"] > 1
     assert stacked.evaluation["fallback_points"] == 0
@@ -299,6 +308,85 @@ def test_mc_kinds_without_evaluator_match_naive(platform, workload_name):
     assert np.allclose(
         vectorized.energy_pj, naive.energy_pj, rtol=1e-9, equal_nan=True
     )
+
+
+def _decode_suite():
+    return WorkloadSuite(
+        suite_name="decode-mix",
+        members=(get_workload("MLP-mnist"), get_workload("decode-gpt2-small")),
+    )
+
+
+def _temporal_suite():
+    return WorkloadSuite(
+        suite_name="temporal-mix",
+        members=(get_workload("GCN-cora"), get_workload("GCN-ba-temporal")),
+    )
+
+
+@pytest.mark.parametrize(
+    "platform, make_suite, space",
+    [
+        (
+            TRON,
+            _decode_suite,
+            lambda: tron_sweep_space(
+                head_units=(4, 8), array_sizes=(32,), clocks_ghz=(2.5,)
+            ),
+        ),
+        (
+            GHOST,
+            _temporal_suite,
+            lambda: ghost_sweep_space(lanes=(8, 16), edge_units=(16,)),
+        ),
+    ],
+)
+def test_suite_with_member_without_evaluator_runs_scalar(
+    platform, make_suite, space
+):
+    """A suite holding a DECODE (TRON) or TEMPORAL_GNN (GHOST) member
+    has no evaluator: sweeps and Monte-Carlo cost it scalar, exactly as
+    ``run`` does."""
+    assert workload_evaluator(platform.__name__, make_suite()) is None
+    suite_space = replace(space(), build_workload=make_suite)
+    points, stats = run_sweep_with_stats(suite_space)
+    assert stats.fallback_points == len(points) == 2
+    _assert_same_points(
+        points, _run_serial(suite_space, suite_space.evaluations())
+    )
+
+    context = ExecutionContext(
+        variation=ProcessVariationModel(), seed=7, tuner_range_nm=8.5
+    )
+    samples = 8
+    vectorized = run_monte_carlo(platform, make_suite, context, samples)
+    naive = _run_naive(platform, make_suite, context, samples)
+    assert vectorized.evaluation["fallback_points"] == samples
+    assert np.array_equal(vectorized.operational, naive.operational)
+    assert np.allclose(
+        vectorized.latency_ns, naive.latency_ns, rtol=1e-9, equal_nan=True
+    )
+    assert np.allclose(
+        vectorized.energy_pj, naive.energy_pj, rtol=1e-9, equal_nan=True
+    )
+
+
+def test_unmappable_suite_member_keeps_scalar_error_text():
+    """GHOST sweeps and Monte-Carlo of a suite with a transformer member
+    raise GHOST's own scalar error, not an evaluator lookup error."""
+    mixed_space = replace(
+        ghost_sweep_space(lanes=(8,), edge_units=(16,)),
+        build_workload=lambda: get_workload("LLM-serving-mix"),
+    )
+    with pytest.raises(MappingError) as swept:
+        run_sweep(mixed_space)
+    assert str(swept.value) == GHOST_BERT_ERROR
+    context = ExecutionContext(variation=ProcessVariationModel(), seed=7)
+    with pytest.raises(MappingError) as sampled:
+        run_monte_carlo(
+            GHOST, lambda: get_workload("LLM-serving-mix"), context, 4
+        )
+    assert str(sampled.value) == GHOST_BERT_ERROR
 
 
 def test_mc_all_yield_gated_population():
