@@ -13,13 +13,13 @@ range.  Exits non-zero if the combined speedup falls below the 10x bar
 or a frontier comes back empty.
 """
 
+import argparse
 import json
 import pathlib
 import sys
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from bench_mc_robustness import (  # noqa: E402
     compute_yield_pareto,
@@ -30,12 +30,14 @@ SAMPLES = 256
 
 
 def main() -> int:
-    out_path = pathlib.Path(
-        sys.argv[1]
-        if len(sys.argv) > 1
-        else pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_montecarlo.json"
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "output",
+        nargs="?",
+        default=str(REPO / "BENCH_montecarlo.json"),
+        help="where to write the benchmark record",
     )
+    out_path = pathlib.Path(parser.parse_args().output)
     records, speedup = measure_mc_speedup(samples=SAMPLES)
     frontiers = compute_yield_pareto(samples=128)
     record = {

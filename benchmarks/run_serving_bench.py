@@ -32,15 +32,15 @@ replay hit rate falls below 80%, or any replayed report differs from
 its cold-run counterpart.
 """
 
+import argparse
 import json
 import pathlib
 import sys
 import threading
 import time
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from repro.core.base import WorkloadKind, get_workload  # noqa: E402
 from repro.core.engine import clear_physics_cache  # noqa: E402
@@ -133,12 +133,14 @@ def run_open_loop(engine, requests, process, seed=0):
 
 
 def main() -> int:
-    out_path = pathlib.Path(
-        sys.argv[1]
-        if len(sys.argv) > 1
-        else pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_serving.json"
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "output",
+        nargs="?",
+        default=str(REPO / "BENCH_serving.json"),
+        help="where to write the benchmark record",
     )
+    out_path = pathlib.Path(parser.parse_args().output)
     records = generate_trace(
         num_requests=NUM_REQUESTS,
         seed=TRACE_SEED,

@@ -40,7 +40,6 @@ from repro.api.registry import (
 )
 from repro.api.results import (
     JSON_SCHEMA_VERSION,
-    CacheResult,
     CornersResult,
     MonteCarloRunResult,
     RunResult,
@@ -81,7 +80,6 @@ __all__ = [
     "MonteCarloRunResult",
     "CornersResult",
     "ServeResult",
-    "CacheResult",
     "TraceResult",
     "json_envelope",
     "JSON_SCHEMA_VERSION",

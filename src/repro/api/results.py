@@ -131,7 +131,7 @@ class SweepResult:
         frontiers: space name → Pareto-optimal subset.
         corners_axis: whether the standard-corner axis was swept.
         seed: die-selection seed of the corner axis.
-        physics_cache: engine memo/disk cache counters after the sweep.
+        physics_cache: engine memo counters after the sweep.
         evaluation: space name → evaluation-strategy stats (strategy
             name, point/group counts, materialized reports, scalar
             fallbacks — :class:`repro.core.engine.SoAStats`).
@@ -325,7 +325,6 @@ class ServeResult:
             physics = self.physics_cache
             breakdown = physics["breakdown"]
             context = physics["context_physics"]
-            disk = physics["disk"]
             lines += [
                 f"  cache hit rate   {100 * stats['hit_rate']:.1f}%",
                 f"  deduplicated     {stats['deduped']}",
@@ -343,37 +342,8 @@ class ServeResult:
                 f"breakdown hits, {100 * context['hit_rate']:.1f}% context "
                 f"hits ({breakdown['evictions'] + context['evictions']} "
                 "evicted)",
-                f"  physics disk     {disk['hits']} hits / "
-                f"{disk['misses']} misses, {disk['writes']} writes",
             ]
         return "\n".join(lines)
-
-
-@dataclass
-class CacheResult:
-    """State of the persistent physics cache."""
-
-    enabled: bool
-    path: Optional[str] = None
-    entries: int = 0
-    cleared: Optional[int] = None
-
-    def envelope(self) -> Dict[str, Any]:
-        """The ``repro.cache/1`` JSON envelope."""
-        return json_envelope(
-            "cache", {}, {"path": self.path, "entries": self.entries}
-        )
-
-    def format(self) -> str:
-        """The one-line cache status the CLI prints."""
-        if not self.enabled:
-            return "persistent physics cache disabled (REPRO_DISK_CACHE=0)"
-        if self.cleared is not None:
-            return f"cleared {self.cleared} entries from {self.path}"
-        return (
-            f"persistent physics cache: {self.path} "
-            f"({self.entries} entries)"
-        )
 
 
 @dataclass

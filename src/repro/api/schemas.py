@@ -3,8 +3,7 @@
 One schema per tag:
 
 - the ``--json`` envelopes — ``repro.run/1``, ``repro.sweep/1``,
-  ``repro.mc/1``, ``repro.corners/1``, ``repro.serve/1``,
-  ``repro.cache/1``;
+  ``repro.mc/1``, ``repro.corners/1``, ``repro.serve/1``;
 - the declarative spec format ``repro.spec/1``;
 - the serving trace format ``repro.trace/1``.
 
@@ -18,7 +17,7 @@ Example:
     >>> schema_for("repro.run/1")["properties"]["schema"]["const"]
     'repro.run/1'
     >>> sorted(SCHEMAS)[:3]
-    ['repro.cache/1', 'repro.corners/1', 'repro.mc/1']
+    ['repro.corners/1', 'repro.mc/1', 'repro.run/1']
 """
 
 from __future__ import annotations
@@ -508,15 +507,6 @@ SCHEMAS: Dict[str, Dict[str, Any]] = {
             "fleet": _FLEET_BLOCK,
         },
         ["stats", "cache", "scheduler", "physics_cache"],
-    ),
-    "repro.cache/1": _envelope(
-        "cache",
-        {},
-        {
-            "path": _STRING,
-            "entries": _NON_NEGATIVE_INT,
-        },
-        ["path", "entries"],
     ),
     "repro.spec/1": _SPEC_SCHEMA,
     "repro.trace/1": {

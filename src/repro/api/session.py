@@ -35,7 +35,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.api.results import (
-    CacheResult,
     CornersResult,
     MonteCarloRunResult,
     RunResult,
@@ -83,18 +82,13 @@ class Session:
     """A configured handle on the library's evaluation paths.
 
     Args:
-        disk_cache: attach the persistent physics cache for this
-            process (what the CLI does for ``run``/``sweep``/``mc``/
-            ``serve``).  ``REPRO_DISK_CACHE=0`` still opts out and
-            ``REPRO_CACHE_DIR`` still relocates the directory.
+        disk_cache: accepted and ignored.  Physics is memoized only in
+            process; the keyword remains so existing callers keep
+            working.
     """
 
     def __init__(self, disk_cache: bool = False) -> None:
-        self.disk_cache = disk_cache
-        if disk_cache:
-            from repro.core.engine import configure_disk_cache
-
-            configure_disk_cache()
+        pass
 
     # ------------------------------------------------------------------
     # Single runs
@@ -759,26 +753,3 @@ class Session:
                 ext_temporal_gops,
             )
         ]
-
-    def cache_info(self) -> CacheResult:
-        """State of the persistent physics cache."""
-        from repro.core.engine import configure_disk_cache
-
-        cache = configure_disk_cache()
-        if cache is None:
-            return CacheResult(enabled=False)
-        return CacheResult(
-            enabled=True, path=str(cache.path), entries=len(cache)
-        )
-
-    def clear_cache(self) -> CacheResult:
-        """Empty the persistent physics cache."""
-        from repro.core.engine import configure_disk_cache
-
-        cache = configure_disk_cache()
-        if cache is None:
-            return CacheResult(enabled=False)
-        removed = cache.clear()
-        return CacheResult(
-            enabled=True, path=str(cache.path), entries=0, cleared=removed
-        )

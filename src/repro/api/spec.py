@@ -50,7 +50,7 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 
 from repro._version import __version__
 from repro.core.context import ExecutionContext, resolve_corner
-from repro.core.engine.diskcache import fingerprint as _digest
+from repro.core.engine.memo import fingerprint as _digest
 from repro.core.serialization import (
     check_limits,
     config_from_dict,
@@ -400,8 +400,8 @@ class ExperimentSpec:
 
     def fingerprint(self) -> str:
         """A short stable digest of the canonical spec — the scheme of
-        the report/physics caches (:func:`repro.core.engine.diskcache.
-        fingerprint`), with the library version folded in so artifacts
+        the serving caches (:func:`repro.core.engine.memo.fingerprint`),
+        with the library version folded in so artifacts
         from different builds never collide.
         """
         canonical = json.dumps(_canonical(self.to_dict()), sort_keys=True)

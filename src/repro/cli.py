@@ -22,8 +22,6 @@ Commands:
   serving engine (``--stats`` prints the fleet accounting);
   ``--workers N`` shards it over worker processes and ``--arrivals
   poisson:RATE`` drives open-loop offered load with admission control.
-- ``cache`` — inspect or clear the persistent physics cache
-  (``repro cache --clear``; see docs/performance.md).
 - ``gen-trace`` — synthesize a mixed LLM+GNN request trace.
 
 ``run`` / ``sweep`` / ``mc`` / ``serve`` also accept a declarative
@@ -51,12 +49,11 @@ from repro._version import __version__
 from repro.api.results import JSON_SCHEMA_VERSION, json_envelope  # noqa: F401
 
 
-def _session(disk_cache: bool = True):
-    """The Session behind this invocation (CLI runs attach the
-    persistent physics cache unless ``REPRO_DISK_CACHE=0``)."""
+def _session():
+    """The Session behind this invocation."""
     from repro.api import Session
 
-    return Session(disk_cache=disk_cache)
+    return Session()
 
 
 def _load_spec(args, expected_kind: str, **flag_defaults):
@@ -100,26 +97,26 @@ def _emit(result, args) -> None:
 
 
 def _cmd_describe(_args) -> int:
-    print(_session(disk_cache=False).describe())
+    print(_session().describe())
     return 0
 
 
 def _cmd_claims(_args) -> int:
-    checks = _session(disk_cache=False).claims()
+    checks = _session().claims()
     for check in checks:
         print(check.format())
     return 0 if all(check.holds for check in checks) else 1
 
 
 def _cmd_figures(_args) -> int:
-    for figure in _session(disk_cache=False).figures():
+    for figure in _session().figures():
         print(figure.format())
         print()
     return 0
 
 
 def _cmd_workloads(_args) -> int:
-    session = _session(disk_cache=False)
+    session = _session()
     for name in session.workloads():
         print(f"{name:<20s} {session.describe_workload(name)}")
     return 0
@@ -212,18 +209,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_corners(args) -> int:
-    result = _session(disk_cache=False).corners(seed=args.seed)
+    result = _session().corners(seed=args.seed)
     _emit(result, args)
-    return 0
-
-
-def _cmd_cache(args) -> int:
-    session = _session()
-    result = session.clear_cache() if args.clear else session.cache_info()
-    if args.json and result.enabled and not args.clear:
-        print(json.dumps(result.envelope(), indent=2, allow_nan=False))
-    else:
-        print(result.format())
     return 0
 
 
@@ -265,7 +252,7 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_gen_trace(args) -> int:
-    result = _session(disk_cache=False).generate_trace(
+    result = _session().generate_trace(
         output=args.output,
         requests=args.requests,
         seed=args.seed,
@@ -414,17 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     corners.add_argument("--json", action="store_true")
     _add_seed(corners)
 
-    cache = sub.add_parser(
-        "cache",
-        help="inspect or clear the persistent physics cache",
-    )
-    cache.add_argument(
-        "--clear",
-        action="store_true",
-        help="delete every cached physics record",
-    )
-    cache.add_argument("--json", action="store_true")
-
     serve = sub.add_parser(
         "serve",
         help="replay a JSON request trace through the serving engine",
@@ -552,7 +528,6 @@ _HANDLERS = {
     "run": _cmd_run,
     "mc": _cmd_mc,
     "corners": _cmd_corners,
-    "cache": _cmd_cache,
     "serve": _cmd_serve,
     "gen-trace": _cmd_gen_trace,
 }

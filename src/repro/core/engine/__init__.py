@@ -15,6 +15,10 @@ that substrate's single implementation:
   and batched Monte-Carlo forms, memoized per corner).
 - :mod:`repro.core.engine.pipeline` — streaming-pipeline composition
   built on :mod:`repro.core.scheduling`.
+- :mod:`repro.core.engine.memo` — the bounded in-process LRU memos
+  behind every physics cache (physics is never persisted across
+  processes) and :func:`fingerprint`, the key digest of the serving
+  caches and experiment specs.
 
 Accelerators compose these into workload-specific datapaths; the
 analysis layer (figures, claims, sweeps) only ever sees the uniform
@@ -27,14 +31,6 @@ from repro.core.engine.corners import (
     batch_context_physics,
     batch_context_physics_for,
     context_physics,
-)
-from repro.core.engine.diskcache import (
-    PhysicsDiskCache,
-    active_disk_cache,
-    configure_disk_cache,
-    default_cache_dir,
-    disk_cache_stats,
-    fingerprint,
 )
 from repro.core.engine.matmul import (
     ArrayExecutor,
@@ -59,7 +55,7 @@ from repro.core.engine.membackend import (
     register_memory_backend,
 )
 from repro.core.engine import memo
-from repro.core.engine.memo import LRUMemo, MemoStats
+from repro.core.engine.memo import LRUMemo, MemoStats, fingerprint
 from repro.core.engine.memory import MemoryModel, Traffic
 from repro.core.engine.pipeline import (
     PipelineStage,
@@ -74,21 +70,17 @@ _PHYSICS_MEMOS = ("breakdown", "context_physics", "design_fsr", "movement")
 
 
 def physics_cache_stats() -> dict:
-    """One dict aggregating every physics-cache observable.
-
-    The registry's ``engine.*`` memos plus the persistent disk cache —
-    what ``repro sweep --json`` and ``repro serve --stats`` surface.
+    """One dict aggregating every physics-cache observable: the
+    registry's ``engine.*`` memos — what ``repro sweep --json`` and
+    ``repro serve --stats`` surface.
     """
     registry = memo.stats("engine.")
-    stats = {name: registry["engine." + name] for name in _PHYSICS_MEMOS}
-    stats["disk"] = disk_cache_stats()
-    return stats
+    return {name: registry["engine." + name] for name in _PHYSICS_MEMOS}
 
 
 def clear_physics_cache() -> None:
     """Drop the ``engine.*`` memos (benchmarks use this to time the
-    unmemoized path).  The graph memo and the persistent disk cache are
-    deliberately untouched — ``repro cache --clear`` owns the latter."""
+    unmemoized path).  The graph memo is deliberately untouched."""
     memo.clear("engine.")
 
 
@@ -105,19 +97,14 @@ __all__ = [
     "LRUMemo",
     "MemoStats",
     "MemoryModel",
-    "PhysicsDiskCache",
     "PipelineStage",
     "SoAStats",
     "Traffic",
-    "active_disk_cache",
     "batch_context_physics",
     "batch_context_physics_for",
     "build_memory_backend",
     "clear_physics_cache",
-    "configure_disk_cache",
     "context_physics",
-    "default_cache_dir",
-    "disk_cache_stats",
     "fingerprint",
     "list_memory_backends",
     "memo",

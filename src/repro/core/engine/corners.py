@@ -37,7 +37,6 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.core.context import ExecutionContext
-from repro.core.engine.diskcache import active_disk_cache
 from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
 from repro.photonics.microring import MicroringDesign, design_working_point
@@ -315,35 +314,9 @@ def context_physics(
     cached = _PHYSICS_CACHE.get(key)
     if cached is not None:
         return cached
-    disk = active_disk_cache()
-    disk_key = (spec.rows, spec.cols, repr(spec.design), repr(ctx))
-    if disk is not None:
-        persisted = disk.get("context-physics", disk_key)
-        if persisted is not None:
-            physics = ArrayContextPhysics(
-                usable_rows=int(persisted["usable_rows"]),
-                usable_cols=int(persisted["usable_cols"]),
-                correction_power_mw=persisted["correction_power_mw"],
-                ring_yield=persisted["ring_yield"],
-                mean_correction_nm=persisted["mean_correction_nm"],
-            )
-            _PHYSICS_CACHE.put(key, physics)
-            return physics
     _check_batch([ctx])
     physics = _evaluate_batch(spec, [ctx]).sample(0)
     _PHYSICS_CACHE.put(key, physics)
-    if disk is not None:
-        disk.put(
-            "context-physics",
-            disk_key,
-            {
-                "usable_rows": physics.usable_rows,
-                "usable_cols": physics.usable_cols,
-                "correction_power_mw": physics.correction_power_mw,
-                "ring_yield": physics.ring_yield,
-                "mean_correction_nm": physics.mean_correction_nm,
-            },
-        )
     return physics
 
 

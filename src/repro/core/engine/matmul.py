@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.core.context import ExecutionContext
 from repro.core.engine.corners import ArrayContextPhysics, context_physics
-from repro.core.engine.diskcache import active_disk_cache
 from repro.core.engine.memo import LRUMemo
 from repro.core.reports import EnergyReport
 from repro.errors import ConfigurationError, YieldError
@@ -135,25 +134,16 @@ def _nominal_breakdown(
     average_weight_magnitude: float,
     weight_refresh_cycles: int,
 ) -> Dict[str, float]:
-    """The context-free per-cycle breakdown of one spec (memo + disk)."""
+    """The context-free per-cycle breakdown of one spec (memoized)."""
     key = (spec, average_weight_magnitude, weight_refresh_cycles, None)
     cached = _BREAKDOWN_CACHE.get(key)
     if cached is not None:
         return cached
-    disk = active_disk_cache()
-    disk_key = (repr(spec), average_weight_magnitude, weight_refresh_cycles)
-    if disk is not None:
-        persisted = disk.get("breakdown", disk_key)
-        if persisted is not None:
-            _BREAKDOWN_CACHE.put(key, persisted)
-            return persisted
     breakdown = array.cycle_energy_breakdown_pj(
         average_weight_magnitude=average_weight_magnitude,
         weight_refresh_cycles=weight_refresh_cycles,
     )
     _BREAKDOWN_CACHE.put(key, breakdown)
-    if disk is not None:
-        disk.put("breakdown", disk_key, breakdown)
     return breakdown
 
 
@@ -167,11 +157,10 @@ def prime_breakdown_cache(
     triples; specs sharing device models (ring design, converters — the
     transcendental-heavy inputs) are grouped and costed in **one**
     vectorized :func:`~repro.photonics.mrbank.cycle_energy_breakdown_kernel`
-    call per group, then inserted into the in-process memo (and the
-    disk cache, when enabled).  The kernel replicates the scalar
-    operation order, so a primed entry is bit-identical to what
-    :meth:`ArrayExecutor.energy_breakdown_pj` would have computed
-    lazily.
+    call per group, then inserted into the in-process memo.  The kernel
+    replicates the scalar operation order, so a primed entry is
+    bit-identical to what :meth:`ArrayExecutor.energy_breakdown_pj`
+    would have computed lazily.
 
     Specs with PCM weight cells cost through the scalar path (their
     program energy is a per-cell model call, not worth batching).
@@ -191,18 +180,11 @@ def prime_breakdown_cache(
     groups: Dict[Tuple, list] = {}
     seen = set()
     primed = 0
-    disk = active_disk_cache()
     for spec, magnitude, refresh in requests:
         key = (spec, magnitude, refresh, None)
         if key in seen or key in _BREAKDOWN_CACHE:
             continue
         seen.add(key)
-        if disk is not None:
-            persisted = disk.get("breakdown", (repr(spec), magnitude, refresh))
-            if persisted is not None:
-                _BREAKDOWN_CACHE.put(key, persisted)
-                primed += 1
-                continue
         if spec.pcm is not None:
             group_key = ("pcm", spec, magnitude, refresh)
         else:
@@ -248,12 +230,6 @@ def prime_breakdown_cache(
                 name: float(values[i]) for name, values in batched.items()
             }
             _BREAKDOWN_CACHE.put((spec, magnitude, refresh, None), breakdown)
-            if disk is not None:
-                disk.put(
-                    "breakdown",
-                    (repr(spec), magnitude, refresh),
-                    breakdown,
-                )
             primed += 1
     return primed
 
@@ -269,9 +245,9 @@ def nominal_breakdown_pj(
     This is the array-resident (SoA) evaluators' entry point: they read
     one breakdown per distinct spec and broadcast it across a column of
     points, so the per-point ~100 us :class:`ArrayExecutor` construction
-    never happens.  Backed by the same memo / disk cache as the executor
-    path, and primed through :func:`prime_breakdown_cache` so the values
-    are bit-identical to the scalar path's.
+    never happens.  Backed by the same memo as the executor path, and
+    primed through :func:`prime_breakdown_cache` so the values are
+    bit-identical to the scalar path's.
     """
     key = (spec, average_weight_magnitude, weight_refresh_cycles, None)
     cached = _BREAKDOWN_CACHE.get(key)
@@ -422,10 +398,9 @@ class ArrayExecutor:
         same corner share one cached curve; a non-nominal context adds
         its standing variation-correction power to the tuning term.
 
-        The context-free base curve is memoized (and persisted to the
-        disk cache when enabled); corner curves derive from it by
-        adding the corner's correction power, so a die sweep never
-        recomputes the transcendental-heavy device physics per die.
+        The context-free base curve is memoized; corner curves derive
+        from it by adding the corner's correction power, so a die sweep
+        never recomputes the transcendental-heavy device physics per die.
         """
         if self._physics is None:
             return _nominal_breakdown(

@@ -132,6 +132,25 @@ class LRUMemo:
             self.stats = MemoStats()
 
 
+def fingerprint(key: object) -> str:
+    """A short stable digest of any repr-deterministic key.
+
+    The exact scheme of :func:`repro.serving.cache.config_fingerprint`
+    (which delegates here): SHA-256 over ``repr`` and keep 16 hex
+    chars.  Frozen dataclasses, tuples and scalars all qualify.
+
+    Example:
+        >>> fingerprint(("spec", 1)) == fingerprint(("spec", 1))
+        True
+        >>> fingerprint(("spec", 1)) == fingerprint(("spec", 2))
+        False
+    """
+    import hashlib
+
+    digest = hashlib.sha256(repr(key).encode("utf-8"))
+    return digest.hexdigest()[:16]
+
+
 def _registered(prefix: str) -> Dict[str, List[LRUMemo]]:
     """name -> live memos, for every name starting with ``prefix``."""
     with _REGISTRY_LOCK:

@@ -17,7 +17,7 @@ The memo registers as ``engine.movement`` (:mod:`repro.core.engine.memo`),
 so its counters surface under the ``movement`` key of
 :func:`repro.core.engine.physics_cache_stats` — visible in
 ``repro sweep --json`` and ``repro serve --stats`` next to the
-breakdown / context / disk cache counters.
+breakdown / context memo counters.
 
 Example:
     >>> from repro.core.engine import memo

@@ -26,8 +26,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from repro.core.context import ExecutionContext
-from repro.core.engine.diskcache import fingerprint
-from repro.core.engine.memo import LRUMemo
+from repro.core.engine.memo import LRUMemo, fingerprint
 
 #: A frozen cache key: (workload name, config fingerprint, context).
 CacheKey = Tuple[str, str, Optional[ExecutionContext]]
@@ -39,9 +38,8 @@ def config_fingerprint(config: object) -> str:
     Configuration dataclasses nest only other dataclasses and scalars,
     so their ``repr`` is a complete, deterministic serialization of
     every knob — hashing it distinguishes any two configurations that
-    could produce different reports.  The scheme is shared with the
-    engine's persistent physics cache
-    (:func:`repro.core.engine.diskcache.fingerprint`).
+    could produce different reports.  The scheme is
+    :func:`repro.core.engine.memo.fingerprint`.
 
     Example:
         >>> from repro.core.tron import TRONConfig

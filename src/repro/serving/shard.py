@@ -5,8 +5,8 @@ N worker processes.  Two rules live here:
 
 **Routing.**  :class:`ShardRouter` maps a request to a shard with a
 *stable* hash — ``hash()`` is salted per process, so routing uses the
-same SHA-256 digest scheme as the report/physics caches
-(:func:`repro.core.engine.diskcache.fingerprint`).  Two granularities:
+same SHA-256 digest scheme as the report cache
+(:func:`repro.core.engine.memo.fingerprint`).  Two granularities:
 
 - ``"config"`` — the shard key is ``(platform, config fingerprint)``,
   the ISSUE's minimal scheme: every request for one accelerator
@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.base import get_workload
 from repro.core.context import ExecutionContext
-from repro.core.engine.diskcache import fingerprint
+from repro.core.engine.memo import fingerprint
 from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
 from repro.serving.cache import normalize_context

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.engine.diskcache import CACHE_DIR_ENV, configure_disk_cache
 from repro.core.ghost import GHOST, GHOSTConfig
 from repro.core.tron import TRON, TRONConfig
 from repro.graphs.generators import erdos_renyi
@@ -13,17 +12,6 @@ from repro.nn.transformer import (
     TransformerKind,
     TransformerModel,
 )
-
-
-@pytest.fixture(autouse=True)
-def _hermetic_disk_cache(monkeypatch, tmp_path):
-    """Keep the persistent physics cache out of the user's home during
-    tests: any code path that enables it (e.g. CLI handlers) writes
-    under a per-test temporary directory, and persistence is detached
-    again after each test."""
-    monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "physics"))
-    yield
-    configure_disk_cache(enabled=False)
 
 
 @pytest.fixture

@@ -3,10 +3,9 @@ refactor must not move.
 
 Each fixture under ``tests/golden/envelopes/`` is recomputed in-process
 through ``repro.cli.main`` by the same code that writes it
-(``tools/regen_golden_traces.py``), from cold memos and without the
-persistent physics cache, and compared byte for byte.  The regeneration
-tool documents which volatile fields (memo counters, serve timings) the
-fixtures leave out and why.  A deliberate numeric change shows up as a
+(``tools/regen_golden_traces.py``), from cold memos, and compared byte
+for byte.  The regeneration tool documents which volatile fields (memo
+counters, serve timings) the fixtures leave out and why.  A deliberate numeric change shows up as a
 fixture diff from that tool.
 """
 
@@ -35,7 +34,6 @@ def test_every_fixture_has_a_command():
 
 
 @pytest.mark.parametrize("fixture", sorted(REGEN.ENVELOPES))
-def test_envelope_bytes_match_fixture(fixture, tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_DISK_CACHE", "0")
+def test_envelope_bytes_match_fixture(fixture, tmp_path):
     expected = (REGEN.ENVELOPE_DIR / fixture).read_text()
     assert REGEN.envelope_text(fixture, tmp_path) == expected

@@ -804,6 +804,38 @@ class TestWorkloadIdentity:
         assert repr(workload) == before
 
 
+class TestNoPersistentCache:
+    def test_disk_cache_keyword_is_accepted_and_ignored(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        kwargs = dict(corner="slow-hot", seed=1)
+        with_flag = Session(disk_cache=True).run("GCN-cora", **kwargs)
+        without = Session().run("GCN-cora", **kwargs)
+        assert with_flag.envelope() == without.envelope()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_cache_surface_is_gone(self):
+        import repro.api
+
+        assert not hasattr(Session, "cache_info")
+        assert not hasattr(Session, "clear_cache")
+        assert not hasattr(repro.api, "CacheResult")
+        with pytest.raises(ConfigurationError, match="no schema"):
+            schema_for("repro.cache/1")
+
+    def test_detailed_serve_summary_reports_memos_only(self):
+        from repro.serving.request import ServeRequest
+
+        result = Session().serve(
+            requests=[ServeRequest(workload="MLP-mnist")] * 2
+        )
+        text = result.format(detailed=True)
+        assert "physics memo" in text
+        assert "disk" not in text
+
+
 # ----------------------------------------------------------------------
 # Envelope schemas
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import threading
 import pytest
 
 from repro.core.context import resolve_corner
-from repro.core.engine.diskcache import fingerprint
+from repro.core.engine.memo import fingerprint
 from repro.errors import ConfigurationError
 from repro.serving import (
     SHED_QUEUE,

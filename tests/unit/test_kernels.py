@@ -26,6 +26,7 @@ from repro.photonics.microring import (
     through_transmission_kernel,
 )
 from repro.photonics.mrbank import MRBankArray, cycle_energy_breakdown_kernel
+from repro.photonics.pcm import PCMCell
 from repro.photonics.tuning import HybridTuner, hold_power_mw_kernel
 
 RADII = np.array([3.0, 5.0, 6.5, 7.5, 10.0, 12.0])
@@ -286,6 +287,24 @@ class TestPrimeBreakdownCache:
         assert prime_breakdown_cache([(spec, 0.5, 1)]) == 0
         stats = memo.stats("engine.breakdown")["engine.breakdown"]
         assert stats["insertions"] >= 1
+
+    def test_duplicate_requests_prime_once(self):
+        clear_physics_cache()
+        spec = ArraySpec(rows=16, cols=32)
+        assert prime_breakdown_cache([(spec, 0.5, 4)] * 3) == 1
+
+    def test_pcm_spec_primes_like_the_lazy_path(self):
+        spec = ArraySpec(rows=16, cols=16, pcm=PCMCell())
+        clear_physics_cache()
+        assert prime_breakdown_cache([(spec, 0.5, 128)]) == 1
+        primed = ArrayExecutor(spec=spec).energy_breakdown_pj(
+            weight_refresh_cycles=128
+        )
+        clear_physics_cache()
+        lazy = ArrayExecutor(spec=spec).energy_breakdown_pj(
+            weight_refresh_cycles=128
+        )
+        assert primed == lazy
 
 
 class TestGoldenFrontier:

@@ -1,6 +1,8 @@
 """Tests for the named LRU memo registry (``repro.core.engine.memo``)."""
 
 import gc
+import hashlib
+import importlib
 import pathlib
 import re
 import weakref
@@ -9,9 +11,18 @@ import pytest
 
 from repro.core import GHOST, TRON, get_workload
 from repro.core.context import resolve_corner
-from repro.core.engine import clear_physics_cache, memo, physics_cache_stats
-from repro.core.engine.memo import LRUMemo
+import repro.core.engine as engine
+from repro.core.context import ExecutionContext
+from repro.core.engine import (
+    clear_physics_cache,
+    context_physics,
+    memo,
+    physics_cache_stats,
+)
+from repro.core.engine.matmul import ArraySpec
+from repro.core.engine.memo import LRUMemo, fingerprint
 from repro.nn.gnn import GNNKind
+from repro.photonics.variation import ProcessVariationModel
 from repro.serving import ServeRequest, ServingEngine, ShardRouter
 from repro.workloads import _GRAPH_MEMO, make_gnn_workload
 
@@ -146,5 +157,88 @@ def test_physics_cache_stats_keys_pinned():
         "context_physics",
         "design_fsr",
         "movement",
-        "disk",
     ]
+
+
+class TestFingerprint:
+    def test_deterministic_and_discriminating(self):
+        assert fingerprint(("a", 1)) == fingerprint(("a", 1))
+        assert fingerprint(("a", 1)) != fingerprint(("a", 2))
+        assert len(fingerprint("x")) == 16
+
+    def test_serving_scheme_is_the_same(self):
+        from repro.core.tron import TRONConfig
+        from repro.serving.cache import config_fingerprint
+
+        config = TRONConfig(batch=4)
+        assert config_fingerprint(config) == fingerprint(config)
+
+    def test_scheme_is_sha256_of_repr(self):
+        for key in (("spec", 1), "x", 3.5, (None, (1, 2))):
+            expected = hashlib.sha256(repr(key).encode("utf-8"))
+            assert fingerprint(key) == expected.hexdigest()[:16]
+            assert re.fullmatch(r"[0-9a-f]{16}", fingerprint(key))
+
+    def test_equal_configs_share_a_fingerprint(self):
+        from repro.core.tron import TRONConfig
+
+        assert fingerprint(TRONConfig(batch=4)) == fingerprint(
+            TRONConfig(batch=4)
+        )
+        assert fingerprint(TRONConfig(batch=4)) != fingerprint(
+            TRONConfig(batch=8)
+        )
+
+
+def test_no_persistent_physics_cache():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.engine.diskcache")
+    for name in (
+        "configure_disk_cache",
+        "active_disk_cache",
+        "disk_cache_stats",
+        "PhysicsDiskCache",
+    ):
+        assert not hasattr(engine, name)
+        assert name not in engine.__all__
+
+
+class TestInProcessPhysics:
+    """Physics lives only in the ``engine.*`` memos: clearing them
+    recomputes the same bits, and a warm memo serves the stored value."""
+
+    def test_sweep_after_clearing_memos_is_bit_identical(self):
+        from repro.analysis.sweep import run_sweep, tron_sweep_space
+
+        space = tron_sweep_space(
+            head_units=(4,), array_sizes=(32, 64), clocks_ghz=(5.0,)
+        )
+
+        def costs():
+            return [
+                (p.report.latency_ns, p.report.energy_pj)
+                for p in run_sweep(space)
+            ]
+
+        clear_physics_cache()
+        cold = costs()
+        assert costs() == cold  # warm memos
+        clear_physics_cache()
+        assert costs() == cold  # recomputed from scratch
+
+    def test_context_physics_recomputes_identically(self):
+        ctx = ExecutionContext(variation=ProcessVariationModel(), seed=11)
+        spec = ArraySpec(rows=32, cols=32)
+        clear_physics_cache()
+        first = context_physics(spec, ctx)
+        clear_physics_cache()
+        assert context_physics(spec, ctx) == first  # frozen dataclass
+
+    def test_warm_context_physics_is_a_memo_hit(self):
+        ctx = ExecutionContext(variation=ProcessVariationModel(), seed=12)
+        spec = ArraySpec(rows=32, cols=32)
+        clear_physics_cache()
+        first = context_physics(spec, ctx)
+        hits = physics_cache_stats()["context_physics"]["hits"]
+        assert context_physics(spec, ctx) is first
+        assert physics_cache_stats()["context_physics"]["hits"] == hits + 1

@@ -1,6 +1,7 @@
 """Tests for the batched serving subsystem (cache, scheduler, engine)."""
 
 import json
+import time
 
 import pytest
 
@@ -653,6 +654,24 @@ class TestServingEngine:
         assert engine.stats.mean_latency_s >= 0.0
         assert engine.stats.p95_latency_s >= 0.0
         assert engine.stats.recent_latencies_s.maxlen == LATENCY_WINDOW
+
+    def test_response_latency_within_the_serve_call(self):
+        engine = ServingEngine()
+        engine.serve([ServeRequest(workload="MLP-mnist")])  # warm the cache
+        requests = [
+            ServeRequest(workload="MLP-mnist"),
+            ServeRequest(workload="MLP-recsys"),
+            ServeRequest(workload="MLP-recsys"),
+        ]
+        start = time.perf_counter()
+        responses = engine.serve(requests)
+        wall_s = time.perf_counter() - start
+        assert [(r.cached, r.deduped) for r in responses] == [
+            (True, False),
+            (False, False),
+            (False, True),
+        ]
+        assert all(0.0 <= r.latency_s <= wall_s for r in responses)
 
     def test_custom_catalog(self):
         catalog = default_platform_catalog()

@@ -462,6 +462,36 @@ class TestCLI:
         assert err.startswith("usage: repro")
         assert f"repro: error: unrecognized arguments: {flag}" in err
 
+    def test_corner_run_writes_no_files(self, capsys, tmp_path, monkeypatch):
+        # Physics is memoized in process only: nothing lands under the
+        # home directory (or a cache directory) and reruns print the
+        # same bytes.
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        argv = ["run", "GCN-cora", "--corner", "slow-hot", "--seed", "1",
+                "--json"]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
+        assert list(tmp_path.iterdir()) == []
+
+    def test_sweep_json_embeds_physics_cache_stats(self, capsys):
+        from repro.core.engine import physics_cache_stats
+
+        assert main(["sweep", "tron", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        block = payload["physics_cache"]
+        assert list(block) == list(physics_cache_stats())
+        assert "disk" not in block
+        assert block["breakdown"]["insertions"] > 0
+
+    def test_cache_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["cache"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'cache'" in capsys.readouterr().err
+
     def test_mc_has_no_strategy_flag(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(

@@ -27,16 +27,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-
-# Stay hermetic: never touch (or create) the user's persistent cache.
-os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-"))
 
 from repro.api import (  # noqa: E402
     get_platform,
@@ -147,7 +143,6 @@ def main_check() -> int:
         ),
         ("mc --json", ["mc", "MLP-mnist", "--samples", "4", "--json"]),
         ("corners --json", ["corners", "--json"]),
-        ("cache --json", ["cache", "--json"]),
         ("sweep ghost --json", ["sweep", "ghost", "--json"]),
         (
             "serve --json",

@@ -23,17 +23,11 @@ Exits non-zero on any window violation.
 from __future__ import annotations
 
 import argparse
-import os
 import pathlib
 import sys
-import tempfile
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
-
-# Stay hermetic: never touch (or create) the user's persistent cache.
-os.environ.setdefault("REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-"))
-os.environ.setdefault("REPRO_DISK_CACHE", "0")
 
 from repro.api import Session  # noqa: E402
 from repro.core.context import resolve_corner  # noqa: E402

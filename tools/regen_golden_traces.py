@@ -24,7 +24,6 @@ from __future__ import annotations
 import contextlib
 import io
 import json
-import os
 import pathlib
 import sys
 import tempfile
@@ -106,9 +105,8 @@ def _cli_stdout(argv: List[str]) -> str:
 def envelope_text(fixture: str, workdir: pathlib.Path) -> str:
     """The fixture text of one :data:`ENVELOPES` entry.
 
-    Needs ``REPRO_DISK_CACHE=0`` in the environment, so no physics comes
-    from a persistent cache.  ``workdir`` holds the generated trace; the
-    envelope records it by file name only.
+    ``workdir`` holds the generated trace; the envelope records it by
+    file name only.
     """
     trace = pathlib.Path(workdir) / "trace.json"
     argv = ENVELOPES[fixture]
@@ -127,11 +125,6 @@ def envelope_text(fixture: str, workdir: pathlib.Path) -> str:
 
 
 def main() -> int:
-    # Stay hermetic: never touch (or create) the user's persistent cache.
-    os.environ.setdefault(
-        "REPRO_CACHE_DIR", tempfile.mkdtemp(prefix="repro-ci-")
-    )
-    os.environ["REPRO_DISK_CACHE"] = "0"
     ENVELOPE_DIR.mkdir(parents=True, exist_ok=True)
 
     trace_path = GOLDEN / "hbm_small.dramtrace"

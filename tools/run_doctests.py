@@ -34,7 +34,6 @@ AUDITED_MODULES = (
     "repro.core.context",
     "repro.core.scheduling",
     "repro.core.serialization",
-    "repro.core.engine.diskcache",
     "repro.core.engine.memo",
     "repro.core.engine.membackend",
     "repro.core.engine.movement",
