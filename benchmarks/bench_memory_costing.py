@@ -9,9 +9,10 @@ Two arms:
   (latencies identical, energies to 1e-12 relative).  The memo is
   bypassed on both sides — this times the arithmetic, not the cache.
 - **SoA sweep throughput** — a TRON design-space sweep through the
-  array-resident strategy per memory backend (``analytic`` / ``hbm`` /
-  ``hbm-pim``), in points/sec, with a scalar-oracle parity check on a
-  sample of points.  This is the number that used to fall off a cliff
+  array-resident path (``run_sweep``) per memory backend (``analytic`` /
+  ``hbm`` / ``hbm-pim``), in points/sec including report
+  materialization, with a scalar-oracle parity check on a sample of
+  points.  This is the number that used to fall off a cliff
   when ``hbm-pim`` points were gated out of the SoA path.
 """
 
@@ -20,7 +21,7 @@ import time
 from dataclasses import replace
 
 from repro.analysis.sweep import (
-    run_sweep_soa,
+    run_sweep_with_stats,
     tron_sweep_space,
     with_corners,
 )
@@ -128,13 +129,18 @@ def measure_soa_backends(quick=False, parity_samples=3):
         evaluations = space.evaluations()
         clear_physics_cache()
         start = time.perf_counter()
-        result = run_sweep_soa(space)
+        points, stats = run_sweep_with_stats(space)
         elapsed = time.perf_counter() - start
+        if stats.fallback_points:
+            raise RuntimeError(
+                f"{space.name}: {stats.fallback_points} points fell back "
+                "to the scalar path"
+            )
         stride = max(1, len(evaluations) // parity_samples)
         mismatches = 0
         for index in range(0, len(evaluations), stride):
             knobs, _, ctx = evaluations[index]
-            point = result.point(index)
+            point = points[index]
             workload = space.build_workload()
             want = (
                 space.build_accelerator(knobs)

@@ -18,13 +18,13 @@ grid, no JSON written; exits nonzero unless every closed-form primitive
 is at least as fast as its loop reference and parity holds.
 """
 
+import argparse
 import json
 import pathlib
 import sys
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from bench_memory_costing import (  # noqa: E402
     measure_primitive_speedups,
@@ -33,15 +33,21 @@ from bench_memory_costing import (  # noqa: E402
 
 
 def main() -> int:
-    argv = [a for a in sys.argv[1:]]
-    quick = "--quick" in argv
-    argv = [a for a in argv if a != "--quick"]
-    out_path = pathlib.Path(
-        argv[0]
-        if argv
-        else pathlib.Path(__file__).resolve().parent.parent
-        / "BENCH_memory.json"
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "output",
+        nargs="?",
+        default=str(REPO / "BENCH_memory.json"),
+        help="where to write the benchmark record",
     )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="CI smoke: smaller sizes and grid, gates only, no JSON written",
+    )
+    args = parser.parse_args()
+    quick = args.quick
+    out_path = pathlib.Path(args.output)
     primitives = measure_primitive_speedups(quick=quick)
     backends = measure_soa_backends(quick=quick)
     record = {

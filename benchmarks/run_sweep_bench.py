@@ -18,13 +18,13 @@ requires the soa path to hold at least 1.2x the serial oracle's
 points/sec (the CI perf-smoke gate).
 """
 
+import argparse
 import json
 import pathlib
 import sys
 
-sys.path.insert(
-    0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
-)
+REPO = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO / "src"))
 
 from bench_sweep import measure_perf_smoke, measure_sweep  # noqa: E402
 
@@ -34,15 +34,27 @@ PERF_SMOKE_BAR = 1.2
 
 
 def main() -> int:
-    argv = [a for a in sys.argv[1:]]
-    quick = "--quick" in argv
-    perf_smoke = "--perf-smoke" in argv
-    argv = [a for a in argv if a not in ("--quick", "--perf-smoke")]
-    out_path = pathlib.Path(
-        argv[0]
-        if argv
-        else pathlib.Path(__file__).resolve().parent.parent / "BENCH_sweep.json"
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument(
+        "output",
+        nargs="?",
+        default=str(REPO / "BENCH_sweep.json"),
+        help="where to write the benchmark record",
     )
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help="CI smoke: an 8-point grid, exactness gates only",
+    )
+    parser.add_argument(
+        "--perf-smoke",
+        action="store_true",
+        help="with --quick: also require soa >= "
+        f"{PERF_SMOKE_BAR}x the serial oracle's points/sec",
+    )
+    args = parser.parse_args()
+    quick, perf_smoke = args.quick, args.perf_smoke
+    out_path = pathlib.Path(args.output)
     record = measure_sweep(quick=quick)
     if quick:
         record["bench"] += " (quick smoke grid)"

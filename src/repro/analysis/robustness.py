@@ -88,7 +88,7 @@ class MonteCarloResult:
             geometry.
         samples: sample count N.
         seed: base seed the dies derive from.
-        evaluation: stats of the evaluation strategy that ran (see
+        evaluation: stats of the evaluation that ran (see
             :class:`repro.core.engine.SoAStats`), or ``None`` for
             results built outside the Monte-Carlo engine.
     """
@@ -321,7 +321,6 @@ def run_monte_carlo(
         energy_pj,
         tuning_power_mw,
         evaluation=SoAStats(
-            strategy="soa",
             points=samples,
             groups=len(signatures),
             fallback_points=samples if fell_back else 0,
@@ -404,7 +403,7 @@ def _run_naive(
         latency_ns,
         energy_pj,
         tuning_power_mw,
-        evaluation=SoAStats(strategy="naive", points=samples),
+        evaluation=SoAStats(points=samples),
     )
 
 

@@ -12,10 +12,9 @@ structure-of-arrays columns and a registered platform evaluator
 (:func:`repro.core.engine.workload_evaluator`) computes every point's energy
 / latency breakdown as a handful of NumPy ops, with scalar
 :class:`SweepPoint` reports materialized from the stacked columns
-afterwards (lazily, in :func:`run_sweep_soa`).  Spaces without an
-evaluator run one ``Accelerator.run`` per point over a workload
-materialized once, which is also the scalar oracle the parity tests
-compare the columns against.  The two are bit-identical because the
+afterwards.  Spaces without an evaluator run one ``Accelerator.run`` per
+point over a workload materialized once, which is also the scalar oracle
+the parity tests compare the columns against.  The two are bit-identical because the
 evaluators replicate the scalar operation order.
 
 The classic TRON and GHOST sweeps are thin wrappers
@@ -29,13 +28,11 @@ import itertools
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.base import Accelerator, Workload
 from repro.core.context import ExecutionContext
-from repro.core.engine import SoAStats, pareto_mask, workload_evaluator
+from repro.core.engine import SoAStats, workload_evaluator
 from repro.core.ghost import GHOST, GHOSTConfig
-from repro.core.reports import RunReport, StackedRunReports
+from repro.core.reports import RunReport
 from repro.core.tron import TRON, TRONConfig
 from repro.errors import ConfigurationError
 from repro.nn.gnn import GNNKind
@@ -218,114 +215,6 @@ def _run_serial(
     ]
 
 
-def _soa_stack(
-    space: SweepSpace, evaluations: List[Tuple]
-) -> Optional[Tuple[StackedRunReports, SoAStats]]:
-    """Evaluate a space through its array-resident evaluator.
-
-    Returns ``None`` when the space carries no platform / bare-config
-    factory or no evaluator can cost the workload on the platform (a
-    suite needs one for every member) — the callers then fall back to
-    the serial loop.
-    """
-    if space.platform is None or space.build_config is None:
-        return None
-    workload = space.build_workload()
-    workload.materialize()
-    evaluator = workload_evaluator(space.platform, workload)
-    if evaluator is None:
-        return None
-    configs = [space.build_config(knobs) for knobs, _, _ in evaluations]
-    contexts = [_normalized_context(ctx) for _, _, ctx in evaluations]
-    stacked = evaluator(configs, contexts, workload)
-    stats = SoAStats(
-        strategy="soa", points=len(evaluations), groups=stacked.groups
-    )
-    return stacked, stats
-
-
-@dataclass
-class SoASweepResult:
-    """A sweep held as stacked columns, materialized on demand.
-
-    The array-resident counterpart of a ``List[SweepPoint]``: the full
-    latency / energy tensors are resident as NumPy columns, and scalar
-    :class:`SweepPoint` objects only materialize for the points a caller
-    asks for (the Pareto frontier, typically).  ``stats`` tracks how many
-    reports actually materialized.
-    """
-
-    space: SweepSpace
-    evaluations: List[Tuple]
-    stacked: StackedRunReports
-    stats: SoAStats
-
-    def __len__(self) -> int:
-        return len(self.evaluations)
-
-    @property
-    def latency_ns(self):
-        """Per-point total latency column (ns)."""
-        return self.stacked.latency_ns
-
-    @property
-    def energy_pj(self):
-        """Per-point total energy column (pJ)."""
-        return self.stacked.energy_pj
-
-    def point(self, index: int) -> SweepPoint:
-        """Materialize one scalar sweep point from the stack."""
-        knobs, label, _ = self.evaluations[index]
-        self.stats.materialized_reports += 1
-        return SweepPoint(
-            label=label, knobs=knobs, report=self.stacked.materialize(index)
-        )
-
-    def points(self) -> List[SweepPoint]:
-        """Materialize every point (grid order)."""
-        return [self.point(i) for i in range(len(self.evaluations))]
-
-    def frontier(self) -> List[SweepPoint]:
-        """The latency-energy Pareto frontier, materializing only the
-        non-dominated points.
-
-        The dominance test runs as one boolean-mask reduction over the
-        stacked columns; the result is bit-identical to
-        :func:`pareto_frontier` over the fully materialized sweep (same
-        totals, same ``(latency, energy, label)`` ordering).
-        """
-        mask = pareto_mask(self.stacked.latency_ns, self.stacked.energy_pj)
-        frontier = [self.point(i) for i in np.flatnonzero(mask)]
-        frontier.sort(key=lambda p: (p.latency_ns, p.energy_pj, p.label))
-        return frontier
-
-
-def run_sweep_soa(space: SweepSpace) -> SoASweepResult:
-    """Evaluate a sweep space array-resident, without materializing
-    per-point reports.
-
-    The whole grid is evaluated as stacked NumPy columns and stays that
-    way — callers reduce over the columns (frontier, yield masks) and
-    materialize only the points they need.  Requires a space with a
-    registered array-resident evaluator.
-
-    Raises:
-        ConfigurationError: if the space has no registered evaluator
-            (use :func:`run_sweep` for the scalar fallback).
-    """
-    evaluations = space.evaluations()
-    stack = _soa_stack(space, evaluations)
-    if stack is None:
-        raise ConfigurationError(
-            f"sweep space {space.name!r} has no array-resident evaluator; "
-            "set SweepSpace.platform / build_config or use run_sweep()"
-        )
-    stacked, stats = stack
-    return SoASweepResult(
-        space=space, evaluations=evaluations, stacked=stacked, stats=stats
-    )
-
-
 def run_sweep(space: SweepSpace) -> List[SweepPoint]:
     """Evaluate every point of a sweep space.
 
@@ -335,8 +224,7 @@ def run_sweep(space: SweepSpace) -> List[SweepPoint]:
     materialize from the stacked columns afterwards.  Spaces without an
     evaluator (no ``platform`` / ``build_config``, or an unregistered
     workload kind) run one ``Accelerator.run`` per point instead, with
-    bit-identical reports.  Use :func:`run_sweep_soa` to keep the
-    columns resident and skip materialization entirely.
+    bit-identical reports.
     """
     points, _ = run_sweep_with_stats(space)
     return points
@@ -349,16 +237,22 @@ def run_sweep_with_stats(
     envelopes surface): group collapse, materialization count and any
     scalar fallback (recorded as ``fallback_points``)."""
     evaluations = space.evaluations()
-    stack = _soa_stack(space, evaluations)
-    if stack is None:
+    evaluator = None
+    if space.platform is not None and space.build_config is not None:
+        workload = space.build_workload()
+        workload.materialize()
+        # None for a suite with any member the platform cannot cost.
+        evaluator = workload_evaluator(space.platform, workload)
+    if evaluator is None:
         points = _run_serial(space, evaluations)
-        stats = SoAStats(
-            strategy="soa",
-            points=len(points),
-            fallback_points=len(points),
-        )
+        stats = SoAStats(points=len(points), fallback_points=len(points))
         return points, stats
-    stacked, stats = stack
+    stacked = evaluator(
+        [space.build_config(knobs) for knobs, _, _ in evaluations],
+        [_normalized_context(ctx) for _, _, ctx in evaluations],
+        workload,
+    )
+    stats = SoAStats(points=len(evaluations), groups=stacked.groups)
     points = [
         SweepPoint(label=label, knobs=knobs, report=stacked.materialize(i))
         for i, (knobs, label, _) in enumerate(evaluations)

@@ -132,9 +132,9 @@ class SweepResult:
         corners_axis: whether the standard-corner axis was swept.
         seed: die-selection seed of the corner axis.
         physics_cache: engine memo counters after the sweep.
-        evaluation: space name → evaluation-strategy stats (strategy
-            name, point/group counts, materialized reports, scalar
-            fallbacks — :class:`repro.core.engine.SoAStats`).
+        evaluation: space name → evaluation stats (point/group
+            counts, materialized reports, scalar fallbacks —
+            :class:`repro.core.engine.SoAStats`).
     """
 
     points: "Dict[str, List]"

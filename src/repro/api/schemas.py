@@ -48,18 +48,16 @@ _STATS_BLOCK = {
 }
 
 #: Array-resident evaluation stats (``repro.core.engine.SoAStats``):
-#: which strategy ran and how much work it collapsed.
+#: how much work the evaluation collapsed and any scalar fallback.
 _SOA_STATS = {
     "type": "object",
     "properties": {
-        "strategy": _STRING,
         "points": _NON_NEGATIVE_INT,
         "groups": _NON_NEGATIVE_INT,
         "materialized_reports": _NON_NEGATIVE_INT,
         "fallback_points": _NON_NEGATIVE_INT,
     },
     "required": [
-        "strategy",
         "points",
         "groups",
         "materialized_reports",
@@ -211,7 +209,6 @@ _FLEET_BLOCK = {
     "type": "object",
     "properties": {
         "workers": _POSITIVE_INT,
-        "granularity": {"enum": ["type", "config"]},
         "completed": _NON_NEGATIVE_INT,
         "wall_s": _NUMBER,
         "throughput_rps": _NUMBER,
@@ -270,7 +267,6 @@ _FLEET_BLOCK = {
     },
     "required": [
         "workers",
-        "granularity",
         "completed",
         "throughput_rps",
         "admission",
@@ -342,7 +338,6 @@ _SPEC_SCHEMA = {
                 "repeat": _POSITIVE_INT,
                 "window": _POSITIVE_INT,
                 "cache_entries": _POSITIVE_INT,
-                "batched_physics": _BOOL,
                 "workers": _NON_NEGATIVE_INT,
                 "arrivals": {"type": ["string", "null"]},
             },

@@ -364,12 +364,10 @@ class Session:
         repeat: int = 1,
         window: int = 64,
         cache_entries: int = 1024,
-        batched_physics: bool = True,
         workers: int = 0,
         arrivals: Optional[str] = None,
         max_queue: int = 256,
         tenant_rate: Optional[float] = None,
-        granularity: str = "type",
         seed: int = 0,
     ) -> ServeResult:
         """Replay a request stream through the batching serving engine.
@@ -384,8 +382,6 @@ class Session:
             repeat: replay the stream N times (the cache stays warm).
             window: in-process micro-batch window (requests per flush).
             cache_entries: report-cache bound (LRU beyond it).
-            batched_physics: batched corner-physics path (disable for
-                the scalar benchmarking baseline; same numbers).
             workers: ``0`` serves in process; ``>= 1`` shards the
                 stream over that many worker processes
                 (:class:`~repro.serving.fleet.ServingFleet`).
@@ -398,8 +394,6 @@ class Session:
             max_queue: fleet per-shard in-flight bound (admission
                 control sheds beyond it).
             tenant_rate: fleet per-tenant token-bucket rate (req/s).
-            granularity: fleet shard-key granularity (``"type"`` or
-                ``"config"``).
             seed: arrival-schedule seed (fleet open loop).
         """
         from repro.core.engine import physics_cache_stats
@@ -466,19 +460,13 @@ class Session:
                 repeat=repeat,
                 window=window,
                 cache_entries=cache_entries,
-                batched_physics=batched_physics,
                 workers=workers,
                 arrivals=arrivals,
                 max_queue=max_queue,
                 tenant_rate=tenant_rate,
-                granularity=granularity,
                 seed=seed,
             )
-        engine = ServingEngine(
-            cache_entries=cache_entries,
-            max_pending=window,
-            use_batched_physics=batched_physics,
-        )
+        engine = ServingEngine(cache_entries=cache_entries, max_pending=window)
         with engine:
             for _ in range(repeat):
                 for request in stream:
@@ -504,12 +492,10 @@ class Session:
         repeat: int,
         window: int,
         cache_entries: int,
-        batched_physics: bool,
         workers: int,
         arrivals: Optional[str],
         max_queue: int,
         tenant_rate: Optional[float],
-        granularity: str,
         seed: int,
         tenants: Optional[Sequence[Optional[str]]] = None,
     ) -> ServeResult:
@@ -522,10 +508,8 @@ class Session:
         fleet = ServingFleet(
             workers=workers,
             cache_entries=cache_entries,
-            use_batched_physics=batched_physics,
             max_queue=max_queue,
             tenant_rate_rps=tenant_rate,
-            granularity=granularity,
         )
         open_loop = []
         with fleet:
@@ -684,7 +668,6 @@ class Session:
                 repeat=spec.analysis.repeat,
                 window=spec.analysis.window,
                 cache_entries=spec.analysis.cache_entries,
-                batched_physics=spec.analysis.batched_physics,
                 workers=spec.analysis.workers,
                 arrivals=spec.analysis.arrivals,
             )

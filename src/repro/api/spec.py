@@ -210,7 +210,6 @@ class AnalysisSpec:
         window: micro-batch window — requests coalesced per flush
             (``serve``).
         cache_entries: report-cache bound (``serve``).
-        batched_physics: batched corner-physics path (``serve``).
         workers: worker-process count of the sharded fleet tier; ``0``
             serves in process (``serve``).
         arrivals: open-loop arrival spec, e.g. ``"poisson:5000"`` or
@@ -232,7 +231,6 @@ class AnalysisSpec:
     repeat: int = 1
     window: int = 64
     cache_entries: int = 1024
-    batched_physics: bool = True
     workers: int = 0
     arrivals: Optional[str] = None
 

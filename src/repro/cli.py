@@ -225,7 +225,6 @@ def _cmd_serve(args) -> int:
                 repeat=1,
                 window=64,
                 cache_entries=1024,
-                no_batching=False,
                 workers=0,
                 arrivals=None,
             )
@@ -238,7 +237,6 @@ def _cmd_serve(args) -> int:
             repeat=args.repeat,
             window=args.window,
             cache_entries=args.cache_entries,
-            batched_physics=not args.no_batching,
             workers=args.workers,
             arrivals=args.arrivals,
             max_queue=args.max_queue,
@@ -431,12 +429,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1024,
         help="report-cache bound (LRU eviction beyond it)",
-    )
-    serve.add_argument(
-        "--no-batching",
-        action="store_true",
-        help="disable the batched corner-physics path (same numbers; "
-        "benchmarking aid)",
     )
     serve.add_argument(
         "--workers",

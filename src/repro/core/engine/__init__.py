@@ -43,7 +43,6 @@ from repro.core.engine.soa import (
     ColumnEnergy,
     ColumnLatency,
     SoAStats,
-    pareto_mask,
     register_soa_evaluator,
     soa_evaluator,
     workload_evaluator,
@@ -110,7 +109,6 @@ __all__ = [
     "memo",
     "nominal_breakdown_pj",
     "overlapped_stage_latency_ns",
-    "pareto_mask",
     "photonic_matmul",
     "physics_cache_stats",
     "pipeline_latency_ns",

@@ -3,10 +3,10 @@ evaluators.
 
 The array-resident path evaluates a whole sweep x corner x sample batch
 of configurations as NumPy columns: each knob is a column, each energy /
-latency breakdown field is a column, and reductions (Pareto fronts,
-yield masks) are boolean masks over those columns.  Scalar
-:class:`~repro.core.reports.RunReport` objects only materialize for the
-points a caller actually looks at.
+latency breakdown field is a column, and Monte-Carlo reductions (yield
+masks) are boolean masks over those columns.  Scalar
+:class:`~repro.core.reports.RunReport` objects materialize from the
+stacked columns afterwards.
 
 Bit-exactness contract: every helper here replicates the scalar cost
 path's accumulation order exactly — chained left-associative adds
@@ -44,7 +44,7 @@ from repro.core.reports import (
     LATENCY_FIELDS,
     StackedRunReports,
 )
-from repro.errors import ConfigurationError, MappingError, YieldError
+from repro.errors import MappingError, YieldError
 
 
 @dataclass
@@ -55,7 +55,6 @@ class SoAStats:
     the SoA path collapsed (and whether it fell back to scalar).
 
     Attributes:
-        strategy: the evaluation strategy that actually ran.
         points: evaluation points covered.
         groups: distinct evaluation groups the points collapsed into
             (shared physics / memory / device computations).
@@ -64,7 +63,6 @@ class SoAStats:
             because no SoA evaluator covered them.
     """
 
-    strategy: str
     points: int = 0
     groups: int = 0
     materialized_reports: int = 0
@@ -72,7 +70,6 @@ class SoAStats:
 
     def to_dict(self) -> Dict[str, object]:
         return {
-            "strategy": self.strategy,
             "points": self.points,
             "groups": self.groups,
             "materialized_reports": self.materialized_reports,
@@ -368,27 +365,6 @@ def weight_stream_columns(
     stall_ns = np.maximum(weight_l / batch - compute_ns, 0.0)
     latency = ColumnLatency(memory_ns=stall_ns + bounce_l)
     return energy, latency
-
-
-def pareto_mask(latency_ns: np.ndarray, energy_pj: np.ndarray) -> np.ndarray:
-    """Boolean mask of the Pareto-optimal (non-dominated) points.
-
-    Vectorized counterpart of ``analysis.sweep.pareto_frontier``'s
-    dominance test: point ``j`` dominates ``i`` when it is <= on both
-    axes and strictly better on at least one.
-    """
-    latency_ns = np.asarray(latency_ns, dtype=float)
-    energy_pj = np.asarray(energy_pj, dtype=float)
-    if latency_ns.size == 0:
-        raise ConfigurationError("cannot take the frontier of no points")
-    leq = (latency_ns[None, :] <= latency_ns[:, None]) & (
-        energy_pj[None, :] <= energy_pj[:, None]
-    )
-    strict = (latency_ns[None, :] < latency_ns[:, None]) | (
-        energy_pj[None, :] < energy_pj[:, None]
-    )
-    dominated = (leq & strict).any(axis=1)
-    return ~dominated
 
 
 # ----------------------------------------------------------------------

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from hashlib import blake2b
 from typing import Iterable, Tuple, Union
 
 import numpy as np
@@ -94,6 +93,10 @@ class CSRGraph:
     def degree_digest(self) -> bytes:
         """16-byte digest of :meth:`degrees` (GHOST's aggregate-stage
         memo key), hashed once per graph."""
+        # Imported here: transformer runs never hash a graph, so a cold
+        # ``repro run BERT-base`` does not pay for loading hashlib.
+        from hashlib import blake2b
+
         return blake2b(
             np.ascontiguousarray(self.degrees()).tobytes(), digest_size=16
         ).digest()

@@ -65,7 +65,6 @@ from repro.serving.scheduler import (
     default_platform_catalog,
 )
 from repro.serving.shard import (
-    GRANULARITIES,
     ShardRouter,
     request_to_wire,
     wire_to_request,
@@ -86,7 +85,6 @@ __all__ = [
     "BatchingScheduler",
     "CacheKey",
     "FleetResponse",
-    "GRANULARITIES",
     "OpenLoopResult",
     "PLATFORM_CHOICES",
     "ReportCache",

@@ -134,8 +134,6 @@ class ServingEngine:
     Args:
         cache_entries: report-cache bound (LRU beyond it).
         max_pending: submissions that trigger an automatic flush.
-        use_batched_physics: evaluate each request group's dies through
-            one batched corner-physics pass (see the scheduler).
         catalog: platform name -> accelerator factory override.
 
     Each micro-batch evaluates on one thread (the caller's for
@@ -156,7 +154,6 @@ class ServingEngine:
         self,
         cache_entries: int = 1024,
         max_pending: int = 64,
-        use_batched_physics: bool = True,
         catalog: Optional[PlatformCatalog] = None,
     ) -> None:
         if max_pending < 1:
@@ -164,11 +161,7 @@ class ServingEngine:
                 f"max_pending must be >= 1, got {max_pending}"
             )
         self.cache = ReportCache(max_entries=cache_entries)
-        self.scheduler = BatchingScheduler(
-            cache=self.cache,
-            catalog=catalog,
-            use_batched_physics=use_batched_physics,
-        )
+        self.scheduler = BatchingScheduler(cache=self.cache, catalog=catalog)
         self.max_pending = max_pending
         self.stats = ServingStats()
         self._pending: List[tuple] = []

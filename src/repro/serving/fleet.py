@@ -308,13 +308,11 @@ class ServingFleet:
     Args:
         workers: worker-process count (= shard count).
         cache_entries: each worker's report-cache bound.
-        use_batched_physics: worker scheduler batched-physics path.
         max_queue: per-shard in-flight bound; submissions beyond it
             shed with an explicit response (see
             :mod:`repro.serving.admission`).  A shard that reaches it
             dispatches its buffer without waiting for :meth:`flush`.
         tenant_rate_rps / tenant_burst: optional per-tenant quota.
-        granularity: shard-key granularity (:class:`ShardRouter`).
         start_method: multiprocessing start method (default: ``fork``
             where available — workers inherit warmed module state —
             else the platform default).
@@ -324,17 +322,15 @@ class ServingFleet:
         self,
         workers: int = 4,
         cache_entries: int = 1024,
-        use_batched_physics: bool = True,
         max_queue: int = 256,
         tenant_rate_rps: Optional[float] = None,
         tenant_burst: Optional[float] = None,
-        granularity: str = "type",
         start_method: Optional[str] = None,
     ) -> None:
         if workers < 1:
             raise ConfigurationError(f"need >= 1 worker, got {workers}")
         self.workers = workers
-        self.router = ShardRouter(num_shards=workers, granularity=granularity)
+        self.router = ShardRouter(num_shards=workers)
         self.admission = AdmissionController(
             max_queue=max_queue,
             tenant_rate_rps=tenant_rate_rps,
@@ -347,10 +343,7 @@ class ServingFleet:
         ctx = multiprocessing.get_context(start_method)
         self._outbox = ctx.Queue()
         self._inboxes = [ctx.Queue() for _ in range(workers)]
-        engine_kwargs = dict(
-            cache_entries=cache_entries,
-            use_batched_physics=use_batched_physics,
-        )
+        engine_kwargs = dict(cache_entries=cache_entries)
         self._processes = [
             ctx.Process(
                 target=_worker_main,
@@ -753,7 +746,6 @@ class ServingFleet:
         latency["mean_latency_s"] = mean
         return {
             "workers": self.workers,
-            "granularity": self.router.granularity,
             "completed": completed,
             "wall_s": wall,
             "throughput_rps": completed / wall if wall > 0.0 else 0.0,

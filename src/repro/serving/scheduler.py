@@ -167,10 +167,6 @@ class BatchingScheduler:
         cache: the shared report cache (``None`` disables caching).
         catalog: platform name -> accelerator factory; defaults to the
             stock TRON/GHOST catalog.
-        use_batched_physics: evaluate each group's distinct dies through
-            one batched corner-physics pass (disable to force scalar
-            per-request physics — the numbers are identical; this is a
-            benchmarking aid).
 
     One accelerator per ``(platform, batch)`` is built on first use and
     evaluates every later group of that pair, so its per-instance memos
@@ -183,13 +179,11 @@ class BatchingScheduler:
         self,
         cache: Optional[ReportCache] = None,
         catalog: Optional[PlatformCatalog] = None,
-        use_batched_physics: bool = True,
     ) -> None:
         self.cache = cache
         self.catalog = (
             default_platform_catalog() if catalog is None else catalog
         )
-        self.use_batched_physics = use_batched_physics
         self.stats = SchedulerStats()
         #: (platform, batch) -> (accelerator, config fingerprint).
         self._platforms = LRUMemo(
@@ -412,12 +406,7 @@ class BatchingScheduler:
         the per-die draws and TED solves while producing bit-identical
         reports.
         """
-        if (
-            not self.use_batched_physics
-            or family is None
-            or family.pinned
-            or not family.affects_arrays
-        ):
+        if family is None or family.pinned or not family.affects_arrays:
             return {}
         specs = getattr(accelerator, "array_specs", None)
         if specs is None:

@@ -6,18 +6,11 @@ N worker processes.  Two rules live here:
 **Routing.**  :class:`ShardRouter` maps a request to a shard with a
 *stable* hash — ``hash()`` is salted per process, so routing uses the
 same SHA-256 digest scheme as the report cache
-(:func:`repro.core.engine.memo.fingerprint`).  Two granularities:
-
-- ``"config"`` — the shard key is ``(platform, config fingerprint)``,
-  the ISSUE's minimal scheme: every request for one accelerator
-  configuration lands on one worker, so that worker's *physics memos*
-  (keyed by array geometry + context) stay maximally hot.
-- ``"type"`` (default) — the key additionally folds in the workload
-  name and normalized context, i.e. exactly the report-cache key.  Any
-  deterministic function of the request keeps each shard's
-  `ReportCache` hot (a given request type always routes to the same
-  worker); the finer key also spreads a skewed catalog over many more
-  workers than there are distinct configurations.
+(:func:`repro.core.engine.memo.fingerprint`).  The shard key is exactly
+the report-cache key — platform, config fingerprint, workload name and
+normalized context — so a given request type always routes to the same
+worker and keeps that shard's `ReportCache` hot, and a skewed catalog
+spreads over many more workers than there are distinct configurations.
 
 **Wire format.**  Workers are separate processes fed entirely by
 *documents*: :func:`request_to_wire` serializes a
@@ -32,8 +25,7 @@ without ever constructing parent-side request objects.
 
 from __future__ import annotations
 
-import threading
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.core.base import get_workload
 from repro.core.context import ExecutionContext
@@ -49,8 +41,6 @@ from repro.serving.scheduler import (
     default_platform_catalog,
 )
 
-#: The supported shard-key granularities.
-GRANULARITIES = ("type", "config")
 #: Shard assignments a router memoizes.  Keys carry request fields (die
 #: seeds), so the memo is bounded; an evicted key hashes to the same
 #: shard again.
@@ -108,9 +98,6 @@ class ShardRouter:
 
     Args:
         num_shards: worker count to spread over.
-        granularity: ``"type"`` (report-cache key; default) or
-            ``"config"`` (``(platform, config fingerprint)`` only) —
-            see the module docstring for the trade-off.
         catalog: platform name → accelerator factory (the scheduler's
             catalog), used to fingerprint configurations.
 
@@ -120,40 +107,27 @@ class ShardRouter:
         >>> b = router.shard_of(ServeRequest(workload="MLP-mnist"))
         >>> a == b and 0 <= a < 4        # stable, in range
         True
-        >>> ShardRouter(num_shards=1, granularity="frequency")
-        Traceback (most recent call last):
-            ...
-        repro.errors.ConfigurationError: unknown shard granularity 'frequency'; pick one of ('type', 'config')
     """
 
     def __init__(
         self,
         num_shards: int,
-        granularity: str = "type",
         catalog: Optional[PlatformCatalog] = None,
     ) -> None:
         if num_shards < 1:
             raise ConfigurationError(
                 f"need >= 1 shard, got {num_shards}"
             )
-        if granularity not in GRANULARITIES:
-            raise ConfigurationError(
-                f"unknown shard granularity {granularity!r}; "
-                f"pick one of {GRANULARITIES}"
-            )
         self.num_shards = num_shards
-        self.granularity = granularity
         self.catalog = (
             default_platform_catalog() if catalog is None else catalog
         )
-        self.requests_per_shard: List[int] = [0] * num_shards
         #: (platform, batch) -> configuration fingerprint.
         self._fingerprints = LRUMemo(
             "serving.router_fingerprints", PLATFORM_ENTRIES
         )
         #: shard key -> shard index.
         self._shards = LRUMemo("serving.router_shards", SHARD_ENTRIES)
-        self._lock = threading.Lock()
 
     def _config_fingerprint(self, platform: str, batch: int) -> str:
         """Memoized configuration fingerprint (the scheduler's scheme)."""
@@ -169,8 +143,6 @@ class ShardRouter:
         workload = get_workload(request.workload)
         platform = request.resolve_platform(workload.kind)
         digest = self._config_fingerprint(platform, request.batch)
-        if self.granularity == "config":
-            return (platform, digest)
         return (
             platform,
             digest,
@@ -178,23 +150,11 @@ class ShardRouter:
             normalize_context(request.ctx),
         )
 
-    def shard_of(self, request: ServeRequest, count: bool = False) -> int:
-        """The shard index of a request (stable across processes).
-
-        ``count=True`` additionally records the assignment in
-        :attr:`requests_per_shard` — the router's load-spread
-        observability.
-        """
+    def shard_of(self, request: ServeRequest) -> int:
+        """The shard index of a request (stable across processes)."""
         key = self.shard_key(request)
         shard = self._shards.get(key)
         if shard is None:
             shard = int(fingerprint(key), 16) % self.num_shards
             self._shards.put(key, shard)
-        if count:
-            self.count_assignment(shard)
         return shard
-
-    def count_assignment(self, shard: int) -> None:
-        """Record one routed request in :attr:`requests_per_shard`."""
-        with self._lock:
-            self.requests_per_shard[shard] += 1

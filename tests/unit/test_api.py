@@ -245,30 +245,52 @@ class TestNoEvaluationPathSelector:
     """Each analysis has one evaluation path; the old selectors are
     rejected at every boundary instead of silently ignored."""
 
-    VECTORIZED_DOC = (
-        '{"schema": "repro.spec/1", "workload": "MLP-mnist", '
-        '"analysis": {"kind": "mc", "samples": 4, "vectorized": true}}'
-    )
-    UNKNOWN_VECTORIZED = r"analysis\.vectorized: unknown field; valid fields"
+    #: (removed analysis field, subcommand whose spec once carried it).
+    REMOVED_FIELDS = [
+        pytest.param("vectorized", "mc", id="vectorized"),
+        pytest.param("batched_physics", "serve", id="batched_physics"),
+    ]
 
-    def test_load_spec_rejects_vectorized(self, tmp_path):
-        path = tmp_path / "mc.json"
-        path.write_text(self.VECTORIZED_DOC)
-        with pytest.raises(ConfigurationError, match=self.UNKNOWN_VECTORIZED):
+    @staticmethod
+    def _spec_path(tmp_path, field, kind):
+        path = tmp_path / f"{kind}.json"
+        path.write_text(
+            '{"schema": "repro.spec/1", "workload": "MLP-mnist", '
+            '"analysis": {"kind": "%s", "%s": true}}' % (kind, field)
+        )
+        return path
+
+    @pytest.mark.parametrize("field, kind", REMOVED_FIELDS)
+    def test_load_spec_rejects_removed_field(self, tmp_path, field, kind):
+        path = self._spec_path(tmp_path, field, kind)
+        with pytest.raises(
+            ConfigurationError,
+            match=rf"analysis\.{field}: unknown field; valid fields",
+        ):
             load_spec(path)
 
-    def test_cli_mc_spec_with_vectorized_is_one_error_line(self, tmp_path):
-        path = tmp_path / "mc.json"
-        path.write_text(self.VECTORIZED_DOC)
+    @pytest.mark.parametrize("field, kind", REMOVED_FIELDS)
+    def test_cli_spec_with_removed_field_is_one_error_line(
+        self, tmp_path, field, kind
+    ):
+        path = self._spec_path(tmp_path, field, kind)
         proc = TestNonFiniteConfigRejected._repro(
-            "mc", "--spec", str(path), "--json"
+            kind, "--spec", str(path), "--json"
         )
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith(
-            "repro: error: analysis.vectorized: unknown field; "
+            f"repro: error: analysis.{field}: unknown field; "
         )
         assert proc.stderr.count("\n") == 1
+
+    def test_cli_serve_has_no_batching_flag(self, tmp_path):
+        proc = TestNonFiniteConfigRejected._repro(
+            "serve", "--trace", str(tmp_path / "t.json"), "--no-batching"
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "unrecognized arguments: --no-batching" in proc.stderr
 
     @pytest.mark.parametrize(
         "name, removed",
@@ -279,6 +301,20 @@ class TestNoEvaluationPathSelector:
             ("repro.streaming.decode.decode_series", "stacked"),
             ("repro.api.session.Session.sweep", "strategy"),
             ("repro.api.session.Session.monte_carlo", "vectorized"),
+            (
+                "repro.serving.scheduler.BatchingScheduler.__init__",
+                "use_batched_physics",
+            ),
+            (
+                "repro.serving.engine.ServingEngine.__init__",
+                "use_batched_physics",
+            ),
+            (
+                "repro.serving.fleet.ServingFleet.__init__",
+                "use_batched_physics",
+            ),
+            ("repro.api.session.Session.serve", "batched_physics"),
+            ("repro.api.session.Session.serve", "granularity"),
         ],
     )
     def test_entry_point_takes_no_selector(self, name, removed):

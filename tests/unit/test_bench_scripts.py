@@ -11,7 +11,13 @@ import sys
 import pytest
 
 BENCHMARKS = pathlib.Path(__file__).resolve().parents[2] / "benchmarks"
-SCRIPTS = ["run_serving_bench.py", "run_mc_bench.py"]
+#: script -> the arguments its usage line lists after the script name.
+SCRIPTS = {
+    "run_serving_bench.py": "[-h] [output]",
+    "run_mc_bench.py": "[-h] [output]",
+    "run_memory_bench.py": "[-h] [--quick] [output]",
+    "run_sweep_bench.py": "[-h] [--quick] [--perf-smoke] [output]",
+}
 
 
 def _run(script, args, cwd):
@@ -28,7 +34,7 @@ def _run(script, args, cwd):
 def test_help_prints_usage_and_writes_nothing(script, tmp_path):
     done = _run(script, ["--help"], tmp_path)
     assert done.returncode == 0
-    assert done.stdout.startswith(f"usage: {script} [-h] [output]")
+    assert done.stdout.startswith(f"usage: {script} {SCRIPTS[script]}")
     assert list(tmp_path.iterdir()) == []
 
 

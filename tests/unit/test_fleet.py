@@ -45,8 +45,8 @@ class TestShardRouter:
 
     def test_type_granularity_splits_corners(self):
         # Distinct contexts are distinct request types; over enough of
-        # them the type-granular router must use more than one shard.
-        router = ShardRouter(num_shards=4, granularity="type")
+        # them the router must use more than one shard.
+        router = ShardRouter(num_shards=4)
         shards = {
             router.shard_of(
                 ServeRequest(
@@ -57,25 +57,9 @@ class TestShardRouter:
         }
         assert len(shards) > 1
 
-    def test_config_granularity_collapses_types(self):
-        # Same platform + batch => same configuration => same shard,
-        # regardless of workload or context.
-        router = ShardRouter(num_shards=8, granularity="config")
-        shards = {
-            router.shard_of(
-                ServeRequest(
-                    workload="BERT-base", ctx=resolve_corner("typical", seed)
-                )
-            )
-            for seed in range(16)
-        }
-        assert len(shards) == 1
-
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ConfigurationError, match="shard"):
             ShardRouter(num_shards=0)
-        with pytest.raises(ConfigurationError, match="granularity"):
-            ShardRouter(num_shards=2, granularity="frequency")
 
     def test_platform_missing_from_catalog_rejected(self):
         from repro.serving.scheduler import default_platform_catalog
@@ -88,12 +72,6 @@ class TestShardRouter:
         router = ShardRouter(num_shards=2, catalog=catalog)
         with pytest.raises(ConfigurationError, match="unknown platform"):
             router.shard_of(ServeRequest(workload="GCN-cora"))  # -> ghost
-
-    def test_count_assignment_observability(self):
-        router = ShardRouter(num_shards=2)
-        for request in small_trace():
-            router.shard_of(request, count=True)
-        assert sum(router.requests_per_shard) == 24
 
     def test_route_memos_bounded_and_assignments_stable(self):
         # Distinct die seeds and batch sizes are distinct keys; past the

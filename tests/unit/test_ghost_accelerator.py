@@ -176,19 +176,19 @@ def test_degrees_hashed_once_per_graph(monkeypatch):
     """Repeated and context-bound runs on one graph hash its degree
     array once; the digest lives on the graph."""
     import dataclasses
+    import hashlib
 
-    import repro.graphs.graph as graph_module
     from repro.core import ExecutionContext
     from repro.photonics.variation import ProcessVariationModel
 
     calls = []
-    blake2b = graph_module.blake2b
+    blake2b = hashlib.blake2b
 
     def counting(*args, **kwargs):
         calls.append(args)
         return blake2b(*args, **kwargs)
 
-    monkeypatch.setattr(graph_module, "blake2b", counting)
+    monkeypatch.setattr(hashlib, "blake2b", counting)
     graph = erdos_renyi(120, 0.05, rng=np.random.default_rng(7))
     model = make_gnn(GNNKind.GCN, in_dim=16, out_dim=4, hidden_dim=8)
     ghost = GHOST()
@@ -200,3 +200,32 @@ def test_degrees_hashed_once_per_graph(monkeypatch):
         )
     assert len(calls) == 1
     assert reports[0] == reports[1]
+
+
+def test_transformer_run_never_loads_hashlib():
+    """Only a graph's degree digest needs hashlib, so a nominal
+    transformer run leaves it unloaded (one less cold-start import)."""
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    import repro
+
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    script = (
+        "import contextlib, io, sys\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    main(['run', 'BERT-base', '--json'])\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

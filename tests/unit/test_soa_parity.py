@@ -25,7 +25,6 @@ from repro.analysis.sweep import (
     ghost_sweep_space,
     pareto_frontier,
     run_sweep,
-    run_sweep_soa,
     run_sweep_with_stats,
     tron_sweep_space,
     with_corners,
@@ -219,19 +218,6 @@ def test_sweep_soa_matches_serial_oracle(corners_axis):
         soa_frontier = pareto_frontier(soa_points)
         serial_frontier = pareto_frontier(serial_points)
         _assert_same_points(soa_frontier, serial_frontier)
-
-
-def test_lazy_frontier_matches_and_materializes_only_frontier():
-    space = tron_sweep_space(
-        head_units=(2, 4, 8), array_sizes=(32, 64), clocks_ghz=(2.5, 5.0)
-    )
-    result = run_sweep_soa(space)
-    frontier = result.frontier()
-    oracle = pareto_frontier(_run_serial(space, space.evaluations()))
-    _assert_same_points(frontier, oracle)
-    # Laziness: only the frontier (plus nothing else) materialized.
-    assert result.stats.materialized_reports == len(frontier)
-    assert result.stats.points == len(result) == 12
 
 
 def _assert_same_mc(a, b):
