@@ -56,22 +56,29 @@ def _session():
     return Session()
 
 
-def _load_spec(args, expected_kind: str, **flag_defaults):
+#: Flags that shape how a command prints, not what it runs; they are the
+#: only ones that combine with ``--spec``.
+_OUTPUT_FLAGS = ("spec", "json", "stats")
+
+
+def _load_spec(args):
     """Load ``--spec`` input, checking it matches the subcommand and
     that no conflicting flags/positionals were passed alongside it —
     the spec is the whole experiment; silently ignoring an explicit
     flag would run a different experiment than the command line reads.
 
-    ``flag_defaults`` maps each argparse attribute that the spec
-    supersedes to its parser default.
+    Every flag of the subcommand but :data:`_OUTPUT_FLAGS` conflicts
+    when it differs from the parser's own default, so a flag added to
+    the parser later is checked without further code.
     """
     from repro.api import load_spec
     from repro.errors import ConfigurationError
 
+    defaults = vars(build_parser().parse_args([args.command]))
     conflicting = sorted(
         name.replace("_", "-")
-        for name, default in flag_defaults.items()
-        if getattr(args, name) != default
+        for name, default in defaults.items()
+        if name not in _OUTPUT_FLAGS and getattr(args, name) != default
     )
     if conflicting:
         raise ConfigurationError(
@@ -79,7 +86,7 @@ def _load_spec(args, expected_kind: str, **flag_defaults):
             "or edit the spec file instead"
         )
     spec = load_spec(args.spec)
-    if spec.analysis.kind != expected_kind:
+    if spec.analysis.kind != args.command:
         raise ConfigurationError(
             f"{args.spec}: spec declares analysis kind "
             f"{spec.analysis.kind!r}; run it with "
@@ -125,15 +132,7 @@ def _cmd_workloads(_args) -> int:
 def _cmd_sweep(args) -> int:
     session = _session()
     if args.spec:
-        result = session.execute(
-            _load_spec(
-                args,
-                "sweep",
-                target=None,
-                corners=False,
-                seed=0,
-            )
-        )
+        result = session.execute(_load_spec(args))
     else:
         if args.target is None:
             raise _missing("sweep", "a target (tron|ghost|all)")
@@ -149,19 +148,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_run(args) -> int:
     session = _session()
     if args.spec:
-        result = session.execute(
-            _load_spec(
-                args,
-                "run",
-                workload=None,
-                platform="auto",
-                batch=1,
-                corner="nominal",
-                seed=0,
-                memory_backend=None,
-                trace_dump=None,
-            )
-        )
+        result = session.execute(_load_spec(args))
     else:
         if args.workload is None:
             raise _missing("run", "a workload name")
@@ -181,18 +168,7 @@ def _cmd_run(args) -> int:
 def _cmd_mc(args) -> int:
     session = _session()
     if args.spec:
-        result = session.execute(
-            _load_spec(
-                args,
-                "mc",
-                workload=None,
-                platform="auto",
-                samples=128,
-                corner="typical",
-                seed=0,
-                tuner_range=None,
-            )
-        )
+        result = session.execute(_load_spec(args))
     else:
         if args.workload is None:
             raise _missing("mc", "a workload name")
@@ -217,18 +193,7 @@ def _cmd_corners(args) -> int:
 def _cmd_serve(args) -> int:
     session = _session()
     if args.spec:
-        result = session.execute(
-            _load_spec(
-                args,
-                "serve",
-                trace=None,
-                repeat=1,
-                window=64,
-                cache_entries=1024,
-                workers=0,
-                arrivals=None,
-            )
-        )
+        result = session.execute(_load_spec(args))
     else:
         if args.trace is None:
             raise _missing("serve", "a --trace file")

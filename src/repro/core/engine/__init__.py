@@ -31,6 +31,7 @@ from repro.core.engine.corners import (
     batch_context_physics,
     batch_context_physics_for,
     context_physics,
+    reserve_dies,
 )
 from repro.core.engine.matmul import (
     ArrayExecutor,
@@ -115,6 +116,7 @@ __all__ = [
     "prime_breakdown_cache",
     "register_memory_backend",
     "register_soa_evaluator",
+    "reserve_dies",
     "serial_waves",
     "soa_evaluator",
     "workload_evaluator",

@@ -320,6 +320,12 @@ def context_physics(
     return physics
 
 
+def reserve_dies(count: int):
+    """Context manager: the per-die physics memo keeps room for
+    ``count`` more dies inside the block (:meth:`LRUMemo.reserve`)."""
+    return _PHYSICS_CACHE.reserve(count)
+
+
 def _context_family(ctx: ExecutionContext) -> Tuple:
     """The fields a batch of contexts must share (everything but the
     seed): the same die population, thermal corner and tuner model."""

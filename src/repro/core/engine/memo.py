@@ -25,8 +25,9 @@ from __future__ import annotations
 import threading
 import weakref
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import asdict, astuple, dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.errors import ConfigurationError
 
@@ -120,6 +121,31 @@ class LRUMemo:
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
+
+    @contextmanager
+    def reserve(self, entries: int) -> Iterator[None]:
+        """Grow the bound by ``entries`` inside the block, so a working
+        set that large stays resident (concurrent reservations add up);
+        on exit the bound shrinks back, evicting the LRU excess.
+
+        Example:
+            >>> memo = LRUMemo("doc.example", max_entries=1)
+            >>> with memo.reserve(1):
+            ...     memo.put("a", 1); memo.put("b", 2); print(len(memo))
+            2
+            >>> len(memo), memo.get("b")
+            (1, 2)
+        """
+        with self._lock:
+            self.max_entries += entries
+        try:
+            yield
+        finally:
+            with self._lock:
+                self.max_entries -= entries
+                while len(self._entries) > self.max_entries:
+                    self._entries.popitem(last=False)
+                    self.stats.evictions += 1
 
     def clear(self) -> None:
         """Drop every entry (lookup accounting is kept)."""

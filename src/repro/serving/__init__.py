@@ -59,11 +59,7 @@ from repro.serving.request import (
     ServeRequest,
     ServeResponse,
 )
-from repro.serving.scheduler import (
-    BatchingScheduler,
-    SchedulerStats,
-    default_platform_catalog,
-)
+from repro.serving.scheduler import BatchingScheduler, SchedulerStats
 from repro.serving.shard import (
     ShardRouter,
     request_to_wire,
@@ -100,7 +96,6 @@ __all__ = [
     "TRACE_SCHEMA",
     "TokenBucket",
     "config_fingerprint",
-    "default_platform_catalog",
     "generate_trace",
     "latency_quantiles",
     "load_trace",

@@ -14,6 +14,11 @@ points:
   order, so the cache warms monotonically and responses stay
   deterministic.
 
+Requests route and cost as ``repro run`` would: the scheduler builds
+each platform through the API registry
+(:func:`repro.api.registry.get_platform`) and resolves ``auto`` by the
+registry's rule.
+
 Every response carries its service latency, and the engine aggregates
 fleet-level accounting (:class:`ServingStats`) — throughput, hit rate,
 latency percentiles — which ``repro serve --stats`` prints.
@@ -26,7 +31,7 @@ import time
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Sequence
 
 import numpy as np
 
@@ -37,7 +42,7 @@ LATENCY_WINDOW = 4096
 from repro.errors import ConfigurationError
 from repro.serving.cache import ReportCache
 from repro.serving.request import ServeRequest, ServeResponse
-from repro.serving.scheduler import BatchingScheduler, PlatformCatalog
+from repro.serving.scheduler import BatchingScheduler
 
 
 @dataclass
@@ -134,7 +139,6 @@ class ServingEngine:
     Args:
         cache_entries: report-cache bound (LRU beyond it).
         max_pending: submissions that trigger an automatic flush.
-        catalog: platform name -> accelerator factory override.
 
     Each micro-batch evaluates on one thread (the caller's for
     :meth:`serve`, the flush worker's for :meth:`submit`); the scheduler
@@ -151,17 +155,14 @@ class ServingEngine:
     """
 
     def __init__(
-        self,
-        cache_entries: int = 1024,
-        max_pending: int = 64,
-        catalog: Optional[PlatformCatalog] = None,
+        self, cache_entries: int = 1024, max_pending: int = 64
     ) -> None:
         if max_pending < 1:
             raise ConfigurationError(
                 f"max_pending must be >= 1, got {max_pending}"
             )
         self.cache = ReportCache(max_entries=cache_entries)
-        self.scheduler = BatchingScheduler(cache=self.cache, catalog=catalog)
+        self.scheduler = BatchingScheduler(cache=self.cache)
         self.max_pending = max_pending
         self.stats = ServingStats()
         self._pending: List[tuple] = []

@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
+from repro.api import registry
 from repro.core.base import WorkloadKind
 from repro.core.context import ExecutionContext
 from repro.core.reports import RunReport
@@ -32,8 +33,9 @@ class ServeRequest:
         workload: registered workload name (see
             :func:`repro.core.base.list_workloads`).
         platform: ``"tron"``, ``"ghost"``, or ``"auto"`` — auto routes
-            GNN workloads to GHOST and everything else to TRON, exactly
-            like the CLI.
+            graph workloads (static and temporal) to GHOST and
+            everything else to TRON, by the API registry's rule
+            (:func:`repro.api.registry.resolve_platform`).
         ctx: the evaluation corner (``None`` = nominal).
         batch: inferences sharing one weight-streaming pass; folded into
             the TRON configuration (GHOST costs full-graph inferences,
@@ -65,10 +67,14 @@ class ServeRequest:
             raise ConfigurationError(f"batch must be >= 1, got {self.batch}")
 
     def resolve_platform(self, kind: WorkloadKind) -> str:
-        """The concrete platform this request runs on (auto-routing)."""
-        if self.platform != "auto":
-            return self.platform
-        return "ghost" if kind is WorkloadKind.GNN else "tron"
+        """The concrete platform this request runs on (auto-routing).
+
+        Example:
+            >>> ServeRequest(workload="GCN-ba-temporal").resolve_platform(
+            ...     WorkloadKind.TEMPORAL_GNN)
+            'ghost'
+        """
+        return registry.resolve_platform(self.platform, kind)
 
     @classmethod
     def from_spec(cls, spec) -> "ServeRequest":
@@ -77,7 +83,7 @@ class ServeRequest:
 
         The spec's context block resolves through the shared corner
         rule; its platform overrides may name only ``batch`` — the one
-        knob the serving catalog parameterizes (anything else would
+        knob serving parameterizes (anything else would
         silently serve a different platform than the spec describes).
 
         Example:

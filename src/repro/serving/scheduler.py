@@ -9,26 +9,30 @@ the scheduler serves each one through the cheapest sufficient path:
    evaluation; every duplicate shares the resulting report object.
 3. **Batched physics** — the remaining unique jobs group by
    ``(platform, batch, context family)``, where a family is everything
-   but the die seed.  All distinct dies of a group evaluate through one
-   batched pass of the engine's corner physics
+   but the die seed.  All unseen dies of a group are drawn in one
+   batched pass of the engine's corner physics per array geometry
    (:func:`repro.core.engine.batch_context_physics_for`) instead of N
-   scalar draws + TED solves, and each die's outcome is pinned onto its
-   job's context (the cost models read exactly the pinned fields).
+   scalar draws + TED solves; the pass leaves every die in the engine's
+   per-die memo, which keeps room for all of the pass's dies until
+   step 4 has read them back
+   (:func:`repro.core.engine.reserve_dies`).
 4. **Column costing** — every unique job of the pass then joins the
    column of its ``(platform, workload)``, across all groups, and each
    column costs in one call of the platform's registered SoA evaluator
    (:func:`repro.core.engine.workload_evaluator`) over the jobs' configs
-   and pinned contexts; each point materializes bit-identical to a
-   scalar ``accelerator.run``.  Jobs with no evaluator (decode, temporal
-   GNNs, suites with such a member, custom catalog platforms) and every
-   job of a column whose call raises (a dead die) run scalar one by
-   one, so each keeps its own report or error text.  Cache insertions follow
-   the jobs' group order, so eviction order does not depend on how the
-   columns formed.
+   and contexts, reading each die back from the memo; each point
+   materializes bit-identical to a scalar ``accelerator.run``.  Jobs
+   with no evaluator (decode, temporal GNNs, suites with such a member)
+   and every job of a column whose call raises (a dead die) run scalar
+   one by one, so each keeps its own report or error text.  Cache
+   insertions follow the jobs' group order, so eviction order does not
+   depend on how the columns formed.
 
-Everything runs on the calling thread, through one long-lived
-accelerator per ``(platform, batch)``.  The cost models are pure
-Python, so under the GIL a thread pool could never overlap
+Platforms are built through the API registry
+(:func:`repro.api.registry.get_platform`), the same factories ``repro
+run`` uses.  Everything runs on the calling thread, through one
+long-lived accelerator per ``(platform, batch)``.  The cost models are
+pure Python, so under the GIL a thread pool could never overlap
 evaluations; it only paid thread start-up per flush and let cache
 insertions race.  The scheduler is synchronous and runs one micro-batch
 at a time; the asynchronous submission front-end lives in
@@ -40,23 +44,23 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.api.registry import get_platform
 from repro.core.base import (
     Accelerator,
     Workload,
     check_kind_contract,
     get_workload,
 )
-from repro.core.context import ExecutionContext, PinnedArrayPhysics
+from repro.core.context import ExecutionContext
 from repro.core.engine import (
     LRUMemo,
     batch_context_physics_for,
+    reserve_dies,
     workload_evaluator,
 )
-from repro.core.ghost import GHOST
 from repro.core.reports import RunReport
-from repro.core.tron import TRON, TRONConfig
 from repro.errors import ConfigurationError, MappingError, YieldError
 from repro.serving.cache import (
     CacheKey,
@@ -66,44 +70,31 @@ from repro.serving.cache import (
 )
 from repro.serving.request import ServeRequest, ServeResponse
 
-#: platform name -> factory taking the request batch size.
-PlatformCatalog = Dict[str, Callable[[int], Accelerator]]
 #: Long-lived accelerators a scheduler keeps, one per ``(platform,
 #: batch)``.  ``batch`` is request input, so the memo is bounded.
 PLATFORM_ENTRIES = 64
 
 
-def _make_tron(batch: int) -> Accelerator:
-    return TRON(TRONConfig(batch=batch))
+def build_platform(platform: str, batch: int) -> Tuple[Accelerator, str]:
+    """A registered platform's accelerator for ``batch`` and its
+    configuration fingerprint (the cache and routing key component).
 
-
-def _make_ghost(batch: int) -> Accelerator:
-    if batch != 1:
+    Example:
+        >>> build_platform("tron", 8)[0].config.batch
+        8
+        >>> build_platform("ghost", 8)
+        Traceback (most recent call last):
+            ...
+        repro.errors.ConfigurationError: GHOST costs full-graph inferences; batched requests must target tron (got batch=8)
+    """
+    if platform == "ghost" and batch != 1:
         raise ConfigurationError(
             "GHOST costs full-graph inferences; batched requests must "
             "target tron (got batch={})".format(batch)
         )
-    return GHOST()
-
-
-def default_platform_catalog() -> PlatformCatalog:
-    """The stock platform factories the scheduler routes requests to."""
-    return {"tron": _make_tron, "ghost": _make_ghost}
-
-
-def build_platform(
-    catalog: PlatformCatalog, platform: str, batch: int
-) -> Tuple[Accelerator, str]:
-    """A catalog platform's accelerator for ``batch`` and its
-    configuration fingerprint (the cache and routing key component)."""
-    factory = catalog.get(platform)
-    if factory is None:
-        raise ConfigurationError(
-            f"unknown platform {platform!r}; catalog has {sorted(catalog)}"
-        )
-    accelerator = factory(batch)
-    config = getattr(accelerator, "config", accelerator.name)
-    return accelerator, config_fingerprint(config)
+    overrides = {"batch": batch} if platform == "tron" else None
+    accelerator = get_platform(platform, overrides=overrides)
+    return accelerator, config_fingerprint(accelerator.config)
 
 
 @dataclass
@@ -116,8 +107,6 @@ class _Job:
     platform: str
     accelerator: Accelerator
     indices: List[int] = field(default_factory=list)
-    #: The normalized request context, then its pinned-physics form.
-    run_ctx: Optional[ExecutionContext] = None
     report: Optional[RunReport] = None
     error: Optional[str] = None
 
@@ -165,8 +154,6 @@ class BatchingScheduler:
 
     Args:
         cache: the shared report cache (``None`` disables caching).
-        catalog: platform name -> accelerator factory; defaults to the
-            stock TRON/GHOST catalog.
 
     One accelerator per ``(platform, batch)`` is built on first use and
     evaluates every later group of that pair, so its per-instance memos
@@ -175,15 +162,8 @@ class BatchingScheduler:
     :meth:`execute` and :meth:`cache_key` serialize on one lock.
     """
 
-    def __init__(
-        self,
-        cache: Optional[ReportCache] = None,
-        catalog: Optional[PlatformCatalog] = None,
-    ) -> None:
+    def __init__(self, cache: Optional[ReportCache] = None) -> None:
         self.cache = cache
-        self.catalog = (
-            default_platform_catalog() if catalog is None else catalog
-        )
         self.stats = SchedulerStats()
         #: (platform, batch) -> (accelerator, config fingerprint).
         self._platforms = LRUMemo(
@@ -196,12 +176,12 @@ class BatchingScheduler:
     # ------------------------------------------------------------------
 
     def _platform(self, platform: str, batch: int) -> Tuple[Accelerator, str]:
-        """The long-lived accelerator of a catalog platform and its
+        """The long-lived accelerator of a registered platform and its
         configuration fingerprint, built on first use."""
         key = (platform, batch)
         entry = self._platforms.get(key)
         if entry is None:
-            entry = build_platform(self.catalog, platform, batch)
+            entry = build_platform(platform, batch)
             self._platforms.put(key, entry)
         return entry
 
@@ -273,7 +253,6 @@ class BatchingScheduler:
                     workload=workload,
                     platform=platform,
                     accelerator=accelerator,
-                    run_ctx=key[2],  # the normalized request context
                 )
             else:
                 self.stats.deduped += 1
@@ -282,31 +261,32 @@ class BatchingScheduler:
         # Pass 2: group unique jobs by (platform, batch, context family).
         groups: Dict[Tuple, List[_Job]] = {}
         for job in jobs.values():
-            family = self._family(job.run_ctx)
+            family = self._family(job.key[2])
             groups.setdefault(
                 (job.platform, job.request.batch, family), []
             ).append(job)
         self.stats.groups += len(groups)
 
-        # Pass 3: pin each group's dies onto its jobs' contexts.
-        ordered: List[_Job] = []
-        for (_, _, family), group_jobs in groups.items():
-            pinned = self._pin_group_physics(
-                group_jobs[0].accelerator, family, group_jobs
-            )
-            for job in group_jobs:
-                job.run_ctx = pinned.get(job.run_ctx, job.run_ctx)
-            ordered += group_jobs
+        # Pass 3: draw each group's unseen dies into the per-die memo,
+        # which keeps room for all of them (however many) until pass 4
+        # has read them back.
+        ordered = [job for group in groups.values() for job in group]
+        with reserve_dies(sum(
+            len(group) * len(group[0].accelerator.array_specs())
+            for group in groups.values()
+        )):
+            for (_, _, family), group_jobs in groups.items():
+                self._draw_group_physics(family, group_jobs)
 
-        # Pass 4: cost one column per (platform, workload), then account
-        # and cache every job in group order.
-        columns: Dict[Tuple[str, str], List[_Job]] = {}
-        for job in ordered:
-            columns.setdefault(
-                (job.accelerator.name, job.workload.name), []
-            ).append(job)
-        for column in columns.values():
-            self._cost_column(column)
+            # Pass 4: cost one column per (platform, workload), then
+            # account and cache every job in group order.
+            columns: Dict[Tuple[str, str], List[_Job]] = {}
+            for job in ordered:
+                columns.setdefault(
+                    (job.accelerator.name, job.workload.name), []
+                ).append(job)
+            for column in columns.values():
+                self._cost_column(column)
         finished = time.perf_counter()
         for job in ordered:
             if job.report is None:
@@ -351,29 +331,20 @@ class BatchingScheduler:
     def _cost_column(column: List[_Job]) -> None:
         """Cost the jobs of one ``(platform, workload)`` column.
 
-        One registered SoA evaluator call covers the whole column when
-        every job's accelerator is an unbound configured platform (a
-        context-bound one would cost nominal runs at its own context).
-        Otherwise — no evaluator, or the call raised — each job runs
-        scalar, so it gets exactly its own report or error text.
+        One registered SoA evaluator call covers the whole column.
+        Otherwise — no evaluator, or the call raised (a dead die) — each
+        job runs scalar, so it gets exactly its own report or error
+        text.
         """
         lead = column[0]
-        evaluator = None
-        if all(
-            getattr(job.accelerator, "config", None) is not None
-            and getattr(job.accelerator, "ctx", None) is None
-            for job in column
-        ):
-            evaluator = workload_evaluator(
-                lead.accelerator.name, lead.workload
-            )
+        evaluator = workload_evaluator(lead.accelerator.name, lead.workload)
         if evaluator is not None:
             try:
                 check_kind_contract(lead.workload)
                 lead.workload.materialize()
                 stacked = evaluator(
                     [job.accelerator.config for job in column],
-                    [job.run_ctx for job in column],
+                    [job.key[2] for job in column],
                     lead.workload,
                 )
             except (YieldError, MappingError, ConfigurationError):
@@ -386,48 +357,25 @@ class BatchingScheduler:
                 return
         for job in column:
             try:
-                job.report = job.accelerator.run(
-                    job.workload, ctx=job.run_ctx
-                )
+                job.report = job.accelerator.run(job.workload, ctx=job.key[2])
             except (YieldError, MappingError, ConfigurationError) as exc:
                 job.error = str(exc)
 
-    def _pin_group_physics(
-        self,
-        accelerator: Accelerator,
-        family: Optional[ExecutionContext],
-        group_jobs: List[_Job],
-    ) -> Dict[ExecutionContext, ExecutionContext]:
-        """ctx -> pinned-physics ctx for every distinct die of a group.
+    def _draw_group_physics(
+        self, family: Optional[ExecutionContext], group_jobs: List[_Job]
+    ) -> None:
+        """Draw the distinct dies of a group into the per-die memo.
 
         One batched corner-physics pass per array geometry covers all
-        the group's dies; each die's outcome (usable dims + correction
-        power) is pinned onto its context, so the column costing skips
-        the per-die draws and TED solves while producing bit-identical
-        reports.
+        the group's dies, where the column's evaluator (or a scalar run)
+        reads them instead of repeating the draw and TED solve.
         """
         if family is None or family.pinned or not family.affects_arrays:
-            return {}
-        specs = getattr(accelerator, "array_specs", None)
-        if specs is None:
-            return {}
-        geometries: Dict[Tuple[int, int], object] = {}
-        for spec in specs():
-            geometries.setdefault((spec.rows, spec.cols), spec)
+            return
         contexts = sorted(
-            {job.run_ctx for job in group_jobs}, key=lambda c: c.seed
+            {job.key[2] for job in group_jobs}, key=lambda c: c.seed
         )
-        pinned: Dict[ExecutionContext, Dict] = {c: {} for c in contexts}
-        for (rows, cols), spec in geometries.items():
-            batch_physics = batch_context_physics_for(spec, contexts)
+        for spec in group_jobs[0].accelerator.array_specs():
+            batch_context_physics_for(spec, contexts)
             self.stats.physics_batches += 1
-            for i, ctx in enumerate(contexts):
-                pinned[ctx][(rows, cols)] = PinnedArrayPhysics(
-                    usable_rows=int(batch_physics.usable_rows[i]),
-                    usable_cols=int(batch_physics.usable_cols[i]),
-                    correction_power_mw=float(
-                        batch_physics.correction_power_mw[i]
-                    ),
-                )
         self.stats.batched_dies += len(contexts)
-        return {ctx: ctx.with_pinned(entries) for ctx, entries in pinned.items()}

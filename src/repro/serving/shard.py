@@ -8,9 +8,12 @@ N worker processes.  Two rules live here:
 same SHA-256 digest scheme as the report cache
 (:func:`repro.core.engine.memo.fingerprint`).  The shard key is exactly
 the report-cache key — platform, config fingerprint, workload name and
-normalized context — so a given request type always routes to the same
-worker and keeps that shard's `ReportCache` hot, and a skewed catalog
-spreads over many more workers than there are distinct configurations.
+normalized context, built by the scheduler's own rules (the API
+registry's ``auto`` routing and
+:func:`~repro.serving.scheduler.build_platform`) — so a given request
+type always routes to the same worker and keeps that shard's
+`ReportCache` hot, and a skewed request mix spreads over many more
+workers than there are distinct configurations.
 
 **Wire format.**  Workers are separate processes fed entirely by
 *documents*: :func:`request_to_wire` serializes a
@@ -25,7 +28,7 @@ without ever constructing parent-side request objects.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.core.base import get_workload
 from repro.core.context import ExecutionContext
@@ -34,12 +37,7 @@ from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
 from repro.serving.cache import normalize_context
 from repro.serving.request import ServeRequest
-from repro.serving.scheduler import (
-    PLATFORM_ENTRIES,
-    PlatformCatalog,
-    build_platform,
-    default_platform_catalog,
-)
+from repro.serving.scheduler import PLATFORM_ENTRIES, build_platform
 
 #: Shard assignments a router memoizes.  Keys carry request fields (die
 #: seeds), so the memo is bounded; an evicted key hashes to the same
@@ -98,8 +96,6 @@ class ShardRouter:
 
     Args:
         num_shards: worker count to spread over.
-        catalog: platform name → accelerator factory (the scheduler's
-            catalog), used to fingerprint configurations.
 
     Example:
         >>> router = ShardRouter(num_shards=4)
@@ -109,19 +105,12 @@ class ShardRouter:
         True
     """
 
-    def __init__(
-        self,
-        num_shards: int,
-        catalog: Optional[PlatformCatalog] = None,
-    ) -> None:
+    def __init__(self, num_shards: int) -> None:
         if num_shards < 1:
             raise ConfigurationError(
                 f"need >= 1 shard, got {num_shards}"
             )
         self.num_shards = num_shards
-        self.catalog = (
-            default_platform_catalog() if catalog is None else catalog
-        )
         #: (platform, batch) -> configuration fingerprint.
         self._fingerprints = LRUMemo(
             "serving.router_fingerprints", PLATFORM_ENTRIES
@@ -134,7 +123,7 @@ class ShardRouter:
         key = (platform, batch)
         digest = self._fingerprints.get(key)
         if digest is None:
-            digest = build_platform(self.catalog, platform, batch)[1]
+            digest = build_platform(platform, batch)[1]
             self._fingerprints.put(key, digest)
         return digest
 

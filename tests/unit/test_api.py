@@ -293,6 +293,24 @@ class TestNoEvaluationPathSelector:
         assert "unrecognized arguments: --no-batching" in proc.stderr
 
     @pytest.mark.parametrize(
+        "flag, value", [("--max-queue", "1"), ("--tenant-rate", "1")]
+    )
+    def test_cli_serve_spec_rejects_fleet_flag(self, tmp_path, flag, value):
+        path = tmp_path / "serve.json"
+        path.write_text(
+            '{"schema": "repro.spec/1", '
+            '"analysis": {"kind": "serve", "trace": "t.json"}}'
+        )
+        proc = TestNonFiniteConfigRejected._repro(
+            "serve", "--spec", str(path), flag, value
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("repro: error: --spec replaces ")
+        assert flag.lstrip("-") in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
         "name, removed",
         [
             ("repro.analysis.sweep.run_sweep", "strategy"),
@@ -315,6 +333,9 @@ class TestNoEvaluationPathSelector:
             ),
             ("repro.api.session.Session.serve", "batched_physics"),
             ("repro.api.session.Session.serve", "granularity"),
+            ("repro.serving.scheduler.BatchingScheduler.__init__", "catalog"),
+            ("repro.serving.engine.ServingEngine.__init__", "catalog"),
+            ("repro.serving.shard.ShardRouter.__init__", "catalog"),
         ],
     )
     def test_entry_point_takes_no_selector(self, name, removed):

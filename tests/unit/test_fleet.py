@@ -61,18 +61,6 @@ class TestShardRouter:
         with pytest.raises(ConfigurationError, match="shard"):
             ShardRouter(num_shards=0)
 
-    def test_platform_missing_from_catalog_rejected(self):
-        from repro.serving.scheduler import default_platform_catalog
-
-        catalog = {
-            name: factory
-            for name, factory in default_platform_catalog().items()
-            if name != "ghost"
-        }
-        router = ShardRouter(num_shards=2, catalog=catalog)
-        with pytest.raises(ConfigurationError, match="unknown platform"):
-            router.shard_of(ServeRequest(workload="GCN-cora"))  # -> ghost
-
     def test_route_memos_bounded_and_assignments_stable(self):
         # Distinct die seeds and batch sizes are distinct keys; past the
         # bounds the memos evict, and an evicted key routes back to the
@@ -181,6 +169,23 @@ class TestMergeCounters:
 
 
 class TestServingFleet:
+    def test_temporal_gnn_served_like_session_run(self):
+        """Serving routes ``auto`` by the API registry's rule: a temporal
+        GNN costs on GHOST, in process and through the fleet, exactly as
+        ``Session().run`` costs it."""
+        from repro.api import Session
+
+        want = Session().run("GCN-ba-temporal").report.to_dict()
+        assert want["platform"] == "GHOST"
+        request = ServeRequest(workload="GCN-ba-temporal")
+        served = ServingEngine().serve([request])[0]
+        assert served.error is None
+        assert served.report.to_dict() == want
+        with ServingFleet(workers=1) as fleet:
+            routed = fleet.serve([request])[0]
+        assert routed.error is None
+        assert routed.report == want
+
     def test_one_worker_matches_in_process_engine(self):
         requests = small_trace()
         with ServingEngine(max_pending=8) as engine:

@@ -139,6 +139,19 @@ def test_dropped_name_disappears():
     assert "test.dropped" not in memo.stats()
 
 
+def test_reservations_add_up_and_trim_on_exit():
+    cache = LRUMemo("test.reserve", 2)
+    with cache.reserve(3):
+        with cache.reserve(1):
+            for key in range(6):
+                cache.put(key, key)
+            assert len(cache) == 6
+        assert len(cache) == 5 and 0 not in cache
+    assert cache.max_entries == 2
+    assert len(cache) == 2 and 4 in cache and 5 in cache
+    assert cache.stats.evictions == 4
+
+
 def test_clear_physics_cache_keeps_the_graph_memo():
     make_gnn_workload(GNNKind.GCN, "cora").materialize()
     TRON().run(get_workload("MLP-mnist"), ctx=resolve_corner("typical", 2))

@@ -25,7 +25,8 @@ from repro.serving import (
     record_to_request,
     save_trace,
 )
-from repro.serving.scheduler import PLATFORM_ENTRIES, default_platform_catalog
+import repro.serving.scheduler as scheduler_module
+from repro.serving.scheduler import PLATFORM_ENTRIES
 
 
 def _report(tag="w", latency=10.0):
@@ -117,9 +118,10 @@ class TestSchedulerCacheKey:
         ) != scheduler.cache_key(ServeRequest(workload="BERT-base", batch=8))
 
     def test_unknown_platform_rejected(self):
-        scheduler = BatchingScheduler(catalog={})
-        with pytest.raises(ConfigurationError, match="unknown platform"):
-            scheduler.cache_key(ServeRequest(workload="MLP-mnist"))
+        with pytest.raises(
+            ConfigurationError, match="platform must be one of .* 'warp'"
+        ):
+            ServeRequest(workload="MLP-mnist", platform="warp")
 
 
 class TestBatchingScheduler:
@@ -269,20 +271,16 @@ class TestOneThreadScheduler:
         assert all(r.ok for r in responses)
         assert scheduler.stats.groups == 4
 
-    def test_one_accelerator_per_platform_and_batch(self):
-        stock = default_platform_catalog()
+    def test_one_accelerator_per_platform_and_batch(self, monkeypatch):
+        build = scheduler_module.build_platform
         built = []
 
-        def counting(name):
-            def factory(batch):
-                built.append((name, batch))
-                return stock[name](batch)
+        def counting(platform, batch):
+            built.append((platform, batch))
+            return build(platform, batch)
 
-            return factory
-
-        scheduler = BatchingScheduler(
-            cache=None, catalog={name: counting(name) for name in stock}
-        )
+        monkeypatch.setattr(scheduler_module, "build_platform", counting)
+        scheduler = BatchingScheduler(cache=None)
         requests = self._multi_group_batch()
         for _ in range(3):
             scheduler.execute(requests)
@@ -358,11 +356,14 @@ class TestOneThreadScheduler:
 
             return call
 
-        def probing_tron(batch):
-            accelerator = default_platform_catalog()["tron"](batch)
-            accelerator.run = probed(accelerator.run)
-            return accelerator
+        build = scheduler_module.build_platform
 
+        def probing_build(platform, batch):
+            accelerator, digest = build(platform, batch)
+            accelerator.run = probed(accelerator.run)
+            return accelerator, digest
+
+        monkeypatch.setattr(scheduler_module, "build_platform", probing_build)
         key = ("TRON", WorkloadKind.MLP)
         monkeypatch.setitem(
             soa._EVALUATORS, key, probed(soa.soa_evaluator(*key))
@@ -373,9 +374,7 @@ class TestOneThreadScheduler:
         sys.setswitchinterval(1e-5)
         try:
             # A one-entry cache keeps nearly every request a miss.
-            with ServingEngine(
-                cache_entries=1, max_pending=3, catalog={"tron": probing_tron}
-            ) as engine:
+            with ServingEngine(cache_entries=1, max_pending=3) as engine:
                 served = [[] for _ in range(threads)]
 
                 def client(slot):
@@ -441,7 +440,7 @@ class TestColumnPass:
 
     def test_zipf_stream_matches_scalar_runs(self, monkeypatch):
         """A 256-type Zipf stream against a 64-entry cache: every costed
-        job equals the scalar ``run`` under its own pinned context."""
+        job equals the scalar ``run`` under its own context."""
         costed = []
         cost_column = BatchingScheduler._cost_column
 
@@ -467,7 +466,7 @@ class TestColumnPass:
         assert sum(points for *_, points in calls) > len(jobs) // 2
         for job in jobs:
             try:
-                want = job.accelerator.run(job.workload, ctx=job.run_ctx)
+                want = job.accelerator.run(job.workload, ctx=job.key[2])
             except (YieldError, MappingError, ConfigurationError) as exc:
                 assert job.report is None and job.error == str(exc)
                 continue
@@ -476,6 +475,9 @@ class TestColumnPass:
         assert all(r.ok or r.error for r in responses)
 
     def test_dead_die_fails_alone_in_its_column(self):
+        """A dead die sinks its column's evaluator call; every job then
+        runs scalar, so the dead one keeps its exact error text and its
+        column-mates their own reports."""
         from repro.core.context import ExecutionContext
         from repro.photonics.variation import ProcessVariationModel
 
@@ -501,30 +503,46 @@ class TestColumnPass:
             assert response.ok and response.report == want
         assert dead == 1
 
-    def test_decode_and_custom_platforms_run_scalar(self, monkeypatch):
-        """No evaluator covers DECODE, a catalog platform without a
-        config, or a context-bound accelerator: those jobs run scalar
-        and match a direct run, while column-mates of a DECODE job's
-        pass still use the evaluator."""
-        from repro.baselines.platforms import RooflinePlatform
-        from repro.core import GHOST
-        from repro.core.base import WorkloadKind
+    def test_pass_beyond_the_die_memo_draws_each_die_once(self):
+        """A pass with more dies than the per-die memo's bound reads
+        every die back from the memo instead of redrawing it, and the
+        memo returns to its bound afterwards."""
+        from repro.core.engine import corners, physics_cache_stats
 
-        typical = resolve_corner("typical", 3)
-
-        def roofline(batch):
-            return RooflinePlatform(
-                platform_name="TRON",
-                peak_gops=1e3,
-                memory_bandwidth_gbps=100.0,
-                tdp_w=10.0,
+        clear_physics_cache()
+        bound = corners._PHYSICS_CACHE.max_entries
+        dies = bound + 44
+        before = physics_cache_stats()["context_physics"]
+        responses = BatchingScheduler().execute(
+            [
+                ServeRequest(
+                    workload="MLP-mnist",
+                    ctx=resolve_corner("typical", seed=seed),
+                )
+                for seed in range(dies)
+            ]
+        )
+        after = physics_cache_stats()["context_physics"]
+        assert all(response.ok for response in responses)
+        assert after["insertions"] - before["insertions"] == dies
+        assert after["misses"] - before["misses"] == dies
+        assert after["hits"] - before["hits"] == dies
+        assert len(corners._PHYSICS_CACHE) == bound
+        assert corners._PHYSICS_CACHE.max_entries == bound
+        for seed in (0, dies - 1):
+            ctx = resolve_corner("typical", seed=seed)
+            assert responses[seed].report == TRON().run(
+                get_workload("MLP-mnist"), ctx=ctx
             )
 
-        def bound_ghost(batch):
-            return GHOST(ctx=typical)
+    def test_decode_runs_scalar_beside_a_column(self, monkeypatch):
+        """No evaluator covers DECODE: its job runs scalar and matches a
+        direct run, while the MLP column of the same pass still costs
+        in one evaluator call."""
+        from repro.core.base import WorkloadKind
 
         calls = self._record_evaluator_calls(monkeypatch)
-        stock = BatchingScheduler().execute(
+        responses = BatchingScheduler().execute(
             [
                 ServeRequest(workload="decode-gpt2-small"),
                 ServeRequest(workload="MLP-mnist"),
@@ -532,25 +550,13 @@ class TestColumnPass:
             ]
         )
         assert calls == [("TRON", WorkloadKind.MLP, 2)]
-        custom = BatchingScheduler(
-            catalog={"tron": roofline, "ghost": bound_ghost}
-        ).execute(
-            [
-                ServeRequest(workload="MLP-mnist"),
-                ServeRequest(workload="GCN-cora"),
-            ]
-        )
-        assert len(calls) == 1
         direct = [
             TRON().run(get_workload("decode-gpt2-small")),
             TRON().run(get_workload("MLP-mnist")),
             TRON(TRONConfig(batch=2)).run(get_workload("MLP-mnist")),
-            roofline(1).run(get_workload("MLP-mnist")),
-            bound_ghost(1).run(get_workload("GCN-cora")),
         ]
-        for response, want in zip(stock + custom, direct):
+        for response, want in zip(responses, direct):
             assert response.report == want
-        assert custom[1].report != GHOST().run(get_workload("GCN-cora"))
 
     def test_cache_order_follows_first_seen_jobs(self):
         """Cache insertion follows the jobs' first-seen (group) order,
@@ -659,11 +665,6 @@ class TestServingEngine:
             (False, True),
         ]
         assert all(0.0 <= r.latency_s <= wall_s for r in responses)
-
-    def test_custom_catalog(self):
-        catalog = default_platform_catalog()
-        engine = ServingEngine(catalog=catalog)
-        assert engine.serve([ServeRequest(workload="MLP-mnist")])[0].ok
 
     def test_rejects_degenerate_window(self):
         with pytest.raises(ConfigurationError):
