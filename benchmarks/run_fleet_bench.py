@@ -55,7 +55,6 @@ from repro.serving import (  # noqa: E402
 
 CATALOG_SIZE = 48
 TRACE_SEED = 0
-WINDOW = 64
 SPEEDUP_BAR = 5.0
 #: Single-process serving throughput (``stats.throughput_rps``) in the
 #: BENCH_serving.json the fleet tier was specced against.  The
@@ -77,8 +76,7 @@ def count_mismatches(reference, responses):
 
 def check_identity(requests, workers=1):
     """Gate 1: the sharded tier is bit-identical to in-process serving."""
-    with ServingEngine(max_pending=WINDOW) as engine:
-        reference = engine.serve(requests)
+    reference = ServingEngine().serve(requests)
     with ServingFleet(workers=workers) as fleet:
         responses = fleet.serve(requests)
     return count_mismatches(reference, responses)
@@ -129,11 +127,11 @@ def single_process_rps(num_requests):
         num_requests=num_requests, seed=TRACE_SEED, catalog_size=CATALOG_SIZE
     )
     requests = [record_to_request(record) for record in records]
-    with ServingEngine(max_pending=WINDOW) as engine:
-        engine.serve(requests)
-        t0 = time.perf_counter()
-        engine.serve(requests)
-        wall = time.perf_counter() - t0
+    engine = ServingEngine()
+    engine.serve(requests)
+    t0 = time.perf_counter()
+    engine.serve(requests)
+    wall = time.perf_counter() - t0
     return len(requests) / wall, "measured warm replay"
 
 
@@ -215,7 +213,6 @@ def main() -> int:
             "requests": num_requests,
             "catalog_size": CATALOG_SIZE,
             "seed": TRACE_SEED,
-            "window": WINDOW,
         },
         "workers": workers,
         "max_queue": max_queue,

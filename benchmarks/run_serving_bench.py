@@ -11,18 +11,18 @@ execution corners, multiple dies and batch sizes) three ways:
   a fresh accelerator and run the workload, with nothing shared between
   requests (physics caches cleared each time, mirroring the Monte-Carlo
   bench's naive convention).
-- **served (cold)** — the serving engine with an empty cache, micro-
-  batching submissions through the batching scheduler (dedup + batched
-  corner physics).
+- **served (cold)** — the serving engine with an empty cache, serving
+  the trace in 64-request micro-batches through the batching scheduler
+  (dedup + batched corner physics).
 - **served (warm replay)** — the same trace again on the same engine;
   every request must hit the report cache and return a report
   bit-identical to the cold run's.
 
 It then offers the warm trace **open-loop** at half the measured warm
 replay rate: arrival times are scheduled in advance from a Poisson
-process and each request is submitted on schedule no matter how the
-engine is doing, with latency measured from the *scheduled arrival* to
-completion.  Closed-loop replay lets the engine's own pace throttle the
+process; each step serves whatever has arrived by then, no matter how
+far behind the engine is, with latency measured from the *scheduled
+arrival* to completion.  Closed-loop replay lets the engine's own pace throttle the
 offered load, which understates latency exactly when the engine is
 slow (coordinated omission); the ``open_loop`` block carries the honest
 p50/p95/p99.
@@ -36,8 +36,9 @@ import argparse
 import json
 import pathlib
 import sys
-import threading
 import time
+
+import numpy as np
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
@@ -83,45 +84,40 @@ def run_naive(requests):
 
 
 def run_served(engine, requests):
-    """Replay the trace through the engine's async submission path."""
-    futures = [engine.submit(request) for request in requests]
-    engine.drain()
-    return [future.result() for future in futures]
+    """Replay the trace through the engine in ``WINDOW``-request
+    micro-batches."""
+    responses = []
+    for offset in range(0, len(requests), WINDOW):
+        responses += engine.serve(requests[offset:offset + WINDOW])
+    return responses
 
 
 def run_open_loop(engine, requests, process, seed=0):
     """Offer ``requests`` on the arrival schedule; honest latencies.
 
-    Latency is scheduled-arrival to completion (stamped by the future's
-    done callback), so queueing delay behind a slow engine counts —
-    the closed-loop replay above cannot see it.
+    Each step serves whatever has arrived (at most ``WINDOW`` requests)
+    as one micro-batch.  Latency is scheduled-arrival to completion, so
+    queueing delay behind a slow engine counts — the closed-loop replay
+    above cannot see it.
     """
     times = process.times(len(requests), seed=seed)
     latencies = []
-    lock = threading.Lock()
-
-    def record_completion(target_s):
-        def callback(_future):
-            latency = time.perf_counter() - target_s
-            with lock:
-                latencies.append(latency)
-
-        return callback
-
     start = time.perf_counter()
-    for request, offset in zip(requests, times):
-        target = start + float(offset)
-        while True:
-            gap = target - time.perf_counter()
-            if gap <= 0.0:
-                break
-            engine.flush()  # don't let buffered work idle while pacing
+    served = 0
+    while served < len(requests):
+        gap = start + float(times[served]) - time.perf_counter()
+        if gap > 0.0:
             time.sleep(min(gap, 0.001))
-        engine.submit(request).add_done_callback(record_completion(target))
-    engine.drain()
+            continue
+        now = time.perf_counter() - start
+        arrived = int(np.searchsorted(times, now, side="right"))
+        end = min(arrived, served + WINDOW)
+        engine.serve(requests[served:end])
+        done = time.perf_counter()
+        latencies += [done - start - float(t) for t in times[served:end]]
+        served = end
     duration = time.perf_counter() - start
-    with lock:
-        quantiles = latency_quantiles(latencies)
+    quantiles = latency_quantiles(latencies)
     return {
         "arrivals": process.describe(),
         "offered_rps": process.rate_rps,
@@ -158,7 +154,7 @@ def main() -> int:
     naive_reports = run_naive(requests)
     naive_s = time.perf_counter() - t0
 
-    engine = ServingEngine(max_pending=WINDOW)
+    engine = ServingEngine()
     t0 = time.perf_counter()
     cold = run_served(engine, requests)
     cold_s = time.perf_counter() - t0

@@ -45,6 +45,11 @@ from repro.api.results import (
 from repro.api.spec import ExperimentSpec
 from repro.errors import ConfigurationError
 
+#: ``serve`` defaults, shared with the CLI parser: the in-process
+#: micro-batch window and the fleet's per-shard in-flight bound.
+SERVE_WINDOW = 64
+SERVE_MAX_QUEUE = 256
+
 
 def _reject_unused_spec_fields(spec: ExperimentSpec) -> None:
     """Fail loudly on spec fields the declared analysis cannot honor.
@@ -362,11 +367,11 @@ class Session:
         trace: Optional[str] = None,
         requests: Optional[Sequence] = None,
         repeat: int = 1,
-        window: int = 64,
+        window: int = SERVE_WINDOW,
         cache_entries: int = 1024,
         workers: int = 0,
         arrivals: Optional[str] = None,
-        max_queue: int = 256,
+        max_queue: int = SERVE_MAX_QUEUE,
         tenant_rate: Optional[float] = None,
         seed: int = 0,
     ) -> ServeResult:
@@ -380,7 +385,9 @@ class Session:
                 :class:`~repro.serving.request.ServeRequest`, a trace
                 record dict, or a run-kind :class:`ExperimentSpec`.
             repeat: replay the stream N times (the cache stays warm).
-            window: in-process micro-batch window (requests per flush).
+            window: requests per in-process micro-batch (one engine
+                ``serve`` call); in-process only — the fleet batches
+                per shard.
             cache_entries: report-cache bound (LRU beyond it).
             workers: ``0`` serves in process; ``>= 1`` shards the
                 stream over that many worker processes
@@ -392,8 +399,9 @@ class Session:
                 recorded arrival hint) — fleet mode only; ``None``
                 replays closed-loop.
             max_queue: fleet per-shard in-flight bound (admission
-                control sheds beyond it).
-            tenant_rate: fleet per-tenant token-bucket rate (req/s).
+                control sheds beyond it); fleet mode only.
+            tenant_rate: fleet per-tenant token-bucket rate (req/s);
+                fleet mode only.
             seed: arrival-schedule seed (fleet open loop).
         """
         from repro.core.engine import physics_cache_stats
@@ -410,9 +418,27 @@ class Session:
                 "serve needs exactly one of a trace path or a request "
                 "sequence"
             )
+        # Options the chosen tier would ignore fail here, not silently.
         if arrivals is not None and not workers:
             raise ConfigurationError(
                 "open-loop arrivals need a worker fleet; pass workers >= 1"
+            )
+        if not workers and max_queue != SERVE_MAX_QUEUE:
+            raise ConfigurationError(
+                "max_queue bounds the worker fleet's shard queues; "
+                "in-process serving has none, so pass workers >= 1"
+            )
+        if not workers and tenant_rate is not None:
+            raise ConfigurationError(
+                "tenant_rate is a worker-fleet admission quota; "
+                "in-process serving admits everything, so pass workers >= 1"
+            )
+        if window < 1:
+            raise ConfigurationError(f"window must be >= 1, got {window}")
+        if workers and window != SERVE_WINDOW:
+            raise ConfigurationError(
+                "window sets the in-process micro-batch; a worker fleet "
+                "batches per shard, so drop window or pass workers=0"
             )
         tenants: List[Optional[str]] = []
         if trace is not None:
@@ -466,12 +492,10 @@ class Session:
                 tenant_rate=tenant_rate,
                 seed=seed,
             )
-        engine = ServingEngine(cache_entries=cache_entries, max_pending=window)
-        with engine:
-            for _ in range(repeat):
-                for request in stream:
-                    engine.submit(request)
-                engine.drain()
+        engine = ServingEngine(cache_entries=cache_entries)
+        for _ in range(repeat):
+            for offset in range(0, len(stream), window):
+                engine.serve(stream[offset:offset + window])
         return ServeResult(
             trace=label,
             repeat=repeat,

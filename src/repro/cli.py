@@ -47,6 +47,7 @@ from repro._version import __version__
 # Re-exported here for backwards compatibility: the envelope builder
 # now lives with the typed result objects in repro.api.results.
 from repro.api.results import JSON_SCHEMA_VERSION, json_envelope  # noqa: F401
+from repro.api.session import SERVE_MAX_QUEUE, SERVE_WINDOW
 
 
 def _session():
@@ -386,8 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--window",
         type=int,
-        default=64,
-        help="in-process micro-batch window: requests coalesced per flush",
+        default=SERVE_WINDOW,
+        help="in-process micro-batch window: requests coalesced per flush "
+        "(rejected with --workers)",
     )
     serve.add_argument(
         "--cache-entries",
@@ -412,15 +414,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--max-queue",
         type=int,
-        default=256,
+        default=SERVE_MAX_QUEUE,
         help="fleet per-shard in-flight bound; admission control sheds "
-        "beyond it",
+        "beyond it (needs --workers)",
     )
     serve.add_argument(
         "--tenant-rate",
         type=float,
         default=None,
-        help="fleet per-tenant token-bucket quota (req/s)",
+        help="fleet per-tenant token-bucket quota (req/s; needs --workers)",
     )
     serve.add_argument("--json", action="store_true")
     _add_spec(serve)

@@ -75,8 +75,8 @@ _REGISTRY_LOCK = threading.Lock()
 class LRUMemo:
     """A named, bounded LRU mapping with hit/miss/eviction accounting.
 
-    Thread-safe: the serving engine's flush thread and ``submit``
-    callers share the module-level memos.
+    Thread-safe: concurrent callers (threads sharing one serving
+    engine, say) share the module-level memos.
     """
 
     def __init__(self, name: str, max_entries: int = 256) -> None:

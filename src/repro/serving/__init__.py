@@ -13,9 +13,9 @@ scale:
   coalesces request streams into per-(platform, context-family) groups,
   deduplicates identical requests, and evaluates each group's dies
   through one batched corner-physics pass.
-- :mod:`repro.serving.engine` — the :class:`ServingEngine` front-end:
-  synchronous batches plus ``concurrent.futures`` async submission,
-  with per-request latency and fleet-level hit-rate accounting.
+- :mod:`repro.serving.engine` — the in-process :class:`ServingEngine`
+  front-end: one synchronous micro-batch per ``serve`` call, with
+  per-request latency and fleet-level hit-rate accounting.
 - :mod:`repro.serving.trace` — the JSON trace format and the mixed
   LLM+GNN traffic generator behind ``repro serve`` / ``repro
   gen-trace``.
@@ -27,7 +27,8 @@ scale:
   plain-document wire codec of the fleet tier.
 - :mod:`repro.serving.fleet` — the :class:`ServingFleet`: N sharded
   worker processes (each a private ``ServingEngine``) behind one
-  admission-controlled front door, with an open-loop load runner.
+  admission-controlled, asynchronous front door, with an open-loop
+  load runner.
 
 See ``docs/serving.md`` for cache keying rules, batching semantics,
 the trace format and the fleet tier.

@@ -1,18 +1,12 @@
-"""The serving front-end: synchronous batches and async submission.
+"""The in-process serving front-end: synchronous micro-batches.
 
-:class:`ServingEngine` is the object a traffic source talks to.  It owns
-the report cache and the batching scheduler, and exposes two entry
-points:
-
-- :meth:`ServingEngine.serve` — cost a whole request sequence
-  synchronously (one scheduler micro-batch) and return the responses in
-  request order.
-- :meth:`ServingEngine.submit` — enqueue one request and get a
-  :class:`concurrent.futures.Future` back.  Pending requests flush as a
-  micro-batch once ``max_pending`` accumulate (or on :meth:`flush` /
-  :meth:`drain`); a single worker thread executes flushes in arrival
-  order, so the cache warms monotonically and responses stay
-  deterministic.
+:class:`ServingEngine` is the object an in-process traffic source talks
+to.  It owns the report cache and the batching scheduler;
+:meth:`ServingEngine.serve` costs a whole request sequence as one
+scheduler micro-batch and returns the responses in request order.
+Traffic that needs asynchronous submission, admission control or
+open-loop arrivals goes through :class:`~repro.serving.fleet.ServingFleet`,
+whose workers each run one engine.
 
 Requests route and cost as ``repro run`` would: the scheduler builds
 each platform through the API registry
@@ -29,17 +23,14 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Deque, Dict, List, Sequence
-
-import numpy as np
 
 #: Most-recent request latencies retained for the percentile stats —
 #: the window keeps a long-lived engine's accounting O(1) per request.
 LATENCY_WINDOW = 4096
 
-from repro.errors import ConfigurationError
+from repro.serving.arrivals import latency_quantiles
 from repro.serving.cache import ReportCache
 from repro.serving.request import ServeRequest, ServeResponse
 from repro.serving.scheduler import BatchingScheduler
@@ -94,29 +85,10 @@ class ServingStats:
         """Mean service latency over all requests (exact)."""
         return self.latency_sum_s / self.requests if self.requests else 0.0
 
-    def _percentile(self, q: float) -> float:
-        """``q``-th percentile service latency over the recent window."""
-        if not self.recent_latencies_s:
-            return 0.0
-        return float(np.percentile(self.recent_latencies_s, q))
-
-    @property
-    def p50_latency_s(self) -> float:
-        """Median service latency over the recent window."""
-        return self._percentile(50)
-
-    @property
-    def p95_latency_s(self) -> float:
-        """95th-percentile service latency over the recent window."""
-        return self._percentile(95)
-
-    @property
-    def p99_latency_s(self) -> float:
-        """99th-percentile service latency over the recent window."""
-        return self._percentile(99)
-
     def to_dict(self) -> Dict:
-        """JSON-serializable form (no per-request arrays)."""
+        """JSON-serializable form (no per-request arrays); the
+        percentiles come from the recent window."""
+        latency = latency_quantiles(self.recent_latencies_s)
         return {
             "requests": self.requests,
             "errors": self.errors,
@@ -127,9 +99,9 @@ class ServingStats:
             "hit_rate": self.hit_rate,
             "throughput_rps": self.throughput_rps,
             "mean_latency_s": self.mean_latency_s,
-            "p50_latency_s": self.p50_latency_s,
-            "p95_latency_s": self.p95_latency_s,
-            "p99_latency_s": self.p99_latency_s,
+            "p50_latency_s": latency["p50_latency_s"],
+            "p95_latency_s": latency["p95_latency_s"],
+            "p99_latency_s": latency["p99_latency_s"],
         }
 
 
@@ -138,11 +110,9 @@ class ServingEngine:
 
     Args:
         cache_entries: report-cache bound (LRU beyond it).
-        max_pending: submissions that trigger an automatic flush.
 
-    Each micro-batch evaluates on one thread (the caller's for
-    :meth:`serve`, the flush worker's for :meth:`submit`); the scheduler
-    serializes the two.
+    Each micro-batch evaluates on the calling thread; the scheduler
+    serializes concurrent :meth:`serve` callers.
 
     Example:
         >>> engine = ServingEngine()
@@ -154,30 +124,12 @@ class ServingEngine:
         True
     """
 
-    def __init__(
-        self, cache_entries: int = 1024, max_pending: int = 64
-    ) -> None:
-        if max_pending < 1:
-            raise ConfigurationError(
-                f"max_pending must be >= 1, got {max_pending}"
-            )
+    def __init__(self, cache_entries: int = 1024) -> None:
         self.cache = ReportCache(max_entries=cache_entries)
         self.scheduler = BatchingScheduler(cache=self.cache)
-        self.max_pending = max_pending
         self.stats = ServingStats()
-        self._pending: List[tuple] = []
+        # Concurrent serve() callers race on the stats.
         self._lock = threading.Lock()
-        # One worker: flushes execute in arrival order, which keeps the
-        # cache-warming sequence (and therefore every response)
-        # deterministic for a given submission order.
-        self._flusher = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
-        )
-        self._outstanding: List[Future] = []
-
-    # ------------------------------------------------------------------
-    # Synchronous path
-    # ------------------------------------------------------------------
 
     def serve(
         self, requests: Sequence[ServeRequest]
@@ -201,73 +153,10 @@ class ServingEngine:
         """
         return self.serve([ServeRequest.from_spec(spec) for spec in specs])
 
-    # ------------------------------------------------------------------
-    # Asynchronous path
-    # ------------------------------------------------------------------
-
-    def submit_spec(self, spec) -> "Future[ServeResponse]":
-        """Enqueue the request a run-kind spec denotes (see
-        :meth:`ServeRequest.from_spec <repro.serving.request.
-        ServeRequest.from_spec>`)."""
-        return self.submit(ServeRequest.from_spec(spec))
-
-    def submit(self, request: ServeRequest) -> "Future[ServeResponse]":
-        """Enqueue one request; flushes automatically at ``max_pending``."""
-        future: "Future[ServeResponse]" = Future()
-        with self._lock:
-            self._pending.append((request, future))
-            ready = len(self._pending) >= self.max_pending
-        if ready:
-            self.flush()
-        return future
-
-    def flush(self) -> None:
-        """Hand the current pending micro-batch to the flush worker."""
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-            if not batch:
-                return
-            self._outstanding.append(
-                self._flusher.submit(self._run_batch, batch)
-            )
-
-    def drain(self) -> None:
-        """Flush and block until every outstanding micro-batch resolves."""
-        self.flush()
-        while True:
-            with self._lock:
-                outstanding = self._outstanding
-                self._outstanding = []
-            if not outstanding:
-                return
-            for future in outstanding:
-                future.result()
-
     def close(self) -> None:
-        """Drain and shut the flush worker down."""
-        self.drain()
-        self._flusher.shutdown(wait=True)
-
-    def __enter__(self) -> "ServingEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _run_batch(self, batch: List[tuple]) -> None:
-        requests = [request for request, _ in batch]
-        try:
-            start = time.perf_counter()
-            responses = self.scheduler.execute(requests)
-            self._absorb(responses, time.perf_counter() - start)
-        except BaseException as exc:  # pragma: no cover - defensive
-            for _, future in batch:
-                if not future.done():
-                    future.set_exception(exc)
-            raise
-        for (_, future), response in zip(batch, responses):
-            future.set_result(response)
+        """Release nothing: serving is synchronous, so an engine holds no
+        thread or process.  Kept so callers that pair construction with
+        ``close()`` keep working."""
 
     # ------------------------------------------------------------------
     # Accounting

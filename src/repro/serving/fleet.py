@@ -197,7 +197,7 @@ def _worker_main(
     worker_id: int,
     inbox,
     outbox,
-    engine_kwargs: Dict[str, Any],
+    cache_entries: int,
     max_queue: int,
 ) -> None:
     """One shard: a private engine fed by wire documents.
@@ -210,7 +210,7 @@ def _worker_main(
     A ``("stop", None)`` item drains the inbox, emits the engine's
     accounting as ``("stats", worker_id, {...})`` and exits.
     """
-    engine = ServingEngine(**engine_kwargs)
+    engine = ServingEngine(cache_entries=cache_entries)
     # Decode memo: the router tags each distinct request type with a
     # ``type_id``, so the (reflectively validating, ~100x slower than a
     # dict hit) ExecutionContext round-trip runs once per *type*, not
@@ -343,12 +343,11 @@ class ServingFleet:
         ctx = multiprocessing.get_context(start_method)
         self._outbox = ctx.Queue()
         self._inboxes = [ctx.Queue() for _ in range(workers)]
-        engine_kwargs = dict(cache_entries=cache_entries)
         self._processes = [
             ctx.Process(
                 target=_worker_main,
                 args=(
-                    i, self._inboxes[i], self._outbox, engine_kwargs,
+                    i, self._inboxes[i], self._outbox, cache_entries,
                     max_queue,
                 ),
                 daemon=True,

@@ -35,8 +35,8 @@ long-lived accelerator per ``(platform, batch)``.  The cost models are
 pure Python, so under the GIL a thread pool could never overlap
 evaluations; it only paid thread start-up per flush and let cache
 insertions race.  The scheduler is synchronous and runs one micro-batch
-at a time; the asynchronous submission front-end lives in
-:mod:`repro.serving.engine`.
+at a time; asynchronous submission lives in the fleet tier
+(:mod:`repro.serving.fleet`).
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ class BatchingScheduler:
     ) -> List[ServeResponse]:
         """Serve one micro-batch, returning responses in request order.
 
-        Concurrent callers (``ServingEngine.serve`` racing the engine's
-        flush thread) run one after the other.
+        Concurrent callers (threads sharing one ``ServingEngine``) run
+        one after the other.
         """
         with self._lock:
             return self._execute(list(requests))

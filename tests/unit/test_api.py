@@ -797,13 +797,11 @@ class TestServingSpecs:
         from repro.serving import ServingEngine
 
         spec = ExperimentSpec(workload="MLP-mnist")
-        with ServingEngine() as engine:
-            responses = engine.serve_specs([spec, spec])
-            future = engine.submit_spec(spec)
-            engine.drain()
+        engine = ServingEngine()
+        responses = engine.serve_specs([spec, spec])
         assert responses[0].report.platform == "TRON"
         assert responses[1].deduped
-        assert future.result().cached
+        assert engine.serve_specs([spec])[0].cached
 
     def test_trace_record_may_embed_spec(self):
         from repro.serving.trace import record_to_request
@@ -833,6 +831,70 @@ class TestServingSpecs:
             }
         )
         assert flat == embedded
+
+
+class TestInProcessServe:
+    """``Session.serve`` without workers is synchronous: one engine
+    ``serve`` call per window, no thread; options only the other tier
+    honours are rejected instead of ignored."""
+
+    @staticmethod
+    def _trace(tmp_path, requests=20):
+        path = tmp_path / "trace.json"
+        Session().generate_trace(
+            output=str(path), requests=requests, catalog=6, seed=5
+        )
+        return str(path)
+
+    def test_starts_no_thread(self, tmp_path, monkeypatch):
+        import threading
+
+        trace = self._trace(tmp_path)
+        started = []
+        start = threading.Thread.start
+
+        def counting(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        result = Session().serve(trace=trace, repeat=2)
+        assert result.served == 40
+        assert started == []
+
+    @pytest.mark.parametrize("window", [1, 7, 64])
+    def test_one_flush_per_window(self, tmp_path, window):
+        trace = self._trace(tmp_path)
+        result = Session().serve(trace=trace, repeat=2, window=window)
+        assert result.stats["flushes"] == 2 * math.ceil(20 / window)
+        assert result.served == 40
+
+    @pytest.mark.parametrize(
+        "flags, option",
+        [
+            pytest.param(["--max-queue", "1"], "max_queue", id="max-queue"),
+            pytest.param(
+                ["--tenant-rate", "0.000001"], "tenant_rate",
+                id="tenant-rate",
+            ),
+            pytest.param(
+                ["--workers", "1", "--window", "8"], "window",
+                id="fleet-window",
+            ),
+            pytest.param(["--window", "0"], "window", id="zero-window"),
+        ],
+    )
+    def test_cli_rejects_option_the_tier_ignores(
+        self, tmp_path, flags, option
+    ):
+        trace = self._trace(tmp_path)
+        proc = TestNonFiniteConfigRejected._repro(
+            "serve", "--trace", trace, "--json", *flags
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"repro: error: {option} ")
+        assert proc.stderr.count("\n") == 1
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,8 @@ SCRIPTS = {
     "run_mc_bench.py": "[-h] [output]",
     "run_memory_bench.py": "[-h] [--quick] [output]",
     "run_sweep_bench.py": "[-h] [--quick] [--perf-smoke] [output]",
+    "run_fleet_bench.py": "[-h] [--quick] [--workers WORKERS] [output]",
+    "run_streaming_bench.py": "[-h] [--quick] [output]",
 }
 
 

@@ -188,8 +188,7 @@ class TestServingFleet:
 
     def test_one_worker_matches_in_process_engine(self):
         requests = small_trace()
-        with ServingEngine(max_pending=8) as engine:
-            reference = engine.serve(requests)
+        reference = ServingEngine().serve(requests)
         with ServingFleet(workers=1) as fleet:
             responses = fleet.serve(requests)
         for ref, response in zip(reference, responses):
@@ -200,8 +199,7 @@ class TestServingFleet:
         # The worker's arguments must survive pickling into a fresh
         # interpreter, not just a fork of the parent.
         requests = small_trace()
-        with ServingEngine() as engine:
-            reference = engine.serve(requests)
+        reference = ServingEngine().serve(requests)
         with ServingFleet(workers=1, start_method="spawn") as fleet:
             responses = fleet.serve(requests)
         assert [r.report for r in responses] == [
@@ -216,8 +214,7 @@ class TestServingFleet:
         # queue item and runs as one scheduler pass: dedup sees every
         # repeat, exactly as one in-process serve() call.
         requests = small_trace(num_requests=300)
-        with ServingEngine() as engine:
-            reference = engine.serve(requests)
+        reference = ServingEngine().serve(requests)
         fleet = ServingFleet(workers=1, max_queue=len(requests))
         try:
             futures = [fleet.submit(request) for request in requests]
@@ -352,8 +349,9 @@ class TestServingFleet:
             ServeRequest(workload="MLP-mnist", batch=batch)
             for batch in range(1, 5 * bound)
         ]
-        with ServingEngine(max_pending=8) as engine:
-            reference = [r.to_dict()["report"] for r in engine.serve(requests)]
+        reference = [
+            r.to_dict()["report"] for r in ServingEngine().serve(requests)
+        ]
         fleet = ServingFleet(
             workers=1, cache_entries=cache_entries, max_queue=max_queue
         )

@@ -63,8 +63,7 @@ def exercised():
     request = ServeRequest(workload="MLP-mnist", ctx=ctx)
     engine.serve([request])
     router.shard_of(request)
-    yield tron, ghost, engine, router
-    engine.close()
+    return tron, ghost, engine, router
 
 
 def test_every_src_memo_is_named():

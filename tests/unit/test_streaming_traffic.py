@@ -179,8 +179,7 @@ def test_one_worker_fleet_replay_is_bit_identical(model):
     records = model.generate(num_requests=40)
     requests = [record_to_request(r) for r in records]
     tenants = [record_tenant(r) for r in records]
-    with ServingEngine(max_pending=16) as engine:
-        reference = engine.serve(requests)
+    reference = ServingEngine().serve(requests)
     with ServingFleet(workers=1) as fleet:
         responses = fleet.serve(requests, tenants=tenants)
     assert len(reference) == len(responses)

@@ -131,7 +131,6 @@ def profile_serving(
     for batch in stream[batches:]:
         engine.serve(batch)
     profiler.disable()
-    engine.close()
     stats = pstats.Stats(profiler)
     stats.sort_stats("cumulative")
     stats.print_stats(top)
