@@ -42,12 +42,12 @@ from repro.api.results import (
     SweepResult,
     TraceResult,
 )
-from repro.api.spec import ExperimentSpec
+from repro.api.spec import SERVE_WINDOW, ExperimentSpec
 from repro.errors import ConfigurationError
 
-#: ``serve`` defaults, shared with the CLI parser: the in-process
-#: micro-batch window and the fleet's per-shard in-flight bound.
-SERVE_WINDOW = 64
+#: ``serve`` default shared with the CLI parser: the fleet's per-shard
+#: in-flight bound (the in-process window is the spec's
+#: :data:`~repro.api.spec.SERVE_WINDOW`).
 SERVE_MAX_QUEUE = 256
 
 

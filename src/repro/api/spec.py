@@ -196,6 +196,11 @@ class ContextSpec:
         return ctx
 
 
+#: The in-process ``serve`` micro-batch window (requests per engine
+#: ``serve`` call); a worker fleet batches per shard instead.
+SERVE_WINDOW = 64
+
+
 @dataclass(frozen=True)
 class AnalysisSpec:
     """The analysis block: which evaluation to run, and its knobs.
@@ -208,7 +213,8 @@ class AnalysisSpec:
         trace: request-trace path to replay (``serve``).
         repeat: trace replays, cache kept warm between them (``serve``).
         window: micro-batch window — requests coalesced per flush
-            (``serve``).
+            (``serve``, in process only: a fleet spec keeps the
+            default).
         cache_entries: report-cache bound (``serve``).
         workers: worker-process count of the sharded fleet tier; ``0``
             serves in process (``serve``).
@@ -229,7 +235,7 @@ class AnalysisSpec:
     corners_axis: bool = False
     trace: Optional[str] = None
     repeat: int = 1
-    window: int = 64
+    window: int = SERVE_WINDOW
     cache_entries: int = 1024
     workers: int = 0
     arrivals: Optional[str] = None
@@ -260,6 +266,12 @@ class AnalysisSpec:
                     "analysis.arrivals needs analysis.workers >= 1 "
                     "(open-loop load runs on the fleet tier)"
                 )
+        if self.workers and self.window != SERVE_WINDOW:
+            raise ConfigurationError(
+                "window sets the in-process micro-batch; a worker fleet "
+                "(analysis.workers >= 1) batches per shard, so drop "
+                "analysis.window or set analysis.workers to 0"
+            )
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain-dict form (always the complete canonical field set)."""

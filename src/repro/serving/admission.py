@@ -22,7 +22,6 @@ policies are unit-testable without wall time.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -146,7 +145,6 @@ class AdmissionController:
         if self.tenant_burst is None and self.tenant_rate_rps is not None:
             self.tenant_burst = max(1.0, self.tenant_rate_rps)
         self._buckets: Dict[Optional[str], TokenBucket] = {}
-        self._lock = threading.Lock()
 
     def admit(
         self,
@@ -158,21 +156,23 @@ class AdmissionController:
 
         ``in_flight`` is the target shard's current backlog (queued +
         executing); ``now_s`` is the caller's monotonic clock, which
-        drives the quota refill.
+        drives the quota refill.  The controller holds no lock of its
+        own: concurrent callers serialize around it (the fleet decides
+        under the same lock that reads the backlog and queues the
+        request).
         """
-        with self._lock:
-            self.stats.submitted += 1
-            if in_flight >= self.max_queue:
-                self.stats.shed_queue += 1
-                return SHED_QUEUE
-            if self.tenant_rate_rps is not None:
-                bucket = self._buckets.get(tenant)
-                if bucket is None:
-                    bucket = self._buckets[tenant] = TokenBucket(
-                        self.tenant_rate_rps, self.tenant_burst
-                    )
-                if not bucket.try_take(now_s):
-                    self.stats.shed_quota += 1
-                    return SHED_QUOTA
-            self.stats.admitted += 1
-            return None
+        self.stats.submitted += 1
+        if in_flight >= self.max_queue:
+            self.stats.shed_queue += 1
+            return SHED_QUEUE
+        if self.tenant_rate_rps is not None:
+            bucket = self._buckets.get(tenant)
+            if bucket is None:
+                bucket = self._buckets[tenant] = TokenBucket(
+                    self.tenant_rate_rps, self.tenant_burst
+                )
+            if not bucket.try_take(now_s):
+                self.stats.shed_quota += 1
+                return SHED_QUOTA
+        self.stats.admitted += 1
+        return None

@@ -65,11 +65,6 @@ class ServingStats:
         default_factory=lambda: deque(maxlen=LATENCY_WINDOW)
     )
 
-    def record_latency(self, latency_s: float) -> None:
-        """Fold one request latency into the running accounting."""
-        self.latency_sum_s += latency_s
-        self.recent_latencies_s.append(latency_s)
-
     @property
     def hit_rate(self) -> float:
         """Fraction of requests served from the report cache."""
@@ -165,15 +160,14 @@ class ServingEngine:
     def _absorb(
         self, responses: Sequence[ServeResponse], busy_s: float
     ) -> None:
+        latencies = [response.latency_s for response in responses]
         with self._lock:
-            self.stats.flushes += 1
-            self.stats.busy_s += busy_s
-            for response in responses:
-                self.stats.requests += 1
-                if not response.ok:
-                    self.stats.errors += 1
-                if response.cached:
-                    self.stats.cache_hits += 1
-                if response.deduped:
-                    self.stats.deduped += 1
-                self.stats.record_latency(response.latency_s)
+            stats = self.stats
+            stats.flushes += 1
+            stats.busy_s += busy_s
+            stats.requests += len(responses)
+            stats.errors += sum(r.report is None for r in responses)
+            stats.cache_hits += sum(r.cached for r in responses)
+            stats.deduped += sum(r.deduped for r in responses)
+            stats.latency_sum_s += sum(latencies)
+            stats.recent_latencies_s.extend(latencies)

@@ -221,20 +221,31 @@ class BatchingScheduler:
 
         # Pass 1: cache lookups + in-batch dedup.  A request that cannot
         # even resolve (unknown workload, unroutable platform/batch)
-        # fails alone; it must not sink the micro-batch.
+        # fails alone; it must not sink the micro-batch.  Resolution is
+        # pure in the request, so each distinct request object resolves
+        # once per pass (``requests`` keeps every id alive); the cache
+        # lookup stays per request, so LRU recency and hit counts do not
+        # depend on how many objects the stream repeats.
+        resolved: Dict[int, object] = {}
         jobs: Dict[CacheKey, _Job] = {}
         for i, request in enumerate(requests):
-            try:
-                workload, platform, accelerator, key = self._resolve(request)
-            except (ConfigurationError, MappingError) as exc:
+            entry = resolved.get(id(request))
+            if entry is None:
+                try:
+                    entry = self._resolve(request)
+                except (ConfigurationError, MappingError) as exc:
+                    entry = str(exc)
+                resolved[id(request)] = entry
+            if isinstance(entry, str):
                 self.stats.errors += 1
                 responses[i] = ServeResponse(
                     request=request,
                     report=None,
-                    error=str(exc),
+                    error=entry,
                     latency_s=time.perf_counter() - start,
                 )
                 continue
+            workload, platform, accelerator, key = entry
             cached = self.cache.get(key) if self.cache is not None else None
             if cached is not None:
                 self.stats.cache_hits += 1

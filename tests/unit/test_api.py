@@ -832,6 +832,33 @@ class TestServingSpecs:
         )
         assert flat == embedded
 
+    def test_fleet_spec_with_window_rejected_when_built(self):
+        """A fleet batches per shard, so a fleet serve spec that sets
+        the in-process window fails at construction, not mid-serve."""
+        from repro.api.spec import SERVE_WINDOW
+
+        assert AnalysisSpec(kind="serve").window == SERVE_WINDOW
+        assert AnalysisSpec(kind="serve", workers=1).window == SERVE_WINDOW
+        assert AnalysisSpec(kind="serve", window=8).window == 8
+        with pytest.raises(ConfigurationError, match=r"analysis\.window"):
+            AnalysisSpec(kind="serve", workers=1, window=8)
+
+    def test_cli_fleet_spec_with_window_is_one_error_line(self, tmp_path):
+        spec = tmp_path / "serve.json"
+        spec.write_text(json.dumps({
+            "schema": "repro.spec/1",
+            "analysis": {
+                "kind": "serve", "trace": str(tmp_path / "unread.json"),
+                "workers": 1, "window": 8,
+            },
+        }))
+        proc = TestNonFiniteConfigRejected._repro("serve", "--spec", str(spec))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("repro: error: analysis: window ")
+        assert "analysis.window" in proc.stderr
+        assert proc.stderr.count("\n") == 1
+
 
 class TestInProcessServe:
     """``Session.serve`` without workers is synchronous: one engine

@@ -195,6 +195,99 @@ class TestServingFleet:
             assert response.report == ref.to_dict()["report"]
             assert response.cached == ref.cached
 
+    def test_one_worker_responses_match_engine_field_by_field(self):
+        """The columnar reply loses nothing: pass by pass, a one-worker
+        fleet answers exactly as the in-process engine does — report
+        document, flags, error text — through repeats, evictions past a
+        two-entry cache and a dead die that errors in the worker; and
+        each latency is the worker's own stamp within its pass."""
+        from repro.core.context import ExecutionContext
+        from repro.photonics.variation import ProcessVariationModel
+
+        dies = [
+            ServeRequest(
+                workload="MLP-mnist",
+                ctx=ExecutionContext(
+                    variation=ProcessVariationModel(),
+                    seed=seed,
+                    tuner_range_nm=6.0,
+                ),
+            )
+            for seed in range(8)  # one of these dies is dead
+        ]
+        kinds = small_trace(num_requests=40, catalog_size=6) + dies
+        passes = [kinds, kinds[::-1], kinds[:10] * 3]
+        engine = ServingEngine(cache_entries=2)
+        fleet = ServingFleet(workers=1, cache_entries=2, max_queue=128)
+        served = []
+        try:
+            for batch in passes:
+                futures = [fleet.submit(request) for request in batch]
+                assert fleet.drain(timeout=120)
+                got = [future.result(timeout=60) for future in futures]
+                served.extend(got)
+                want = engine.serve(batch)
+                assert [r.workload for r in got] == [
+                    r.request.workload for r in want
+                ]
+                assert [r.report for r in got] == [
+                    r.to_dict()["report"] for r in want
+                ]
+                assert [(r.cached, r.deduped, r.error) for r in got] == [
+                    (r.cached, r.deduped, r.error) for r in want
+                ]
+                assert not any(r.shed for r in got)
+                # Evaluated jobs share the pass's one finishing stamp;
+                # cache hits are stamped earlier in the same pass.
+                evaluated = {r.latency_s for r in got if not r.cached}
+                assert len(evaluated) == 1
+                assert all(
+                    0.0 <= r.latency_s <= max(evaluated) for r in got
+                )
+                assert all(
+                    r.latency_s <= r.open_latency_s for r in got
+                )
+        finally:
+            fleet.close()
+        assert fleet.worker_stats[0]["stats"]["flushes"] == len(passes)
+        assert engine.cache.stats.to_dict() == fleet.worker_stats[0]["cache"]
+        assert engine.cache.stats.evictions > 0
+        assert any(r.cached for r in served)
+        assert any(r.deduped for r in served)
+        assert any(r.error and not r.cached for r in served)
+
+    def test_drain_returns_after_every_response_is_delivered(self):
+        """``serve`` reads each entry's response right after ``drain``;
+        a drain that returned once the reply was popped, before the
+        collector had delivered it, handed back ``None`` for the tail
+        of a large batch.  A tiny GIL switch interval lets the waiting
+        thread run as soon as it is notified."""
+        import sys
+
+        requests = small_trace() * 100
+        interval = sys.getswitchinterval()
+        with ServingFleet(workers=1, max_queue=len(requests)) as fleet:
+            sys.setswitchinterval(1e-6)
+            try:
+                responses = [fleet.serve(requests) for _ in range(4)]
+            finally:
+                sys.setswitchinterval(interval)
+        for served in responses:
+            assert [r is not None and r.ok for r in served] == [True] * len(
+                requests
+            )
+
+    def test_submit_to_closed_fleet_takes_no_admission_decision(self):
+        fleet = ServingFleet(workers=1)
+        future = fleet.submit(ServeRequest(workload="MLP-mnist"))
+        fleet.close()
+        assert future.result(timeout=60).ok
+        before = fleet.admission.stats.to_dict()
+        with pytest.raises(ConfigurationError, match="closed"):
+            fleet.submit(ServeRequest(workload="MLP-mnist"))
+        assert fleet.admission.stats.to_dict() == before
+        assert before["submitted"] == before["admitted"] == 1
+
     def test_spawned_worker_matches_in_process_engine(self):
         # The worker's arguments must survive pickling into a fresh
         # interpreter, not just a fork of the parent.

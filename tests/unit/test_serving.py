@@ -145,6 +145,59 @@ class TestBatchingScheduler:
         assert second.report is first.report
         assert scheduler.stats.evaluated == 1
 
+    def test_pass_resolves_each_request_object_once(self, monkeypatch):
+        """A pass of N copies of K request objects resolves K times, and
+        counts exactly what a stream of N distinct-but-equal objects
+        (one resolve per request) counts: same flags, same scheduler
+        stats, same report-cache hits, misses and evictions."""
+        import copy
+
+        kinds = [
+            ServeRequest(workload="MLP-mnist"),
+            ServeRequest(workload="BERT-base"),
+            ServeRequest(workload="MLP-mnist", ctx=resolve_corner("typical", 1)),
+            ServeRequest(workload="GCN-cora"),
+            ServeRequest(workload="no-such-workload"),
+        ]
+        picks = [0, 1, 0, 2, 3, 4, 1, 0, 4, 2, 3, 3]
+        calls = []
+        resolve = BatchingScheduler._resolve
+
+        def counting(self, request):
+            calls.append(request)
+            return resolve(self, request)
+
+        monkeypatch.setattr(BatchingScheduler, "_resolve", counting)
+
+        def replay(fresh_objects):
+            # A two-entry cache evicts across the passes.
+            scheduler = BatchingScheduler(cache=ReportCache(max_entries=2))
+            flags = []
+            for _ in range(3):
+                batch = [
+                    copy.copy(kinds[k]) if fresh_objects else kinds[k]
+                    for k in picks
+                ]
+                del calls[:]
+                responses = scheduler.execute(batch)
+                resolves = len(calls)
+                flags.append([
+                    (r.cached, r.deduped, r.error, r.report is None)
+                    for r in responses
+                ])
+            return scheduler, flags, resolves
+
+        shared, shared_flags, shared_resolves = replay(fresh_objects=False)
+        fresh, fresh_flags, fresh_resolves = replay(fresh_objects=True)
+        assert shared_resolves == len(kinds)
+        assert fresh_resolves == len(picks)
+        assert shared_flags == fresh_flags
+        assert shared.stats == fresh.stats
+        assert shared.cache.stats == fresh.cache.stats
+        assert shared.stats.errors == 3 * picks.count(4)
+        assert shared.cache.stats.evictions > 0
+        assert any(cached for flags in shared_flags for cached, *_ in flags)
+
     def test_context_sensitive_misses(self):
         """The same workload at a different corner re-evaluates."""
         scheduler = BatchingScheduler(cache=ReportCache())

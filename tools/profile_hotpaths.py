@@ -14,19 +14,20 @@ Targets:
   the historical GHOST per-vertex aggregation loop, for example, showed
   up here as ~50k ``node_cycles`` calls before it was vectorized (see
   docs/performance.md).
-- ``serving-dispatch`` — the fleet front-end's per-request parent cost:
-  warm closed-loop replay through a 2-worker ``ServingFleet``, so the
-  profile shows routing, admission, wire encoding and response
-  collection (the parent-side path that bounds aggregate throughput on
-  a saturated box; worker processes are outside the profile).  The
-  ``wire_to_request``/``ExecutionContext.from_dict`` decode cost that
-  motivated the fleet's type-id decode memo was found exactly here.
+- ``serving-dispatch`` — the fleet path the ``serve-batch`` benchmark
+  times, seen from the parent: 1024-request batches of a 256-type
+  Zipf-skewed ``generate_trace`` mix, each ``submit``-ted to a one-worker
+  ``ServingFleet(cache_entries=64, max_queue=1024)`` and ``drain``-ed.
+  The profile shows routing, admission, buffering and the wait for the
+  worker; the collector thread that turns each columnar reply into
+  ``FleetResponse`` objects is in it on Python 3.12+ (whose cProfile
+  sees every thread) and shows as ``drain``'s wait before that.  The worker
+  process is outside the profile.
 - ``serving`` — the worker side ``serving-dispatch`` cannot see: one
-  in-process ``ServingEngine(cache_entries=64)`` serving 1024-request
-  batches drawn from a 256-type Zipf-skewed ``generate_trace`` mix, one
-  scheduler pass per batch (what a fleet worker runs per flushed
-  batch).  Scalar ``accelerator.run`` calls here mean jobs missed the
-  column evaluators (see docs/performance.md, "Column-costed serving
+  in-process ``ServingEngine(cache_entries=64)`` serving batches of the
+  same mix, one scheduler pass per batch (what a fleet worker runs per
+  flushed batch).  Scalar ``accelerator.run`` calls here mean jobs
+  missed the column evaluators (see docs/performance.md, "Column-costed serving
   passes").
 - ``hbm-costing`` — the HBM(-PIM) memory primitives over a mixed
   stream / burst / store / random workload at varied transfer sizes,
@@ -79,37 +80,13 @@ def profile_sweep(top: int = 20) -> pstats.Stats:
     return stats
 
 
-def profile_serving_dispatch(top: int = 20, replays: int = 5) -> pstats.Stats:
-    """Profile warm fleet replay: the parent dispatch path only."""
-    from repro.core.base import get_workload
-    from repro.serving import ServingFleet, generate_trace, record_to_request
-
-    records = generate_trace(num_requests=300, seed=0, catalog_size=24)
-    requests = [record_to_request(record) for record in records]
-    for request in requests:
-        get_workload(request.workload).materialize()
-
-    profiler = cProfile.Profile()
-    with ServingFleet(workers=2) as fleet:
-        fleet.serve(requests)  # warm every shard cache and route memo
-        profiler.enable()
-        for _ in range(replays):
-            fleet.serve(requests)
-        profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    stats.print_stats(top)
-    return stats
-
-
-def profile_serving(
-    top: int = 20, batches: int = 8, batch_size: int = 1024
-) -> pstats.Stats:
-    """Profile steady-state in-process scheduler passes: one
-    ``ServingEngine.serve`` per 1024-request batch of a 256-type mix."""
+def _zipf_batches(count: int, batch_size: int = 1024) -> list:
+    """``count`` request batches drawn from a 256-type Zipf-skewed mix;
+    repeats of a type are the same request object, as in a replayed
+    stream."""
     import numpy as np
 
-    from repro.serving import ServingEngine, generate_trace, record_to_request
+    from repro.serving import generate_trace, record_to_request
 
     population = generate_trace(num_requests=20000, seed=0, catalog_size=256)
     types: dict = {}
@@ -119,10 +96,43 @@ def profile_serving(
     ]
     requests = [record_to_request(dict(key)) for key in types]
     picks = np.random.default_rng(1).integers(
-        len(kinds), size=(2 * batches, batch_size)
+        len(kinds), size=(count, batch_size)
     )
-    stream = [[requests[kinds[i]] for i in row] for row in picks]
+    return [[requests[kinds[i]] for i in row] for row in picks]
 
+
+def _print_top(profiler: cProfile.Profile, top: int) -> pstats.Stats:
+    stats = pstats.Stats(profiler)
+    stats.sort_stats("cumulative")
+    stats.print_stats(top)
+    return stats
+
+
+def profile_serving_dispatch(top: int = 20, batches: int = 8) -> pstats.Stats:
+    """Profile ``submit``/``drain`` of 1024-request batches through a
+    one-worker fleet, after as many warm-up batches."""
+    from repro.serving import ServingFleet
+
+    stream = _zipf_batches(2 * batches)
+    profiler = cProfile.Profile()
+    with ServingFleet(workers=1, cache_entries=64, max_queue=1024) as fleet:
+        for index, batch in enumerate(stream):
+            if index == batches:  # graphs, dies and the cache are warm
+                profiler.enable()
+            futures = [fleet.submit(request) for request in batch]
+            fleet.drain()
+            for future in futures:
+                future.result()
+        profiler.disable()
+    return _print_top(profiler, top)
+
+
+def profile_serving(top: int = 20, batches: int = 8) -> pstats.Stats:
+    """Profile steady-state in-process scheduler passes: one
+    ``ServingEngine.serve`` per 1024-request batch of a 256-type mix."""
+    from repro.serving import ServingEngine
+
+    stream = _zipf_batches(2 * batches)
     engine = ServingEngine(cache_entries=64)
     for batch in stream[:batches]:  # warm graphs, dies and the cache
         engine.serve(batch)
@@ -131,10 +141,7 @@ def profile_serving(
     for batch in stream[batches:]:
         engine.serve(batch)
     profiler.disable()
-    stats = pstats.Stats(profiler)
-    stats.sort_stats("cumulative")
-    stats.print_stats(top)
-    return stats
+    return _print_top(profiler, top)
 
 
 def profile_hbm_costing(top: int = 20, rounds: int = 50) -> pstats.Stats:
