@@ -4,7 +4,7 @@ Two arms:
 
 - **Primitive speedups** — the closed-form HBM costing path (what every
   ``stream_offchip`` / ``burst_offchip`` / ``random_offchip`` call runs)
-  against the retained per-burst loop oracle (``_walk_*``), per
+  against the per-burst loop oracle (``tests/property/hbm_walk.py``), per
   primitive x transfer size, with a bit-exactness check on every pair
   (latencies identical, energies to 1e-12 relative).  The memo is
   bypassed on both sides — this times the arithmetic, not the cache.
@@ -17,6 +17,8 @@ Two arms:
 """
 
 import math
+import pathlib
+import sys
 import time
 from dataclasses import replace
 
@@ -31,6 +33,10 @@ from repro.core.engine.hbm.geometry import HBMGeometry
 from repro.core.engine.hbm.model import HBMMemoryModel
 from repro.core.tron.accelerator import TRON
 from repro.electronics.memory import MemorySystem
+
+ORACLE_DIR = pathlib.Path(__file__).resolve().parents[1] / "tests" / "property"
+sys.path.insert(0, str(ORACLE_DIR))
+from hbm_walk import walk_scattered, walk_sequential, walk_stream  # noqa: E402
 
 KIB = 1024
 MIB = 1024 * 1024
@@ -59,10 +65,11 @@ def measure_primitive_speedups(quick=False):
     """Closed-form vs loop-oracle cost per primitive x size."""
     model = HBMMemoryModel(MemorySystem(), geometry=HBMGeometry())
     primitives = (
-        ("stream", model._stream_compute, model._walk_stream),
+        ("stream", model._stream_compute, lambda n: walk_stream(model, n)),
         ("burst", lambda n: model._sequential_dram(n, "RD"),
-         model._walk_sequential),
-        ("random", model._random_compute, model._walk_scattered),
+         lambda n: walk_sequential(model, n)),
+        ("random", model._random_compute,
+         lambda n: walk_scattered(model, n)),
     )
     sizes = QUICK_SIZES if quick else FULL_SIZES
     rows = []

@@ -20,43 +20,28 @@ documentation.
 """
 
 from repro._version import __version__
-from repro.core import (
-    GHOST,
-    GHOSTConfig,
-    RunReport,
-    TRON,
-    TRONConfig,
-)
-from repro.nn.models import (
-    MODEL_ZOO,
-    bert_base,
-    bert_large,
-    gpt2_small,
-    vit_base,
-    get_model_config,
-)
-from repro.nn.gnn import GNNConfig, GNNKind, make_gnn
-from repro.graphs.datasets import (
-    DATASET_ZOO,
-    get_dataset_stats,
-    synthesize_dataset,
-    synthesize_features,
-)
-from repro.analysis import (
-    check_headline_claims,
-    fig8_llm_epb,
-    fig9_llm_gops,
-    fig10_gnn_epb,
-    fig11_gnn_gops,
-)
-from repro.api import (
-    AnalysisSpec,
-    ContextSpec,
-    ExperimentSpec,
-    PlatformSpec,
-    Session,
-    load_spec,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".core": ("GHOST", "GHOSTConfig", "RunReport", "TRON", "TRONConfig"),
+    ".nn.models": (
+        "MODEL_ZOO", "bert_base", "bert_large", "gpt2_small", "vit_base",
+        "get_model_config",
+    ),
+    ".nn.gnn": ("GNNConfig", "GNNKind", "make_gnn"),
+    ".graphs.datasets": (
+        "DATASET_ZOO", "get_dataset_stats", "synthesize_dataset",
+        "synthesize_features",
+    ),
+    ".analysis": (
+        "check_headline_claims", "fig8_llm_epb", "fig9_llm_gops",
+        "fig10_gnn_epb", "fig11_gnn_gops",
+    ),
+    ".api": (
+        "AnalysisSpec", "ContextSpec", "ExperimentSpec", "PlatformSpec",
+        "Session", "load_spec",
+    ),
+})
 
 __all__ = [
     "TRON",

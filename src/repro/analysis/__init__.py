@@ -12,34 +12,24 @@
   analysis and the yield-aware Pareto frontier.
 """
 
-from repro.analysis.metrics import ComparisonTable, speedup_over_best_baseline
-from repro.analysis.robustness import (
-    MonteCarloResult,
-    RobustPoint,
-    monte_carlo_sweep,
-    run_monte_carlo,
-    yield_aware_pareto,
-)
-from repro.analysis.figures import (
-    FigureData,
-    ext_decode_epb,
-    ext_decode_gops,
-    ext_temporal_epb,
-    ext_temporal_gops,
-    fig8_llm_epb,
-    fig9_llm_gops,
-    fig10_gnn_epb,
-    fig11_gnn_gops,
-    DECODE_WORKLOADS,
-    LLM_WORKLOADS,
-    GNN_WORKLOADS,
-    TEMPORAL_WORKLOADS,
-)
-from repro.analysis.claims import (
-    ClaimCheck,
-    check_headline_claims,
-    check_streaming_claims,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".metrics": ("ComparisonTable", "speedup_over_best_baseline"),
+    ".robustness": (
+        "MonteCarloResult", "RobustPoint", "monte_carlo_sweep",
+        "run_monte_carlo", "yield_aware_pareto",
+    ),
+    ".figures": (
+        "FigureData", "ext_decode_epb", "ext_decode_gops", "ext_temporal_epb",
+        "ext_temporal_gops", "fig8_llm_epb", "fig9_llm_gops", "fig10_gnn_epb",
+        "fig11_gnn_gops", "DECODE_WORKLOADS", "LLM_WORKLOADS", "GNN_WORKLOADS",
+        "TEMPORAL_WORKLOADS",
+    ),
+    ".claims": (
+        "ClaimCheck", "check_headline_claims", "check_streaming_claims",
+    ),
+})
 
 __all__ = [
     "ComparisonTable",

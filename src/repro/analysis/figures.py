@@ -37,7 +37,10 @@ from repro.workloads import GNN_WORKLOAD_SPECS
 LLM_WORKLOADS = ("BERT-base", "BERT-large", "GPT-2", "ViT-base")
 
 #: The (model kind, hidden width, dataset) workloads of Figs. 10 and 11.
-GNN_WORKLOADS: Tuple[Tuple[GNNKind, int, str], ...] = GNN_WORKLOAD_SPECS
+GNN_WORKLOADS: Tuple[Tuple[GNNKind, int, str], ...] = tuple(
+    (GNNKind(kind), hidden, dataset)
+    for kind, hidden, dataset in GNN_WORKLOAD_SPECS
+)
 
 #: The autoregressive decode episodes of the streaming extension.
 DECODE_WORKLOADS = ("decode-gpt2-small", "decode-gpt2-small-long")

@@ -30,35 +30,25 @@ Example:
     'MLP-mnist'
 """
 
-from repro.api.registry import (
-    PlatformInfo,
-    get_platform,
-    get_platform_info,
-    list_platforms,
-    register_platform,
-    resolve_platform,
-)
-from repro.api.results import (
-    JSON_SCHEMA_VERSION,
-    CornersResult,
-    MonteCarloRunResult,
-    RunResult,
-    ServeResult,
-    SweepResult,
-    TraceResult,
-    json_envelope,
-)
-from repro.api.schemas import SCHEMAS, schema_for, validate_payload
-from repro.api.session import Session
-from repro.api.spec import (
-    ANALYSIS_KINDS,
-    SPEC_SCHEMA,
-    AnalysisSpec,
-    ContextSpec,
-    ExperimentSpec,
-    PlatformSpec,
-    load_spec,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".registry": (
+        "PlatformInfo", "get_platform", "get_platform_info", "list_platforms",
+        "register_platform", "resolve_platform",
+    ),
+    ".results": (
+        "JSON_SCHEMA_VERSION", "CornersResult", "MonteCarloRunResult",
+        "RunResult", "ServeResult", "SweepResult", "TraceResult",
+        "json_envelope",
+    ),
+    ".schemas": ("SCHEMAS", "schema_for", "validate_payload"),
+    ".session": ("Session",),
+    ".spec": (
+        "ANALYSIS_KINDS", "SPEC_SCHEMA", "AnalysisSpec", "ContextSpec",
+        "ExperimentSpec", "PlatformSpec", "load_spec",
+    ),
+})
 
 __all__ = [
     "Session",

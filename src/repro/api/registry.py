@@ -30,6 +30,8 @@ Example:
 
 from __future__ import annotations
 
+import importlib
+import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional
 
@@ -66,7 +68,18 @@ class PlatformInfo:
 
 
 _PLATFORMS: Dict[str, PlatformInfo] = {}
-_DEFAULTS_REGISTERED = False
+
+#: The configurable stock platforms, each registered on its first lookup
+#: (so costing a transformer never imports GHOST): name -> (package,
+#: accelerator class, config class, description).
+_STOCK = {
+    "tron": ("repro.core.tron", "TRON", "TRONConfig",
+             "silicon-photonic transformer accelerator"),
+    "ghost": ("repro.core.ghost", "GHOST", "GHOSTConfig",
+              "silicon-photonic GNN accelerator"),
+}
+_BASELINES_REGISTERED = False
+_DEFAULTS_LOCK = threading.Lock()
 
 
 def register_platform(
@@ -107,47 +120,53 @@ def _fixed_factory(platform: Accelerator) -> PlatformFactory:
     return build
 
 
-def _ensure_defaults() -> None:
-    """Register the stock platforms once (lazily, on first use)."""
-    global _DEFAULTS_REGISTERED
-    if _DEFAULTS_REGISTERED:
-        return
-    _DEFAULTS_REGISTERED = True
-    from repro.baselines.gnn import gnn_baseline_platforms
-    from repro.baselines.llm import llm_baseline_platforms
-    from repro.core.ghost import GHOST, GHOSTConfig
-    from repro.core.tron import TRON, TRONConfig
+def _register_stock(name: str) -> None:
+    package, accelerator_name, config_name, description = _STOCK.pop(name)
+    module = importlib.import_module(package)
+    accelerator = getattr(module, accelerator_name)
+    config_type = getattr(module, config_name)
+    _PLATFORMS[name] = PlatformInfo(
+        name=name,
+        factory=lambda config=None: accelerator(
+            config if config is not None else config_type()
+        ),
+        config_type=config_type,
+        description=description,
+    )
 
-    _PLATFORMS["tron"] = PlatformInfo(
-        name="tron",
-        factory=lambda config=None: TRON(
-            config if config is not None else TRONConfig()
-        ),
-        config_type=TRONConfig,
-        description="silicon-photonic transformer accelerator",
-    )
-    _PLATFORMS["ghost"] = PlatformInfo(
-        name="ghost",
-        factory=lambda config=None: GHOST(
-            config if config is not None else GHOSTConfig()
-        ),
-        config_type=GHOSTConfig,
-        description="silicon-photonic GNN accelerator",
-    )
-    for platform in (*llm_baseline_platforms(), *gnn_baseline_platforms()):
-        if platform.name in _PLATFORMS:
-            continue  # e.g. "Xeon CPU" appears in both baseline sets
-        _PLATFORMS[platform.name] = PlatformInfo(
-            name=platform.name,
-            factory=_fixed_factory(platform),
-            config_type=None,
-            description="fixed baseline platform (Figs. 8-11)",
-        )
+
+def _ensure_defaults(name: Optional[str] = None) -> None:
+    """Register the stock platforms on first use: only ``name``'s entry
+    when it is a stock accelerator, every one (baselines included) for
+    any other name or for ``None``."""
+    global _BASELINES_REGISTERED
+    if _BASELINES_REGISTERED or name in _PLATFORMS:
+        return
+    with _DEFAULTS_LOCK:  # no caller may see a half-built registry
+        if name in _STOCK:
+            _register_stock(name)
+        if _BASELINES_REGISTERED or name in _PLATFORMS:
+            return
+        for stock in list(_STOCK):
+            _register_stock(stock)
+        from repro.baselines.gnn import gnn_baseline_platforms
+        from repro.baselines.llm import llm_baseline_platforms
+
+        for platform in (*llm_baseline_platforms(), *gnn_baseline_platforms()):
+            if platform.name in _PLATFORMS:
+                continue  # e.g. "Xeon CPU" appears in both baseline sets
+            _PLATFORMS[platform.name] = PlatformInfo(
+                name=platform.name,
+                factory=_fixed_factory(platform),
+                config_type=None,
+                description="fixed baseline platform (Figs. 8-11)",
+            )
+        _BASELINES_REGISTERED = True
 
 
 def get_platform_info(name: str) -> PlatformInfo:
     """The registry entry for ``name`` (helpful error on unknowns)."""
-    _ensure_defaults()
+    _ensure_defaults(name)
     if name not in _PLATFORMS:
         raise ConfigurationError(
             f"unknown platform {name!r}; known platforms: "

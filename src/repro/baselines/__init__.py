@@ -13,10 +13,14 @@ Two kinds, mirroring the paper's methodology (Section VI):
 exact platform lists of Figs. 8/9 and Figs. 10/11 respectively.
 """
 
-from repro.baselines.platforms import RooflinePlatform
-from repro.baselines.reported import ReportedAccelerator
-from repro.baselines.llm import LLM_BASELINES, llm_baseline_platforms
-from repro.baselines.gnn import GNN_BASELINES, gnn_baseline_platforms
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".platforms": ("RooflinePlatform",),
+    ".reported": ("ReportedAccelerator",),
+    ".llm": ("LLM_BASELINES", "llm_baseline_platforms"),
+    ".gnn": ("GNN_BASELINES", "gnn_baseline_platforms"),
+})
 
 __all__ = [
     "RooflinePlatform",

@@ -42,12 +42,14 @@ import json
 import sys
 from typing import List, Optional
 
+from repro._lazy import attach
 from repro._version import __version__
 
 # Re-exported here for backwards compatibility: the envelope builder
 # now lives with the typed result objects in repro.api.results.
-from repro.api.results import JSON_SCHEMA_VERSION, json_envelope  # noqa: F401
-from repro.api.session import SERVE_MAX_QUEUE, SERVE_WINDOW
+__getattr__, __dir__ = attach(__name__, {
+    "repro.api.results": ("JSON_SCHEMA_VERSION", "json_envelope"),
+})
 
 
 def _session():
@@ -261,6 +263,8 @@ CORNER_NAMES = ("nominal", "typical", "slow-hot", "fast-cold")
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
+    from repro.api.session import SERVE_MAX_QUEUE, SERVE_WINDOW
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Silicon-photonic accelerator simulators (TRON & GHOST)",

@@ -11,25 +11,22 @@
 - :mod:`repro.core.ghost` — the GNN accelerator (Section V.D).
 """
 
-from repro.core.reports import EnergyReport, LatencyReport, RunReport
-from repro.core.base import (
-    Accelerator,
-    Workload,
-    WorkloadKind,
-    get_workload,
-    list_workloads,
-    register_workload,
-)
-from repro.core.context import (
-    NOMINAL,
-    ExecutionContext,
-    PinnedArrayPhysics,
-    ThermalCorner,
-    standard_corners,
-)
-from repro.core.scheduling import PipelineStage, pipeline_latency_ns
-from repro.core.tron import TRON, TRONConfig
-from repro.core.ghost import GHOST, GHOSTConfig
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".reports": ("EnergyReport", "LatencyReport", "RunReport"),
+    ".base": (
+        "Accelerator", "Workload", "WorkloadKind", "get_workload",
+        "list_workloads", "register_workload",
+    ),
+    ".context": (
+        "NOMINAL", "ExecutionContext", "PinnedArrayPhysics", "ThermalCorner",
+        "standard_corners",
+    ),
+    ".scheduling": ("PipelineStage", "pipeline_latency_ns"),
+    ".tron": ("TRON", "TRONConfig"),
+    ".ghost": ("GHOST", "GHOSTConfig"),
+})
 
 __all__ = [
     "EnergyReport",

@@ -25,64 +25,36 @@ analysis layer (figures, claims, sweeps) only ever sees the uniform
 ``Accelerator.run(workload)`` entry point of :mod:`repro.core.base`.
 """
 
-from repro.core.engine.corners import (
-    ArrayContextPhysics,
-    BatchContextPhysics,
-    batch_context_physics,
-    batch_context_physics_for,
-    context_physics,
-    reserve_dies,
-)
-from repro.core.engine.matmul import (
-    ArrayExecutor,
-    ArraySpec,
-    nominal_breakdown_pj,
-    photonic_matmul,
-    prime_breakdown_cache,
-)
-from repro.core.engine.soa import (
-    ColumnEnergy,
-    ColumnLatency,
-    SoAStats,
-    register_soa_evaluator,
-    soa_evaluator,
-    workload_evaluator,
-)
-from repro.core.engine.hbm import CommandTrace, HBMGeometry, HBMMemoryModel
-from repro.core.engine.membackend import (
-    build_memory_backend,
-    list_memory_backends,
-    register_memory_backend,
-)
-from repro.core.engine import memo
-from repro.core.engine.memo import LRUMemo, MemoStats, fingerprint
-from repro.core.engine.memory import MemoryModel, Traffic
-from repro.core.engine.pipeline import (
-    PipelineStage,
-    overlapped_stage_latency_ns,
-    pipeline_latency_ns,
-    serial_waves,
-)
+from repro._lazy import attach
 
-
-#: The ``engine.*`` memos, in ``physics_cache`` envelope order.
-_PHYSICS_MEMOS = ("breakdown", "context_physics", "design_fsr", "movement")
-
-
-def physics_cache_stats() -> dict:
-    """One dict aggregating every physics-cache observable: the
-    registry's ``engine.*`` memos — what ``repro sweep --json`` and
-    ``repro serve --stats`` surface.
-    """
-    registry = memo.stats("engine.")
-    return {name: registry["engine." + name] for name in _PHYSICS_MEMOS}
-
-
-def clear_physics_cache() -> None:
-    """Drop the ``engine.*`` memos (benchmarks use this to time the
-    unmemoized path).  The graph memo is deliberately untouched."""
-    memo.clear("engine.")
-
+__getattr__, __dir__ = attach(__name__, {
+    ".corners": (
+        "ArrayContextPhysics", "BatchContextPhysics", "batch_context_physics",
+        "batch_context_physics_for", "context_physics", "reserve_dies",
+    ),
+    ".matmul": (
+        "ArrayExecutor", "ArraySpec", "nominal_breakdown_pj",
+        "photonic_matmul", "prime_breakdown_cache",
+    ),
+    ".soa": (
+        "ColumnEnergy", "ColumnLatency", "SoAStats", "register_soa_evaluator",
+        "soa_evaluator", "workload_evaluator",
+    ),
+    ".hbm": ("CommandTrace", "HBMGeometry", "HBMMemoryModel"),
+    ".membackend": (
+        "build_memory_backend", "list_memory_backends",
+        "register_memory_backend",
+    ),
+    ".memo": (
+        "memo", "LRUMemo", "MemoStats", "fingerprint", "physics_cache_stats",
+        "clear_physics_cache",
+    ),
+    ".memory": ("MemoryModel", "Traffic"),
+    ".pipeline": (
+        "PipelineStage", "overlapped_stage_latency_ns", "pipeline_latency_ns",
+        "serial_waves",
+    ),
+})
 
 __all__ = [
     "ArrayContextPhysics",

@@ -15,15 +15,17 @@ memory-backend registry (:mod:`repro.core.engine.membackend`):
   (GHOST gather, TRON attention reduction) and crossover scans.
 """
 
-from repro.core.engine.hbm.geometry import HBMGeometry
-from repro.core.engine.hbm.model import HBMMemoryModel
-from repro.core.engine.hbm.pim import (
-    OffloadScenario,
-    attention_offload,
-    crossover_point,
-    gather_offload,
-)
-from repro.core.engine.hbm.trace import CommandTrace, DRAMCommand
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".geometry": ("HBMGeometry",),
+    ".model": ("HBMMemoryModel",),
+    ".pim": (
+        "OffloadScenario", "attention_offload", "crossover_point",
+        "gather_offload",
+    ),
+    ".trace": ("CommandTrace", "DRAMCommand"),
+})
 
 __all__ = [
     "CommandTrace",

@@ -21,13 +21,13 @@ from device geometry instead of interface scalars:
 
 The costing path is **closed form**: per-channel burst counts, row-open
 boundaries and refresh steal are segment arithmetic over the geometry,
-never a per-burst walk.  A private per-burst reference oracle
-(:meth:`_walk_sequential` / :meth:`_walk_scattered`) re-derives the same
-costs by literally iterating the burst schedule; the differential and
-property suites pin the closed form against it (energies to 1e-12 rel,
-latencies bit-identical).  ``*_batch`` variants evaluate whole NumPy
-columns of byte counts through the identical float expressions — the
-SoA sweep path prices HBM traffic one vector call per model.
+never a per-burst walk.  A per-burst reference oracle in the test tree
+(``tests/property/hbm_walk.py``) re-derives the same costs by literally
+iterating the burst schedule; the property suite pins the closed form
+against it (energies to 1e-12 rel, latencies bit-identical).
+``*_batch`` variants evaluate whole NumPy columns of byte counts through
+the identical float expressions — the SoA sweep path prices HBM traffic
+one vector call per model.
 
 Repeated primitives (serving replays, Monte-Carlo signature groups) are
 served from the engine's movement-cost memo
@@ -50,8 +50,6 @@ Example:
     True
     >>> model.burst_offchip(0)
     Traffic(energy_pj=0.0, latency_ns=0.0)
-    >>> model._walk_sequential(1 << 20).latency_ns == seq.latency_ns
-    True
 """
 
 from __future__ import annotations
@@ -366,110 +364,6 @@ class HBMMemoryModel(MemoryModel):
         return self._movement(
             "random", num_bytes, lambda: self._random_compute(num_bytes)
         )
-
-    # ------------------------------------------------------------------
-    # Per-burst reference oracle (the retained loop walker)
-    # ------------------------------------------------------------------
-
-    def _walk_sequential(self, num_bytes: int, op: str = "RD") -> Traffic:
-        """Walk a sequential transfer burst by burst (reference oracle).
-
-        Re-derives the closed form the slow way: bursts issue
-        round-robin over channels, each channel tracks its open row and
-        pays an ACT on every switch, and energy accumulates per command.
-        The per-channel burst / row maxima feed the *same* final timing
-        expression, so latency is bit-identical; energy is a correctly
-        rounded per-command sum (``math.fsum``), so it agrees with the
-        closed form to well under 1e-12 relative.  Tests and benchmarks
-        only — never on the costing path.
-        """
-        if num_bytes < 0:
-            raise ConfigurationError(
-                f"byte count must be >= 0, got {num_bytes}"
-            )
-        if num_bytes == 0:
-            return Traffic(0.0, 0.0)
-        geo = self.geometry
-        channels = self.system.hbm.channels
-        e_bit = self.system.hbm.energy_per_bit_pj
-        io_bit = geo.io_energy_per_bit_pj(e_bit)
-        act_pj = geo.activate_energy_pj(e_bit)
-        total, _, _ = self._burst_split(num_bytes)
-        terms: List[float] = []
-        open_rows: dict = {}
-        bursts_per_channel: dict = {}
-        rows_per_channel: dict = {}
-        for i in range(total):
-            ch = i % channels
-            within = i // channels
-            row_ordinal = within // geo.bursts_per_row
-            if open_rows.get(ch) != row_ordinal:
-                open_rows[ch] = row_ordinal
-                rows_per_channel[ch] = rows_per_channel.get(ch, 0) + 1
-                terms.append(act_pj)
-            bursts_per_channel[ch] = bursts_per_channel.get(ch, 0) + 1
-            terms.append(
-                self._burst_bytes_at(i, total, num_bytes) * 8 * io_bit
-            )
-        energy = math.fsum(terms)
-        bursts_max = max(bursts_per_channel.values())
-        rows_max = max(rows_per_channel.values())
-        tburst = geo.tburst_ns(self.system.hbm.bandwidth_gbps)
-        row_gap = self._row_gap_ns(tburst)
-        device_ns = (
-            geo.trcd_ns
-            + bursts_max * tburst
-            + max(rows_max - 1, 0) * row_gap
-        )
-        return Traffic(energy, self._finish_latency(device_ns))
-
-    def _walk_stream(self, num_bytes: int) -> Traffic:
-        """``stream_offchip`` over the sequential walker (oracle)."""
-        dram = self._walk_sequential(num_bytes)
-        if num_bytes == 0:
-            return dram
-        buffer = self.system.global_buffer
-        energy = dram.energy_pj + buffer.transfer_energy_pj(
-            num_bytes, write=True
-        )
-        latency = max(dram.latency_ns, buffer.transfer_latency_ns(num_bytes))
-        return Traffic(energy, latency)
-
-    def _walk_scattered(self, num_bytes: int) -> Traffic:
-        """Walk a scattered transfer burst by burst (reference oracle).
-
-        Every burst pays its own ACT and issues in a tFAW-paced slot on
-        its round-robin channel; the busiest channel's slot count sets
-        the device time through the same final expression as the closed
-        form (latency bit-identical, energy correctly rounded via
-        ``math.fsum``).
-        """
-        if num_bytes < 0:
-            raise ConfigurationError(
-                f"byte count must be >= 0, got {num_bytes}"
-            )
-        if num_bytes == 0:
-            return Traffic(0.0, 0.0)
-        geo = self.geometry
-        channels = self.system.hbm.channels
-        e_bit = self.system.hbm.energy_per_bit_pj
-        io_bit = geo.io_energy_per_bit_pj(e_bit)
-        act_pj = geo.activate_energy_pj(e_bit)
-        total, _, _ = self._burst_split(num_bytes)
-        terms: List[float] = []
-        bursts_per_channel: dict = {}
-        for i in range(total):
-            ch = i % channels
-            bursts_per_channel[ch] = bursts_per_channel.get(ch, 0) + 1
-            terms.append(act_pj)
-            terms.append(
-                self._burst_bytes_at(i, total, num_bytes) * 8 * io_bit
-            )
-        energy = math.fsum(terms)
-        bursts_max = max(bursts_per_channel.values())
-        slot = geo.random_slot_ns(self.system.hbm.bandwidth_gbps)
-        device_ns = geo.trcd_ns + bursts_max * slot
-        return Traffic(energy, self._finish_latency(device_ns))
 
     # ------------------------------------------------------------------
     # Vectorized batch evaluators (whole columns of byte counts)

@@ -29,11 +29,11 @@ Example:
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.context import ExecutionContext
 from repro.core.engine.hbm.geometry import HBMGeometry
-from repro.core.engine.hbm.model import HBMMemoryModel
 from repro.core.engine.memory import MemoryModel
 from repro.electronics.memory import MemorySystem
 from repro.errors import ConfigurationError
@@ -97,20 +97,14 @@ def _build_hbm(
     system: MemorySystem,
     context: Optional[ExecutionContext],
     geometry: HBMGeometry,
+    pim: bool = False,
 ) -> MemoryModel:
-    return HBMMemoryModel(system, context=context, geometry=geometry)
+    # Deferred: only runs that pick an HBM backend load the device model.
+    from repro.core.engine.hbm.model import HBMMemoryModel
 
-
-def _build_hbm_pim(
-    system: MemorySystem,
-    context: Optional[ExecutionContext],
-    geometry: HBMGeometry,
-) -> MemoryModel:
-    return HBMMemoryModel(
-        system, context=context, geometry=geometry, pim=True
-    )
+    return HBMMemoryModel(system, context=context, geometry=geometry, pim=pim)
 
 
 register_memory_backend("analytic", _build_analytic)
 register_memory_backend("hbm", _build_hbm)
-register_memory_backend("hbm-pim", _build_hbm_pim)
+register_memory_backend("hbm-pim", partial(_build_hbm, pim=True))

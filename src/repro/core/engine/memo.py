@@ -203,3 +203,26 @@ def clear(prefix: str = "") -> None:
     for members in _registered(prefix).values():
         for memo in members:
             memo.clear()
+
+
+#: The ``engine.*`` memos, in ``physics_cache`` envelope order.
+_PHYSICS_MEMOS = ("breakdown", "context_physics", "design_fsr", "movement")
+
+
+def physics_cache_stats() -> dict:
+    """One dict aggregating every physics-cache observable: the
+    registry's ``engine.*`` memos — what ``repro sweep --json`` and
+    ``repro serve --stats`` surface.
+    """
+    # The owning modules register these memos on import.
+    import repro.core.engine.matmul  # noqa: F401  (breakdown, corners)
+    import repro.core.engine.movement  # noqa: F401
+
+    registry = stats("engine.")
+    return {name: registry["engine." + name] for name in _PHYSICS_MEMOS}
+
+
+def clear_physics_cache() -> None:
+    """Drop the ``engine.*`` memos (benchmarks use this to time the
+    unmemoized path).  The graph memo is deliberately untouched."""
+    clear("engine.")

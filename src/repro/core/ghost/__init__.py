@@ -14,11 +14,15 @@ Structure mirrors the paper's Figs. 6 and 7:
   buffer-and-partition, workload balancing and weight-DAC sharing.
 """
 
-from repro.core.ghost.config import GHOSTConfig
-from repro.core.ghost.aggregate import AggregateBlock
-from repro.core.ghost.combine import CombineBlock
-from repro.core.ghost.update import UpdateBlock
-from repro.core.ghost.accelerator import GHOST
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".config": ("GHOSTConfig",),
+    ".aggregate": ("AggregateBlock",),
+    ".combine": ("CombineBlock",),
+    ".update": ("UpdateBlock",),
+    ".accelerator": ("GHOST",),
+})
 
 __all__ = [
     "GHOSTConfig",

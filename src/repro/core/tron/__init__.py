@@ -16,16 +16,16 @@ Structure mirrors the paper's Figs. 4 and 5:
   estimation producing :class:`repro.core.reports.RunReport`.
 """
 
-from repro.core.tron.config import TRONConfig
-from repro.core.tron.attention_head import AttentionHeadUnit
-from repro.core.tron.mha import MHAUnit
-from repro.core.tron.feedforward import FeedForwardUnit
-from repro.core.tron.accelerator import TRON
-from repro.core.tron.generation import (
-    GenerationReport,
-    decode_step_ops,
-    run_generation,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".config": ("TRONConfig",),
+    ".attention_head": ("AttentionHeadUnit",),
+    ".mha": ("MHAUnit",),
+    ".feedforward": ("FeedForwardUnit",),
+    ".accelerator": ("TRON",),
+    ".generation": ("GenerationReport", "decode_step_ops", "run_generation"),
+})
 
 __all__ = [
     "TRONConfig",

@@ -8,18 +8,12 @@ both accelerators need — softmax lookup tables, adder trees and control
 sequencing (:mod:`repro.electronics.digital`).
 """
 
-from repro.electronics.memory import (
-    SRAMBuffer,
-    EDRAMBuffer,
-    HBMChannel,
-    MemorySystem,
-)
-from repro.electronics.digital import (
-    SoftmaxLUT,
-    AdderTree,
-    ControlUnit,
-    RegisterFile,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".memory": ("SRAMBuffer", "EDRAMBuffer", "HBMChannel", "MemorySystem"),
+    ".digital": ("SoftmaxLUT", "AdderTree", "ControlUnit", "RegisterFile"),
+})
 
 __all__ = [
     "SRAMBuffer",

@@ -7,21 +7,19 @@ generators (DESIGN.md section 1) and provide the buffer-and-partition
 blocking GHOST uses to regularize memory accesses (Section V.D).
 """
 
-from repro.graphs.graph import CSRGraph
-from repro.graphs.generators import (
-    erdos_renyi,
-    barabasi_albert,
-    rmat,
-    stochastic_block_model,
-)
-from repro.graphs.datasets import (
-    DATASET_ZOO,
-    DatasetStats,
-    get_dataset_stats,
-    synthesize_dataset,
-    synthesize_features,
-)
-from repro.graphs.partition import GraphPartitioner, PartitionBlock, PartitionSchedule
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".graph": ("CSRGraph",),
+    ".generators": (
+        "erdos_renyi", "barabasi_albert", "rmat", "stochastic_block_model",
+    ),
+    ".datasets": (
+        "DATASET_ZOO", "DatasetStats", "get_dataset_stats",
+        "synthesize_dataset", "synthesize_features",
+    ),
+    ".partition": ("GraphPartitioner", "PartitionBlock", "PartitionSchedule"),
+})
 
 __all__ = [
     "CSRGraph",

@@ -152,7 +152,13 @@ class CSRGraph:
         if undirected:
             arcs = np.concatenate([arcs, arcs[:, ::-1]])
         # One int64 key per arc sorts by (source, target) and dedups.
-        keys = np.unique(arcs[:, 0] * num_nodes + arcs[:, 1])
+        # Sort and mask rather than np.unique: its hash path is slower
+        # here, and it imports numpy.ma on first use.
+        keys = np.sort(arcs[:, 0] * num_nodes + arcs[:, 1])
+        keep = np.empty(keys.shape, dtype=bool)
+        keep[:1] = True
+        keep[1:] = keys[1:] != keys[:-1]
+        keys = keys[keep]
         sources, targets = np.divmod(keys, num_nodes)
         counts = np.bincount(sources, minlength=num_nodes)
         indptr = np.concatenate([[0], np.cumsum(counts)])

@@ -10,48 +10,31 @@ Weights are synthetic (seeded, realistically scaled): accelerator cost
 depends on tensor *shapes*, not values — see DESIGN.md section 1.
 """
 
-from repro.nn.ops import (
-    gelu,
-    layer_norm,
-    linear,
-    relu,
-    scaled_dot_product_attention,
-    softmax,
-)
-from repro.nn.quantization import (
-    QuantizedTensor,
-    dequantize,
-    quantize_symmetric,
-    quantization_error,
-)
-from repro.nn.attention import MultiHeadAttention
-from repro.nn.transformer import (
-    TransformerConfig,
-    TransformerEncoderLayer,
-    TransformerModel,
-)
-from repro.nn.models import (
-    MODEL_ZOO,
-    bert_base,
-    bert_large,
-    gpt2_small,
-    vit_base,
-    get_model_config,
-)
-from repro.nn.gnn import (
-    GNNConfig,
-    GCNLayer,
-    GraphSAGELayer,
-    GINLayer,
-    GATLayer,
-    GNNModel,
-    make_gnn,
-)
-from repro.nn.counting import (
-    OpCount,
-    transformer_op_count,
-    gnn_op_count,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".ops": (
+        "gelu", "layer_norm", "linear", "relu", "scaled_dot_product_attention",
+        "softmax",
+    ),
+    ".quantization": (
+        "QuantizedTensor", "dequantize", "quantize_symmetric",
+        "quantization_error",
+    ),
+    ".attention": ("MultiHeadAttention",),
+    ".transformer": (
+        "TransformerConfig", "TransformerEncoderLayer", "TransformerModel",
+    ),
+    ".models": (
+        "MODEL_ZOO", "bert_base", "bert_large", "gpt2_small", "vit_base",
+        "get_model_config",
+    ),
+    ".gnn": (
+        "GNNConfig", "GCNLayer", "GraphSAGELayer", "GINLayer", "GATLayer",
+        "GNNModel", "make_gnn",
+    ),
+    ".counting": ("OpCount", "transformer_op_count", "gnn_op_count"),
+})
 
 __all__ = [
     "gelu",

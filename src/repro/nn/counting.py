@@ -13,11 +13,14 @@ different width is passed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ConfigurationError
-from repro.graphs.graph import CSRGraph
-from repro.nn.gnn import GNNConfig, GNNKind
-from repro.nn.transformer import TransformerConfig, TransformerKind
+
+if TYPE_CHECKING:  # the model modules load only where a count needs them
+    from repro.graphs.graph import CSRGraph
+    from repro.nn.gnn import GNNConfig, GNNKind
+    from repro.nn.transformer import TransformerConfig
 
 
 @dataclass(frozen=True)
@@ -135,6 +138,8 @@ def transformer_op_count(
     config: TransformerConfig, bytes_per_value: int = 1
 ) -> OpCount:
     """Op/byte count of one full-model inference at ``config.seq_len``."""
+    from repro.nn.transformer import TransformerKind
+
     if bytes_per_value < 1:
         raise ConfigurationError(
             f"bytes per value must be >= 1, got {bytes_per_value}"
@@ -167,6 +172,8 @@ def gnn_layer_op_count(
     Aggregation touches every arc once (num_edges adds or comparisons of
     in_dim-wide vectors); combination is a per-node matrix-vector product.
     """
+    from repro.nn.gnn import GNNKind
+
     n = graph.num_nodes
     e = graph.num_edges
     agg_adds = e * in_dim

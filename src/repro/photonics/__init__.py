@@ -26,38 +26,30 @@ This package provides the analog photonic models that both accelerators
   simulation and effective-precision estimation.
 """
 
-from repro.photonics.microring import (
-    MicroringDesign,
-    Microring,
-    resonant_wavelength_nm,
-    free_spectral_range_nm,
-)
-from repro.photonics.tuning import (
-    EOTuner,
-    TOTuner,
-    HybridTuner,
-    TuningEvent,
-)
-from repro.photonics.thermal import ThermalGrid, ted_power_mw
-from repro.photonics.crosstalk import (
-    heterodyne_crosstalk_ratio,
-    homodyne_crosstalk_ratio,
-    ChannelPlan,
-    snr_db,
-)
-from repro.photonics.devices import (
-    VCSEL,
-    Photodetector,
-    BalancedPhotodetector,
-    SOA,
-    SOAActivation,
-)
-from repro.photonics.converters import DAC, ADC
-from repro.photonics.waveguide import LossBudget, LaserPowerSolver, WDMBus
-from repro.photonics.mrbank import MRBank, MRBankArray
-from repro.photonics.summation import CoherentSummationUnit, OpticalComparator
-from repro.photonics.dse import MRDesignSpaceExplorer, DesignPoint
-from repro.photonics.noise import AnalogNoiseModel, effective_bits
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".microring": (
+        "MicroringDesign", "Microring", "resonant_wavelength_nm",
+        "free_spectral_range_nm",
+    ),
+    ".tuning": ("EOTuner", "TOTuner", "HybridTuner", "TuningEvent"),
+    ".thermal": ("ThermalGrid", "ted_power_mw"),
+    ".crosstalk": (
+        "heterodyne_crosstalk_ratio", "homodyne_crosstalk_ratio",
+        "ChannelPlan", "snr_db",
+    ),
+    ".devices": (
+        "VCSEL", "Photodetector", "BalancedPhotodetector", "SOA",
+        "SOAActivation",
+    ),
+    ".converters": ("DAC", "ADC"),
+    ".waveguide": ("LossBudget", "LaserPowerSolver", "WDMBus"),
+    ".mrbank": ("MRBank", "MRBankArray"),
+    ".summation": ("CoherentSummationUnit", "OpticalComparator"),
+    ".dse": ("MRDesignSpaceExplorer", "DesignPoint"),
+    ".noise": ("AnalogNoiseModel", "effective_bits"),
+})
 
 __all__ = [
     "MicroringDesign",

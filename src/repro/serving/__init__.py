@@ -34,45 +34,30 @@ See ``docs/serving.md`` for cache keying rules, batching semantics,
 the trace format and the fleet tier.
 """
 
-from repro.serving.admission import (
-    SHED_QUEUE,
-    SHED_QUOTA,
-    AdmissionController,
-    AdmissionStats,
-    TokenBucket,
-)
-from repro.serving.arrivals import (
-    ARRIVAL_KINDS,
-    ArrivalProcess,
-    latency_quantiles,
-    parse_arrivals,
-)
-from repro.serving.cache import (
-    CacheKey,
-    ReportCache,
-    config_fingerprint,
-    normalize_context,
-)
-from repro.serving.engine import ServingEngine, ServingStats
-from repro.serving.fleet import FleetResponse, OpenLoopResult, ServingFleet
-from repro.serving.request import (
-    PLATFORM_CHOICES,
-    ServeRequest,
-    ServeResponse,
-)
-from repro.serving.scheduler import BatchingScheduler, SchedulerStats
-from repro.serving.shard import (
-    ShardRouter,
-    request_to_wire,
-    wire_to_request,
-)
-from repro.serving.trace import (
-    TRACE_SCHEMA,
-    generate_trace,
-    load_trace,
-    record_to_request,
-    save_trace,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".admission": (
+        "SHED_QUEUE", "SHED_QUOTA", "AdmissionController", "AdmissionStats",
+        "TokenBucket",
+    ),
+    ".arrivals": (
+        "ARRIVAL_KINDS", "ArrivalProcess", "latency_quantiles",
+        "parse_arrivals",
+    ),
+    ".cache": (
+        "CacheKey", "ReportCache", "config_fingerprint", "normalize_context",
+    ),
+    ".engine": ("ServingEngine", "ServingStats"),
+    ".fleet": ("FleetResponse", "OpenLoopResult", "ServingFleet"),
+    ".request": ("PLATFORM_CHOICES", "ServeRequest", "ServeResponse"),
+    ".scheduler": ("BatchingScheduler", "SchedulerStats"),
+    ".shard": ("ShardRouter", "request_to_wire", "wire_to_request"),
+    ".trace": (
+        "TRACE_SCHEMA", "generate_trace", "load_trace", "record_to_request",
+        "save_trace",
+    ),
+})
 
 __all__ = [
     "ARRIVAL_KINDS",

@@ -46,6 +46,18 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
+# What a pass reaches beyond the names below, loaded with the scheduler:
+# engine busy time then measures serving, not imports, and a fleet's
+# forked workers inherit all of it.
+import repro.core.ghost.accelerator  # noqa: F401
+import repro.core.ghost.soa  # noqa: F401
+import repro.core.tron.accelerator  # noqa: F401
+import repro.core.tron.soa  # noqa: F401
+import repro.graphs.datasets  # noqa: F401
+import repro.nn.models  # noqa: F401
+import repro.streaming.decode  # noqa: F401
+import repro.streaming.temporal  # noqa: F401
+import repro.workloads  # noqa: F401
 from repro.api.registry import get_platform
 from repro.core.base import (
     Accelerator,

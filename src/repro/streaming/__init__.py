@@ -14,30 +14,22 @@ package models all three phased-workload axes:
   diurnal/bursty rate shaping over the serving arrival processes.
 """
 
-from repro.streaming.decode import (
-    DecodeSeries,
-    DecodeWorkload,
-    decode_series,
-    decode_series_batch,
-    episode_decode_ops,
-)
-from repro.streaming.temporal import (
-    DeltaKind,
-    GraphDelta,
-    TemporalGraphWorkload,
-    TemporalReport,
-    delta_stream,
-    run_temporal,
-    snapshots_from,
-)
-from repro.streaming.traffic import (
-    ShapedArrivalProcess,
-    TenantProfile,
-    TrafficModel,
-    diurnal_rate_curve,
-    generate_tenant_trace,
-    parse_shaped_arrivals,
-)
+from repro._lazy import attach
+
+__getattr__, __dir__ = attach(__name__, {
+    ".decode": (
+        "DecodeSeries", "DecodeWorkload", "decode_series",
+        "decode_series_batch", "episode_decode_ops",
+    ),
+    ".temporal": (
+        "DeltaKind", "GraphDelta", "TemporalGraphWorkload", "TemporalReport",
+        "delta_stream", "run_temporal", "snapshots_from",
+    ),
+    ".traffic": (
+        "ShapedArrivalProcess", "TenantProfile", "TrafficModel",
+        "diurnal_rate_curve", "generate_tenant_trace", "parse_shaped_arrivals",
+    ),
+})
 
 __all__ = [
     "DecodeSeries",

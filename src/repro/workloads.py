@@ -19,19 +19,19 @@ benchmarking baselines clear it per point
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.base import Workload, WorkloadKind, register_workload
 from repro.core.engine.memo import LRUMemo
 from repro.errors import ConfigurationError
-from repro.graphs.datasets import get_dataset_stats, synthesize_dataset
-from repro.graphs.graph import CSRGraph
 from repro.nn.counting import OpCount, gnn_op_count, transformer_op_count
-from repro.nn.gnn import GNNConfig, GNNKind
-from repro.nn.models import MODEL_ZOO
-from repro.nn.transformer import TransformerConfig
+
+if TYPE_CHECKING:  # each registered name loads its model modules on use
+    from repro.graphs.graph import CSRGraph
+    from repro.nn.gnn import GNNConfig, GNNKind
+    from repro.nn.transformer import TransformerConfig
 
 #: Graphs the synthesis memo keeps: ``rng_seed`` is user input, so the
 #: memo is bounded; the dataset zoo at a few seeds fits.
@@ -84,7 +84,7 @@ class GNNWorkload(Workload):
     the workload, so every platform and every sweep point shares it.
 
     Example:
-        >>> workload = make_gnn_workload(GNNKind.GCN, "cora")
+        >>> workload = make_gnn_workload("gcn", "cora")
         >>> workload.name, workload.kind.value    # no graph synthesis yet
         ('GCN-cora', 'gnn')
     """
@@ -112,6 +112,11 @@ class GNNWorkload(Workload):
             key = (self.dataset, self.rng_seed)
             cached = _GRAPH_MEMO.get(key)
             if cached is None:
+                from repro.graphs.datasets import (
+                    get_dataset_stats,
+                    synthesize_dataset,
+                )
+
                 stats = get_dataset_stats(self.dataset)
                 cached = synthesize_dataset(
                     stats, rng=np.random.default_rng(self.rng_seed)
@@ -131,6 +136,8 @@ class GNNWorkload(Workload):
     def describe(self) -> str:
         # Describe from the published stats, not the graph — listing
         # workloads must not trigger graph synthesis.
+        from repro.graphs.datasets import get_dataset_stats
+
         cfg = self.model_config
         stats = get_dataset_stats(self.dataset)
         return (
@@ -247,15 +254,28 @@ class WorkloadSuite(Workload):
 # Default registrations
 # ----------------------------------------------------------------------
 
-#: The (model kind, hidden width, dataset) GNN workloads of Figs. 10/11.
-GNN_WORKLOAD_SPECS: Tuple[Tuple[GNNKind, int, str], ...] = (
-    (GNNKind.GCN, 64, "cora"),
-    (GNNKind.GCN, 64, "citeseer"),
-    (GNNKind.GCN, 64, "pubmed"),
-    (GNNKind.SAGE, 64, "cora"),
-    (GNNKind.GIN, 64, "citeseer"),
-    (GNNKind.GAT, 64, "pubmed"),
+#: The zoo transformers of Figs. 8/9: the ``MODEL_ZOO`` names, spelled
+#: out so that registering them imports no model module.
+TRANSFORMER_WORKLOAD_NAMES: Tuple[str, ...] = (
+    "BERT-base", "BERT-large", "GPT-2", "ViT-base", "DistilBERT", "ViT-large",
 )
+
+#: The (model kind value, hidden width, dataset) GNN workloads of
+#: Figs. 10/11.
+GNN_WORKLOAD_SPECS: Tuple[Tuple[str, int, str], ...] = (
+    ("gcn", 64, "cora"),
+    ("gcn", 64, "citeseer"),
+    ("gcn", 64, "pubmed"),
+    ("graphsage", 64, "cora"),
+    ("gin", 64, "citeseer"),
+    ("gat", 64, "pubmed"),
+)
+
+
+def _zoo_model(name: str) -> TransformerConfig:
+    from repro.nn.models import MODEL_ZOO
+
+    return MODEL_ZOO[name]
 
 
 def make_gnn_workload(
@@ -266,12 +286,17 @@ def make_gnn_workload(
     rng_seed: int = 7,
     name: Optional[str] = None,
 ) -> GNNWorkload:
-    """A GNN workload over a dataset replica (figure naming convention).
+    """A GNN workload over a dataset replica (figure naming convention);
+    ``kind`` is a :class:`~repro.nn.gnn.GNNKind` or its value.
 
     Example:
-        >>> make_gnn_workload(GNNKind.GAT, "pubmed").model_config.heads
+        >>> make_gnn_workload("gat", "pubmed").model_config.heads
         2
     """
+    from repro.graphs.datasets import get_dataset_stats
+    from repro.nn.gnn import GNNConfig, GNNKind
+
+    kind = GNNKind(kind)
     stats = get_dataset_stats(dataset)
     config = GNNConfig(
         name=name or f"{kind.value.upper()}-{dataset}",
@@ -301,7 +326,7 @@ def make_decode_workload(
     from repro.streaming.decode import DecodeWorkload
 
     return DecodeWorkload(
-        model=MODEL_ZOO[model_name],
+        model=_zoo_model(model_name),
         prompt_tokens=prompt_tokens,
         generated_tokens=generated_tokens,
         label=label,
@@ -312,22 +337,22 @@ def make_decode_workload(
 #: stream parameters).  One per evolution regime the delta generator
 #: supports — growth by preferential attachment, R-MAT densification,
 #: and community churn.
-TEMPORAL_WORKLOAD_SPECS: Tuple[Tuple[str, GNNKind, str, Tuple], ...] = (
+TEMPORAL_WORKLOAD_SPECS: Tuple[Tuple[str, str, str, Tuple], ...] = (
     (
         "GCN-ba-temporal",
-        GNNKind.GCN,
+        "gcn",
         "ba-growth",
         (("num_nodes", 64), ("attachment", 2), ("nodes_per_delta", 8)),
     ),
     (
         "GIN-rmat-temporal",
-        GNNKind.GIN,
+        "gin",
         "rmat-growth",
         (("scale", 7), ("edge_factor", 4), ("edges_per_delta", 64)),
     ),
     (
         "GAT-sbm-temporal",
-        GNNKind.GAT,
+        "gat",
         "sbm-churn",
         (("block_sizes", (32, 32, 32)), ("rewire_fraction", 0.05)),
     ),
@@ -346,15 +371,17 @@ def make_temporal_workload(
     seed: int = 7,
     num_deltas: int = 4,
 ):
-    """An evolving-graph GNN workload over a deterministic delta stream.
+    """An evolving-graph GNN workload over a deterministic delta stream
+    (``kind`` is a :class:`~repro.nn.gnn.GNNKind` or its value).
 
     Example:
-        >>> make_temporal_workload(
-        ...     "GCN-ba-temporal", GNNKind.GCN, "ba-growth").name
+        >>> make_temporal_workload("GCN-ba-temporal", "gcn", "ba-growth").name
         'GCN-ba-temporal'
     """
+    from repro.nn.gnn import GNNConfig, GNNKind
     from repro.streaming.temporal import DeltaKind, TemporalGraphWorkload
 
+    kind = GNNKind(kind)
     config = GNNConfig(
         name=name,
         kind=kind,
@@ -375,13 +402,13 @@ def make_temporal_workload(
 
 
 def _register_defaults() -> None:
-    for model_name, model in MODEL_ZOO.items():
+    for model_name in TRANSFORMER_WORKLOAD_NAMES:
         register_workload(
             model_name,
-            lambda model=model: TransformerWorkload(model=model),
+            lambda name=model_name: TransformerWorkload(model=_zoo_model(name)),
         )
     for kind, hidden, dataset in GNN_WORKLOAD_SPECS:
-        wl_name = f"{kind.value.upper()}-{dataset}"
+        wl_name = f"{kind.upper()}-{dataset}"
         register_workload(
             wl_name,
             lambda kind=kind, dataset=dataset, hidden=hidden: make_gnn_workload(
@@ -429,9 +456,9 @@ def _register_defaults() -> None:
         lambda: WorkloadSuite(
             suite_name="LLM-serving-mix",
             members=(
-                TransformerWorkload(model=MODEL_ZOO["BERT-base"]),
-                TransformerWorkload(model=MODEL_ZOO["DistilBERT"]),
-                TransformerWorkload(model=MODEL_ZOO["ViT-base"]),
+                TransformerWorkload(model=_zoo_model("BERT-base")),
+                TransformerWorkload(model=_zoo_model("DistilBERT")),
+                TransformerWorkload(model=_zoo_model("ViT-base")),
                 MLPWorkload(
                     mlp_name="MLP-rerank", widths=(768, 512, 1), samples=128
                 ),

@@ -12,7 +12,7 @@ just the differential grid's corner points:
 - **bank conflicts only hurt** — scattered access timing/energy bounds
   sequential from above, and the analytic penalty scales the same way;
 - **closed form == loop oracle** — the segment arithmetic every call
-  runs agrees with the retained per-burst walker (``_walk_*``) on any
+  runs agrees with the per-burst walker (``hbm_walk.py``) on any
   geometry, any alignment, any corner: latencies bit-identical, energies
   to 1e-12 relative;
 - **batch == scalar** — the vectorized ``*_batch`` evaluators reproduce
@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hbm_walk import walk_scattered, walk_sequential, walk_stream
 from repro.core.context import ExecutionContext, resolve_corner
 from repro.core.engine import (
     HBMGeometry,
@@ -251,7 +252,7 @@ class TestBankConflicts:
 class TestClosedFormVsLoopOracle:
     """The segment arithmetic every call runs (``_stream_compute`` /
     ``_sequential_dram`` / ``_random_compute``) against the retained
-    per-burst walker (``_walk_*``): latencies bit-identical (same final
+    per-burst walker (``hbm_walk``): latencies bit-identical (same final
     float expression over the same maxima), energies within 1e-12
     relative (closed form vs correctly rounded ``math.fsum``)."""
 
@@ -273,14 +274,14 @@ class TestClosedFormVsLoopOracle:
         ctx = None if corner is None else resolve_corner(corner, 0)
         model = HBMMemoryModel(system, context=ctx, geometry=geometry)
         self._assert_pair(
-            model._stream_compute(num_bytes), model._walk_stream(num_bytes)
+            model._stream_compute(num_bytes), walk_stream(model, num_bytes)
         )
         self._assert_pair(
             model._sequential_dram(num_bytes, "RD"),
-            model._walk_sequential(num_bytes),
+            walk_sequential(model, num_bytes),
         )
         self._assert_pair(
-            model._random_compute(num_bytes), model._walk_scattered(num_bytes)
+            model._random_compute(num_bytes), walk_scattered(model, num_bytes)
         )
 
     @given(system=systems, geometry=geometries(), corner=corners)
@@ -294,15 +295,15 @@ class TestClosedFormVsLoopOracle:
         for num_bytes in _edge_sizes(geometry, system.hbm.channels):
             self._assert_pair(
                 model._stream_compute(num_bytes),
-                model._walk_stream(num_bytes),
+                walk_stream(model, num_bytes),
             )
             self._assert_pair(
                 model._sequential_dram(num_bytes, "RD"),
-                model._walk_sequential(num_bytes),
+                walk_sequential(model, num_bytes),
             )
             self._assert_pair(
                 model._random_compute(num_bytes),
-                model._walk_scattered(num_bytes),
+                walk_scattered(model, num_bytes),
             )
 
     @given(system=systems, num_bytes=sizes, corner=corners)
@@ -315,11 +316,11 @@ class TestClosedFormVsLoopOracle:
         ctx = None if corner is None else resolve_corner(corner, 0)
         model = HBMMemoryModel(system, context=ctx)
         self._assert_pair(
-            model.burst_offchip(num_bytes), model._walk_sequential(num_bytes)
+            model.burst_offchip(num_bytes), walk_sequential(model, num_bytes)
         )
         self._assert_pair(
             model.random_offchip(num_bytes, 4.0),
-            model._walk_scattered(num_bytes),
+            walk_scattered(model, num_bytes),
         )
 
 

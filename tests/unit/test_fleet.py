@@ -2,6 +2,7 @@
 wire codec, and the ServingFleet front-end)."""
 
 import threading
+import time
 
 import pytest
 
@@ -119,6 +120,16 @@ class TestAdmission:
         assert bucket.try_take(now_s=0.0)
         assert not bucket.try_take(now_s=0.0)
         assert bucket.try_take(now_s=0.5)  # half a second -> one token
+
+    def test_token_bucket_refills_by_elapsed_time_on_a_large_clock(self):
+        # Production clocks are large perf_counter readings: only the
+        # time since the last take refills, never the clock's value.
+        start = 86_400.0
+        bucket = TokenBucket(rate_rps=2.0, burst=1.0)
+        assert bucket.try_take(now_s=start)
+        assert not bucket.try_take(now_s=start)
+        assert not bucket.try_take(now_s=start + 0.25)  # half a token
+        assert bucket.try_take(now_s=start + 0.5)
 
     def test_queue_bound_sheds(self):
         controller = AdmissionController(max_queue=2)
@@ -323,6 +334,56 @@ class TestServingFleet:
             (ref.cached, ref.deduped) for ref in reference
         ]
         assert any(r.deduped for r in responses)
+
+    def test_aggregate_stats_match_counted_responses(self):
+        # Throughput spans first submit to last completion, not the
+        # fleet's start; the summed worker counters match the responses.
+        requests = small_trace(num_requests=300)
+        fleet = ServingFleet(workers=1, max_queue=len(requests))
+        try:
+            time.sleep(0.2)  # idle before the first submit
+            first_submit = fleet._now()
+            futures = [fleet.submit(request) for request in requests]
+            assert fleet.drain(timeout=60)
+            drained = fleet._now()
+            responses = [future.result(timeout=60) for future in futures]
+        finally:
+            fleet.close()
+        wall = fleet.fleet_stats()["wall_s"]
+        assert 0.0 < wall <= drained - first_submit
+        aggregate = fleet.aggregate_stats()
+        assert aggregate["throughput_rps"] == len(requests) / wall
+        assert aggregate["requests"] == len(requests)
+        assert aggregate["deduped"] == sum(r.deduped for r in responses) > 0
+        assert aggregate["cache_hits"] == sum(r.cached for r in responses)
+
+    def test_route_memo_hits_repeated_and_equal_requests(self, monkeypatch):
+        import repro.serving.fleet as fleet_module
+
+        class CountingRequest(ServeRequest):
+            hashes = 0
+
+            def __hash__(self):
+                CountingRequest.hashes += 1
+                return super().__hash__()
+
+        encoded = []
+
+        def counting_to_wire(request):
+            encoded.append(request)
+            return request_to_wire(request)
+
+        monkeypatch.setattr(fleet_module, "request_to_wire", counting_to_wire)
+        request = CountingRequest(workload="MLP-mnist")
+        with ServingFleet(workers=1) as fleet:
+            route = fleet._route(request)
+            hashes = CountingRequest.hashes
+            # The same object hits the identity memo without hashing...
+            assert fleet._route(request) is route
+            assert CountingRequest.hashes == hashes
+            # ...and an equal object hits the type memo.
+            assert fleet._route(CountingRequest(workload="MLP-mnist")) is route
+        assert len(encoded) == 1
 
     def test_submits_at_admission_bound_resolve_without_drain(self):
         request = ServeRequest(workload="MLP-mnist")

@@ -140,6 +140,13 @@ class TestModelZoo:
     def test_get_by_name(self):
         assert get_model_config("BERT-base").d_model == 768
 
+    def test_every_zoo_model_is_a_registered_workload(self):
+        # The workload registry spells the zoo names out so that
+        # registering them imports no model module; they must not drift.
+        from repro.workloads import TRANSFORMER_WORKLOAD_NAMES
+
+        assert TRANSFORMER_WORKLOAD_NAMES == tuple(MODEL_ZOO)
+
     def test_unknown_name_lists_options(self):
         with pytest.raises(ConfigurationError) as exc:
             get_model_config("BERT-giant")

@@ -5,6 +5,7 @@ Usage::
     PYTHONPATH=src python tools/profile_hotpaths.py [--top N]
     PYTHONPATH=src python tools/profile_hotpaths.py --target serving-dispatch
     PYTHONPATH=src python tools/profile_hotpaths.py --target serving
+    PYTHONPATH=src python tools/profile_hotpaths.py --target cold-start
 
 Targets:
 
@@ -34,8 +35,15 @@ Targets:
   with the movement memo cleared between rounds so the closed-form
   arithmetic (not cache hits) dominates the profile.  This is where the
   per-burst Python walk showed up before it became segment arithmetic.
+- ``cold-start`` — the six ``repro run --json`` commands of perfbench's
+  ``cli-cold`` rotation, each in ``--repeats`` fresh ``-X importtime``
+  processes.  Per command it prints how many ``repro`` modules the
+  process loaded, the median ``repro`` import self time, and the median
+  time ``dataclasses._process_class`` spent building ``repro``
+  dataclasses; then the costliest dataclasses.  A module a command
+  never calls into shows up here as a count that grew.
 
-Prints the top functions by cumulative time.
+The profiling targets print the top functions by cumulative time.
 """
 
 from __future__ import annotations
@@ -50,7 +58,7 @@ sys.path.insert(
     0, str(pathlib.Path(__file__).resolve().parent.parent / "src")
 )
 
-TARGETS = ("sweep", "serving-dispatch", "serving", "hbm-costing")
+TARGETS = ("sweep", "serving-dispatch", "serving", "hbm-costing", "cold-start")
 
 
 def profile_sweep(top: int = 20) -> pstats.Stats:
@@ -172,6 +180,102 @@ def profile_hbm_costing(top: int = 20, rounds: int = 50) -> pstats.Stats:
     return stats
 
 
+#: perfbench's ``cli-cold`` rotation (``perfbench/bench.py``), seed 1.
+COLD_COMMANDS = (
+    ("BERT-base",),
+    ("GCN-cora",),
+    ("GAT-pubmed",),
+    ("decode-gpt2-small",),
+    ("BERT-base", "--memory-backend", "hbm-pim"),
+    ("GCN-cora", "--corner", "slow-hot", "--seed", "1"),
+)
+
+#: One cold command in a fresh process: times every repro dataclass
+#: ``_process_class`` builds, runs the CLI with stdout discarded, and
+#: prints the loaded-module count and the per-class seconds as JSON.
+_COLD_CHILD = """
+import contextlib, dataclasses, json, os, sys, time
+build = dataclasses._process_class
+seconds = {}
+def timed(cls, *args, **kwargs):
+    start = time.perf_counter()
+    try:
+        return build(cls, *args, **kwargs)
+    finally:
+        if cls.__module__.split(".")[0] == "repro":
+            name = cls.__module__ + "." + cls.__qualname__
+            seconds[name] = time.perf_counter() - start
+dataclasses._process_class = timed
+from repro.cli import main
+from repro.errors import ReproError
+with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+    try:
+        main(["run", *sys.argv[1:], "--json"])
+    except ReproError:  # a dead die still measures the cold path
+        pass
+loaded = [m for m in sys.modules if m.split(".")[0] == "repro"]
+print(json.dumps([len(loaded), seconds]))
+"""
+
+
+def _repro_import_self_ms(importtime: str) -> float:
+    """Summed ``-X importtime`` self time of the ``repro`` modules."""
+    total_us = 0
+    for line in importtime.splitlines():
+        fields = [field.strip() for field in line.split("|")]
+        if len(fields) == 3 and fields[2].split(".")[0] == "repro":
+            total_us += int(fields[0].rpartition(":")[2])
+    return total_us / 1e3
+
+
+def profile_cold_start(top: int = 20, repeats: int = 5) -> dict:
+    """Loaded modules, import self time and dataclass build time of each
+    cold command (medians of ``repeats`` processes); returns them per
+    command."""
+    import json
+    import os
+    import statistics
+    import subprocess
+
+    root = pathlib.Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    rows = {}
+    per_class: dict = {}
+    print(f"{'command':<48} {'modules':>7} {'import self ms':>14} "
+          f"{'dataclass ms (classes)':>22}")
+    for argv in COLD_COMMANDS:
+        samples = []
+        for _ in range(repeats):
+            child = subprocess.run(
+                [sys.executable, "-X", "importtime", "-c", _COLD_CHILD,
+                 *argv],
+                capture_output=True, text=True, env=env, cwd=str(root),
+                check=True,
+            )
+            modules, seconds = json.loads(child.stdout)
+            samples.append((modules, _repro_import_self_ms(child.stderr),
+                            1e3 * sum(seconds.values()), len(seconds)))
+            for name, value in seconds.items():
+                per_class.setdefault(name, []).append(1e3 * value)
+        command = " ".join(("run", *argv, "--json"))
+        rows[command] = {
+            "modules": samples[0][0],
+            "import_self_ms": statistics.median(s[1] for s in samples),
+            "dataclass_ms": statistics.median(s[2] for s in samples),
+            "dataclasses": samples[0][3],
+        }
+        row = rows[command]
+        print(f"{command:<48} {row['modules']:>7} "
+              f"{row['import_self_ms']:>14.1f} "
+              f"{row['dataclass_ms']:>15.1f} ({row['dataclasses']:>3})")
+    print("\ncostliest dataclasses (median ms over every build):")
+    ranked = sorted(per_class.items(),
+                    key=lambda item: -statistics.median(item[1]))
+    for name, values in ranked[:top]:
+        print(f"  {statistics.median(values):7.3f}  {name}")
+    return rows
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -183,6 +287,12 @@ def main() -> int:
     parser.add_argument(
         "--top", type=int, default=20, help="how many rows to print"
     )
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=5,
+        help="cold-start: fresh processes per command (medians over them)",
+    )
     args = parser.parse_args()
     if args.target == "serving-dispatch":
         profile_serving_dispatch(top=args.top)
@@ -190,6 +300,8 @@ def main() -> int:
         profile_serving(top=args.top)
     elif args.target == "hbm-costing":
         profile_hbm_costing(top=args.top)
+    elif args.target == "cold-start":
+        profile_cold_start(top=args.top, repeats=args.repeats)
     else:
         profile_sweep(top=args.top)
     return 0

@@ -29,6 +29,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 #: workloads; serving shipped with examples from day one).
 AUDITED_MODULES = (
     "repro._version",
+    "repro._lazy",
     "repro.core.base",
     "repro.core.reports",
     "repro.core.context",
